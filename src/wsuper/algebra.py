@@ -502,28 +502,41 @@ def export_table(alg):
     return doc
 
 
+def _doc_list(items, where, kind):
+    """items, checked to be a JSON list of kind entries."""
+    if not isinstance(items, list):
+        raise TableError("%s: expected a list" % where)
+    for pos, x in enumerate(items):
+        if not isinstance(x, kind):
+            raise TableError("%s[%d]: expected %s" % (where, pos, kind.__name__))
+    return items
+
+
 def import_table(doc):
     """Parse and fully validate a structure-constant document."""
+    if not isinstance(doc, dict):
+        raise TableError("document: expected an object")
     for key in ("name", "dim", "parity", "brackets", "form"):
         if key not in doc:
             raise TableError("missing key %r" % key)
     dim = doc["dim"]
     if not isinstance(dim, int) or dim <= 0:
         raise TableError("dim: expected positive integer")
-    parity = doc["parity"]
+    parity = _doc_list(doc["parity"], "parity", int)
     if len(parity) != dim or any(p not in (0, 1) for p in parity):
         raise TableError("parity: expected list of %d entries in {0,1}" % dim)
     brackets = {}
-    for pos, ent in enumerate(doc["brackets"]):
+    for pos, ent in enumerate(_doc_list(doc["brackets"], "brackets", dict)):
         where = "brackets[%d]" % pos
         try:
             i, j = int(ent["i"]), int(ent["j"])
-        except (KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):
             raise TableError("%s: expected integer i, j" % where)
         if not (0 <= i < dim and 0 <= j < dim):
             raise TableError("%s: index out of range" % where)
         terms = {}
-        for tpos, t in enumerate(ent.get("terms", ())):
+        for tpos, t in enumerate(_doc_list(ent.get("terms", []),
+                                           where + ".terms", dict)):
             k = t.get("k")
             if not isinstance(k, int) or not 0 <= k < dim:
                 raise TableError("%s.terms[%d]: bad k" % (where, tpos))
@@ -533,11 +546,11 @@ def import_table(doc):
         if terms:
             brackets[(i, j)] = terms
     form = [[ZERO] * dim for _ in range(dim)]
-    for pos, ent in enumerate(doc["form"]):
+    for pos, ent in enumerate(_doc_list(doc["form"], "form", dict)):
         where = "form[%d]" % pos
         try:
             i, j = int(ent["i"]), int(ent["j"])
-        except (KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):
             raise TableError("%s: expected integer i, j" % where)
         if not (0 <= i < dim and 0 <= j < dim):
             raise TableError("%s: index out of range" % where)

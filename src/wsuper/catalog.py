@@ -7,8 +7,6 @@ the odd pairing has a self-dual middle vector whose self-pairing is not 1,
 the nilpotent is rescaled once by the exact reciprocal and rebuilt.
 """
 
-from fractions import Fraction
-
 from .algebra import (_gl_index, build_gl, build_psl22, build_sl,
                       osp_realization, subalgebra)
 from .errors import DegeneracyError, InputError
@@ -58,11 +56,9 @@ def _setup_with_middle_rescale(alg, e):
     try:
         return build_minimal_setup(alg, e)
     except DegeneracyError as exc:
-        msg = str(exc)
-        if "self-pairing" not in msg:
+        if exc.self_pairing is None:
             raise
-        q = Fraction(msg.split("self-pairing ")[1].split(" ")[0])
-        return build_minimal_setup(alg, vec_scale(Fraction(1) / q, e))
+        return build_minimal_setup(alg, vec_scale(1 / exc.self_pairing, e))
 
 
 def minimal_setup(name):

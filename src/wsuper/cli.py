@@ -7,7 +7,6 @@ deterministic: the same configuration produces byte-identical JSON.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -70,7 +69,10 @@ def _parse_e(text, dim):
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != dim:
         raise InputError("--e needs %d comma-separated entries" % dim)
-    return tuple(Fraction(t) for t in parts)
+    try:
+        return tuple(Fraction(t) for t in parts)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("--e entries must be rationals p/q with q != 0") from None
 
 
 def _setup_from_args(args):
@@ -205,14 +207,6 @@ def cmd_export(args):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    threads = os.environ.get("WSUPER_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("WSUPER_THREADS must be a positive integer", file=sys.stderr)
-            return EXIT_USAGE
     handler = {
         "info": cmd_info,
         "verify": cmd_verify,

@@ -106,10 +106,8 @@ class EnvElement:
         straighten(setup, tuple(word), Fraction(c), out)
         return cls(setup, out)
 
-    def copy(self):
-        return EnvElement(self.setup, dict(self.terms))
-
     # -- ring structure ---------------------------------------------------
+    # Results are built as type(self), so a model element stays one.
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -119,19 +117,19 @@ class EnvElement:
                 out.pop(w, None)
             else:
                 out[w] = v
-        return EnvElement(self.setup, out)
+        return type(self)(self.setup, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return EnvElement(self.setup, {w: -c for w, c in self.terms.items()})
+        return type(self)(self.setup, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
         c = Fraction(c)
         if c == 0:
-            return EnvElement(self.setup)
-        return EnvElement(self.setup, {w: c * v for w, v in self.terms.items()})
+            return type(self)(self.setup)
+        return type(self)(self.setup, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, EnvElement):
@@ -146,7 +144,7 @@ class EnvElement:
         return self.scale(other)
 
     def __eq__(self, other):
-        return isinstance(other, EnvElement) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -171,34 +169,35 @@ class EnvElement:
         parts = {0: {}, 1: {}}
         for w, c in self.terms.items():
             parts[word_parity(self.setup, w)][w] = c
-        return {p: EnvElement(self.setup, t) for p, t in parts.items() if t}
+        return {p: type(self)(self.setup, t) for p, t in parts.items() if t}
 
     def max_kazhdan_degree(self):
         return max((kazhdan_degree(self.setup, w) for w in self.terms), default=0)
 
+    def report_key(self, word):
+        """Sort key of a monomial in rendered reports."""
+        return word
+
     def render(self):
-        return render_terms(self.setup, sorted(self.terms.items()))
+        if not self.terms:
+            return "0"
+        chunks = []
+        for word in sorted(self.terms, key=self.report_key):
+            c = self.terms[word]
+            body = "·".join(self.setup.letter_names[i] for i in word) if word else "1"
+            if c == 1 and word:
+                txt = body
+            elif c == -1 and word:
+                txt = "-" + body
+            else:
+                txt = "%s·%s" % (c, body) if word else str(c)
+            chunks.append(txt)
+        out = chunks[0]
+        for t in chunks[1:]:
+            out += " - " + t[1:] if t.startswith("-") else " + " + t
+        return out
 
     __repr__ = render
-
-
-def render_terms(setup, items):
-    if not items:
-        return "0"
-    chunks = []
-    for word, c in items:
-        body = "·".join(setup.letter_names[i] for i in word) if word else "1"
-        if c == 1 and word:
-            txt = body
-        elif c == -1 and word:
-            txt = "-" + body
-        else:
-            txt = "%s·%s" % (c, body) if word else str(c)
-        chunks.append(txt)
-    out = chunks[0]
-    for t in chunks[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
 
 
 def supercommutator(u, v):

@@ -62,17 +62,11 @@ def theta_v(setup, v, check=True):
     return gen
 
 
-def theta_w_correction_form(setup, w):
-    """Correction form: w - sum z[z*,w] + (sum zz[z*,[z*,w]] - 2[w,f])/3."""
+def _zz_double_sum(setup, w):
+    """sum_{a,b} z_a z_b [z*_b, [z*_a, w]] in U(g), shared by both forms."""
     alg = setup.alg
-    expr = EnvElement.from_vector(setup, w)
     n = len(setup.zbasis)
-    for alpha in range(n):
-        br = alg.bracket(setup.zdual[alpha], w)
-        if any(c != 0 for c in br):
-            za = EnvElement.from_letter(setup, setup.z_letter(alpha))
-            expr = expr - za * EnvElement.from_vector(setup, br)
-    dbl = EnvElement(setup)
+    out = EnvElement(setup)
     for alpha in range(n):
         inner = alg.bracket(setup.zdual[alpha], w)        # in g(0)
         if all(c == 0 for c in inner):
@@ -82,7 +76,20 @@ def theta_w_correction_form(setup, w):
             br2 = alg.bracket(setup.zdual[beta], inner)   # in g(-1)
             if any(c != 0 for c in br2):
                 zb = EnvElement.from_letter(setup, setup.z_letter(beta))
-                dbl = dbl + za * zb * env_from_zvector(setup, br2)
+                out = out + za * zb * env_from_zvector(setup, br2)
+    return out
+
+
+def theta_w_correction_form(setup, w):
+    """Correction form: w - sum z[z*,w] + (sum zz[z*,[z*,w]] - 2[w,f])/3."""
+    alg = setup.alg
+    expr = EnvElement.from_vector(setup, w)
+    for alpha in range(len(setup.zbasis)):
+        br = alg.bracket(setup.zdual[alpha], w)
+        if any(c != 0 for c in br):
+            za = EnvElement.from_letter(setup, setup.z_letter(alpha))
+            expr = expr - za * EnvElement.from_vector(setup, br)
+    dbl = _zz_double_sum(setup, w)
     wf = alg.bracket(w, setup.triple.f)                   # in g(-1)
     expr = expr + (dbl - env_from_zvector(setup, wf).scale(2)).scale(THIRD)
     return project(expr)
@@ -93,24 +100,13 @@ def theta_w_phi_form(setup, w):
     phi_w = (sum zz[z*,[z*,w]] - (3(s-r)+4)/2 [w,f]) / 3."""
     alg = setup.alg
     expr = EnvElement.from_vector(setup, w)
-    n = len(setup.zbasis)
-    for alpha in range(n):
+    for alpha in range(len(setup.zbasis)):
         br = alg.bracket(w, setup.zdual[alpha])           # in g(0)
         if any(c != 0 for c in br):
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
             za = EnvElement.from_letter(setup, setup.z_letter(alpha))
             expr = expr + (EnvElement.from_vector(setup, br) * za).scale(sign)
-    phi = EnvElement(setup)
-    for alpha in range(n):
-        inner = alg.bracket(setup.zdual[alpha], w)
-        if all(c == 0 for c in inner):
-            continue
-        za = EnvElement.from_letter(setup, setup.z_letter(alpha))
-        for beta in range(n):
-            br2 = alg.bracket(setup.zdual[beta], inner)
-            if any(c != 0 for c in br2):
-                zb = EnvElement.from_letter(setup, setup.z_letter(beta))
-                phi = phi + za * zb * env_from_zvector(setup, br2)
+    phi = _zz_double_sum(setup, w)
     wf = alg.bracket(w, setup.triple.f)
     coeff = Fraction(3 * (setup.sdim - setup.rdim) + 4, 2)
     phi = phi - env_from_zvector(setup, wf).scale(coeff)

@@ -179,16 +179,9 @@ class MinimalSetup:
             self._lbracket_cache[key] = hit
         return hit
 
-    def chi_letter(self, i):
-        return self.chi(self.letters[i])
-
     def z_letter(self, alpha):
         """Letter index of z_alpha (alpha is 0-based here)."""
         return self.z_start + alpha
-
-    def zdual_letters(self, alpha):
-        """z*_alpha as letter coordinates (a single signed letter)."""
-        return tuple(sorted(self.to_letters(self.zdual[alpha]).items()))
 
     def summary(self):
         d0, d1, e0, e1 = kw_numbers(self)
@@ -282,9 +275,11 @@ def _paired_odd_basis(setup_pairing, vectors):
     if middle is not None:
         q = setup_pairing(middle, middle)
         if q != 1:
-            raise DegeneracyError(
+            exc = DegeneracyError(
                 "middle g(-1) vector has self-pairing %s != 1; "
                 "rescale e by 1/%s and rebuild" % (q, q))
+            exc.self_pairing = q
+            raise exc
     out = list(left)
     if middle is not None:
         out.append(middle)

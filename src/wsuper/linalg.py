@@ -11,14 +11,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec(entries):
-    return tuple(Fraction(x) for x in entries)
-
-
-def zero_vec(n):
-    return (ZERO,) * n
-
-
 def unit_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -38,10 +30,6 @@ def vec_scale(c, x):
 
 def is_zero_vec(x):
     return all(a == 0 for a in x)
-
-
-def mat_vec(rows, x):
-    return tuple(sum((r[j] * x[j] for j in range(len(x))), ZERO) for r in rows)
 
 
 def rref(rows):

@@ -6,10 +6,9 @@ extracted operationally from the degree-1 commutator relation and
 cross-checked against the closed double-sum formula.
 """
 
-import time
 from fractions import Fraction
 
-from .enveloping import EnvElement
+from .enveloping import EnvElement, kazhdan_degree
 from .errors import InputError
 from .generators import casimir, theta_cas, theta_of, theta_v, theta_w
 from .linalg import ZERO, is_zero_vec, rank, solve, vec_scale, vec_sub
@@ -27,7 +26,6 @@ class RelationReport:
         self.rel_id = rel_id
         self.failures = []       # list of (witness_label, residue_or_None)
         self.detail = {}
-        self.seconds = 0.0
 
     @property
     def ok(self):
@@ -142,19 +140,9 @@ class SuiteContext:
         return s.form(s.alg.bracket(w1, w2), s.triple.f)
 
 
-def _timed(fn):
-    def wrap(*args, **kwargs):
-        t = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.seconds = time.perf_counter() - t
-        return rep
-    return wrap
-
-
 # ---------------------------------------------------------------------------
 # algebra identities used throughout the derivations
 
-@_timed
 def identities_suite(setup, ctx=None):
     rep = RelationReport("identities")
     alg = setup.alg
@@ -234,7 +222,6 @@ def identities_suite(setup, ctx=None):
     return rep
 
 
-@_timed
 def generator_checks(setup, ctx):
     """Membership, leading terms, degree bounds, and the parity involution."""
     rep = RelationReport("generators")
@@ -266,7 +253,6 @@ def generator_checks(setup, ctx):
     return rep
 
 
-@_timed
 def verify_deg0(setup, ctx=None):
     """[Theta_v1, Theta_v2] = Theta_[v1,v2] over all ordered basis pairs."""
     ctx = ctx or SuiteContext(setup)
@@ -282,7 +268,6 @@ def verify_deg0(setup, ctx=None):
     return rep
 
 
-@_timed
 def verify_deg01(setup, ctx=None):
     """[Theta_v, Theta_w] = Theta_[v,w] over all basis pairs."""
     ctx = ctx or SuiteContext(setup)
@@ -298,7 +283,6 @@ def verify_deg01(setup, ctx=None):
     return rep
 
 
-@_timed
 def verify_centrality(setup, ctx=None):
     """[C, -] = 0 against every generator, Theta_Cas, and C itself."""
     ctx = ctx or SuiteContext(setup)
@@ -413,7 +397,6 @@ def extract_c0(setup, ctx=None):
     values disagree across pairs.  Agreement with the closed formula is
     recorded on the result, not enforced here.
     """
-    t_start = time.perf_counter()
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("c0")
     result = C0Result()
@@ -458,11 +441,9 @@ def extract_c0(setup, ctx=None):
             rep.detail["matches_formula"] = result.matches_formula
     elif basis:
         rep.detail["note"] = "all pairings vanish; c0 not determined"
-    rep.seconds = time.perf_counter() - t_start
     return rep, result
 
 
-@_timed
 def verify_scalar_reduction(setup, ctx=None):
     """The structural combination of the degree-1 commutator must reduce to
     the published closed double-sum scalar, pair by pair.
@@ -491,7 +472,6 @@ def verify_scalar_reduction(setup, ctx=None):
     return rep
 
 
-@_timed
 def verify_b_invariance(setup, ctx=None):
     """b(w1,w2) := scalar of B(w1,w2) is even and g^e(0)_even-invariant,
     and proportional to ([.,.],f)."""
@@ -532,7 +512,6 @@ def verify_b_invariance(setup, ctx=None):
     return rep
 
 
-@_timed
 def one_dim_rep(setup, ctx=None, c0=None):
     """Evaluate every presented relation under eps: Theta -> 0, C -> c0.
 
@@ -600,7 +579,6 @@ def _symalg_count(degrees, parities, max_deg):
     return sum(c for d, c in counts.items() if d <= max_deg)
 
 
-@_timed
 def w_pbw_check(setup, max_deg=4, ctx=None):
     """Linear independence of ordered generator monomials up to max_deg,
     the graded dimension count against S(g^e), and the commutator
@@ -676,13 +654,13 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
             diff = comm - _theta_full(setup, ctx, setup.alg.bracket(yi, yj))
             bound = mi + mj + 1
             top = {k: c for k, c in diff.terms.items()
-                   if diff.kazhdan_degree_key(k) > bound}
+                   if kazhdan_degree(setup, k) > bound}
             if not top:
                 continue
             cols = []
             for q in quads:
                 cols.append({k: c for k, c in q.terms.items()
-                             if q.kazhdan_degree_key(k) > bound})
+                             if kazhdan_degree(setup, k) > bound})
             keys = sorted(set(top) | {k for col in cols for k in col})
             rows = [[col.get(k, ZERO) for col in cols] for k in keys]
             target = [top.get(k, ZERO) for k in keys]

@@ -1,180 +1,88 @@
 """The Whittaker model: U(g) modulo the left ideal generated by f - 1,
-realized on canonical (p-word, z-word) pairs.
+realized on f-free normal words.
 
 With the global letter order of the setup a normal monomial splits as
-p-part . z-part . f^k, so projection just evaluates the f-suffix at 1.
+p-part . z-part . f^k, so projection just evaluates the f-suffix at 1,
+and a model element is an EnvElement whose words carry no f.
 The z-letters generate the Weyl-Clifford algebra attached to the pairing
 on g(-1); products of model elements are computed by lifting to U(g),
 multiplying, and projecting back, which on ad-n invariants is exactly the
 model's associative product.
 """
 
-from fractions import Fraction
+from bisect import bisect_left
 
-from .enveloping import EnvElement, word_parity
+from .enveloping import EnvElement, kazhdan_degree, weight
 from .errors import InputError
 from .linalg import ZERO
 
 
-class WhittakerElement:
-    """Sparse map (p-word, z-word) -> Fraction in canonical form."""
+class WhittakerElement(EnvElement):
+    """Sparse map f-free normal word -> Fraction, with the model product."""
 
-    __slots__ = ("setup", "terms")
-
-    def __init__(self, setup, terms=None):
-        self.setup = setup
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def unit(cls, setup, c=1):
-        c = Fraction(c)
-        return cls(setup, {((), ()): c} if c != 0 else {})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, ZERO) + c
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return WhittakerElement(self.setup, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WhittakerElement(self.setup, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return WhittakerElement(self.setup)
-        return WhittakerElement(self.setup, {k: c * v for k, v in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, WhittakerElement):
             return multiply_q(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return isinstance(other, WhittakerElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
+    def report_key(self, word):
+        """(p-part, z-part): reports order by the split, which differs from
+        the order of whole words: x1·z1 comes before x1·x2 here, after it
+        as a word."""
+        k = bisect_left(word, self.setup.z_start)
+        return word[:k], word[k:]
 
     def scalar_part(self):
-        """Coefficient of 1 x 1 if the element is scalar, else None."""
+        """Coefficient of 1 if the element is scalar, else None."""
         if not self.terms:
             return ZERO
-        if len(self.terms) == 1 and ((), ()) in self.terms:
-            return self.terms[((), ())]
+        if len(self.terms) == 1 and () in self.terms:
+            return self.terms[()]
         return None
-
-    def parity(self):
-        p = None
-        for (pw, zw) in self.terms:
-            wp = word_parity(self.setup, pw + zw)
-            if p is None:
-                p = wp
-            elif p != wp:
-                return None
-        return p
-
-    def homogeneous_parts(self):
-        parts = {0: {}, 1: {}}
-        for k, c in self.terms.items():
-            parts[word_parity(self.setup, k[0] + k[1])][k] = c
-        return {p: WhittakerElement(self.setup, t) for p, t in parts.items() if t}
-
-    def kazhdan_degree_key(self, key):
-        pw, zw = key
-        return sum(self.setup.letter_grade[i] + 2 for i in pw) + len(zw)
-
-    def weight_key(self, key):
-        pw, zw = key
-        return sum(self.setup.letter_grade[i] for i in pw) - len(zw)
-
-    def max_kazhdan_degree(self):
-        return max((self.kazhdan_degree_key(k) for k in self.terms), default=0)
 
     def leading(self):
         """Sub-element of maximal (Kazhdan degree, weight)."""
-        if not self.terms:
-            return WhittakerElement(self.setup)
-        best = max((self.kazhdan_degree_key(k), self.weight_key(k))
-                   for k in self.terms)
-        keep = {k: c for k, c in self.terms.items()
-                if (self.kazhdan_degree_key(k), self.weight_key(k)) == best}
-        return WhittakerElement(self.setup, keep)
+        setup = self.setup
 
-    def render(self):
-        names = self.setup.letter_names
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (pw, zw) in sorted(self.terms):
-            c = self.terms[(pw, zw)]
-            word = pw + zw
-            body = "·".join(names[i] for i in word) if word else "1"
-            if c == 1 and word:
-                txt = body
-            elif c == -1 and word:
-                txt = "-" + body
-            else:
-                txt = "%s·%s" % (c, body) if word else str(c)
-            chunks.append(txt)
-        out = chunks[0]
-        for t in chunks[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        def key(word):
+            return kazhdan_degree(setup, word), weight(setup, word)
 
-    __repr__ = render
+        best = max((key(w) for w in self.terms), default=None)
+        return WhittakerElement(setup, {w: c for w, c in self.terms.items()
+                                        if key(w) == best})
 
     def as_json(self):
         names = self.setup.letter_names
         out = []
-        for (pw, zw) in sorted(self.terms):
-            c = self.terms[(pw, zw)]
+        for word in sorted(self.terms, key=self.report_key):
+            c = self.terms[word]
             out.append({
-                "monomial": [names[i] for i in pw + zw],
+                "monomial": [names[i] for i in word],
                 "coeff": "%d/%d" % (c.numerator, c.denominator),
             })
         return out
 
 
 def project(env):
-    """Image in the model: split p | z | f and evaluate the f-run at chi(f)=1."""
-    setup = env.setup
-    z0, idx_f = setup.z_start, setup.idx_f
+    """Image in the model: f is the last letter, so the f-run of a normal
+    word is a suffix; dropping it evaluates it at chi(f) = 1."""
+    idx_f = env.setup.idx_f
     out = {}
     for word, c in env.terms.items():
-        pw, zw = [], []
-        for i in word:
-            if i == idx_f:
-                continue                     # chi(f) = 1 after normalization
-            elif i >= z0:
-                zw.append(i)
-            else:
-                pw.append(i)
-        key = (tuple(pw), tuple(zw))
+        key = word[:bisect_left(word, idx_f)]
         v = out.get(key, ZERO) + c
         if v == 0:
             out.pop(key, None)
         else:
             out[key] = v
-    return WhittakerElement(setup, out)
+    return WhittakerElement(env.setup, out)
 
 
 def lift(q):
-    """Canonical f-free preimage in U(g); already in normal order."""
-    return EnvElement(q.setup, {pw + zw: c for (pw, zw), c in q.terms.items()})
+    """Canonical f-free preimage in U(g): the same words, already normal."""
+    return EnvElement(q.setup, dict(q.terms))
 
 
 def multiply_q(q1, q2):
@@ -229,17 +137,15 @@ def is_w_element(q):
 
 def sigma(q):
     """Involution negating monomials of odd Kazhdan degree."""
-    out = {}
-    for k, c in q.terms.items():
-        out[k] = -c if q.kazhdan_degree_key(k) % 2 else c
-    return WhittakerElement(q.setup, out)
+    setup = q.setup
+    return WhittakerElement(setup, {w: -c if kazhdan_degree(setup, w) % 2 else c
+                                    for w, c in q.terms.items()})
 
 
-def env_from_zvector(setup, vec, sink_coeff=1):
+def env_from_zvector(setup, vec):
     """A g(-1) vector as a z-letter combination (degree-1 EnvElement)."""
     coords = setup.to_letters(vec)
     bad = [i for i in coords if setup.letter_grade[i] != -1]
     if bad:
         raise InputError("vector is not in g(-1)")
-    return EnvElement(setup, {(i,): Fraction(sink_coeff) * c
-                              for i, c in coords.items()})
+    return EnvElement(setup, {(i,): c for i, c in coords.items()})

@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
-from wsuper.algebra import build_psl22
+import pytest
+
+from wsuper.algebra import build_psl22, export_table
 
 OK_SUITE = "identities,generators,deg0,deg01,central,c0,b_invariance,pbw,one_dim"
 
@@ -130,7 +133,6 @@ def test_json_reports_are_byte_identical_across_runs():
 
 
 def test_table_with_missing_form_is_input_error(tmp_path):
-    from wsuper.algebra import export_table
     doc = export_table(build_psl22())
     doc["form"] = []
     bad = tmp_path / "bad.json"
@@ -141,10 +143,30 @@ def test_table_with_missing_form_is_input_error(tmp_path):
     assert "form" in out.stderr
 
 
-def test_invalid_threads_env_rejected():
-    import os
-    env = dict(os.environ, WSUPER_THREADS="zero")
-    out = subprocess.run([sys.executable, "-m", "wsuper.cli", "info",
-                          "--family", "psl22"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 2
+def test_json_report_is_independent_of_hash_seed():
+    runs = [run_cli("verify", "--family", "psl22", "--format", "json",
+                    env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "12345")]
+    assert runs[0].returncode in (0, 1), runs[0].stderr
+    assert runs[0].returncode == runs[1].returncode
+    assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("e, table_patch", [
+    ("1/0,0,1,0,0,0,0,0", None),             # zero denominator in --e
+    (None, ("parity", 5)),                   # parity not a list
+    (None, ("form", "x")),                   # form not a list of entries
+], ids=["e-zero-denominator", "parity-not-a-list", "form-not-a-list"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, e, table_patch):
+    if table_patch is None:
+        args = ("c0", "--family", "sl", "--m", "2", "--n", "1", "--e", e)
+    else:
+        doc = export_table(build_psl22())
+        doc[table_patch[0]] = table_patch[1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = ("verify", "--table", str(bad), "--e", ",".join(["0"] * 14))
+    out = run_cli(*args)
+    assert out.returncode == 2, out.stderr
+    assert any(line.startswith("error:") for line in out.stderr.splitlines())
+    assert "Traceback" not in out.stderr

@@ -24,8 +24,8 @@ def test_theta_v_frozen_value_psl22(psl22):
     v = _unit_by_name(s.alg, "E[2,3]")
     gen = theta_v(s, v)
     want = {
-        ((2,), ()): F(1),
-        ((), (s.z_letter(1), s.z_letter(3))): F(1),
+        (2,): F(1),
+        (s.z_letter(1), s.z_letter(3)): F(1),
     }
     assert gen.value.terms == want
     assert gen.kazhdan_degree == 2 and gen.parity == 0
@@ -38,12 +38,12 @@ def test_theta_w_frozen_value_psl22(psl22):
     gen = theta_w(s, w)
     z1, z2, z3 = s.z_letter(0), s.z_letter(1), s.z_letter(2)
     want = {
-        ((4,), ()): F(1),           # w x 1
-        ((0,), (z1,)): F(-1),       # -h x z1
-        ((1,), (z1,)): F(-1),       # -H1 x z1
-        ((3,), (z2,)): F(-1),       # -e_21 x z2
-        ((), (z1,)): F(-1),
-        ((), (z1, z2, z3)): F(1),
+        (4,): F(1),                 # w x 1
+        (0, z1): F(-1),             # -h x z1
+        (1, z1): F(-1),             # -H1 x z1
+        (3, z2): F(-1),             # -e_21 x z2
+        (z1,): F(-1),
+        (z1, z2, z3): F(1),
     }
     assert gen.value.terms == want
 
@@ -54,11 +54,11 @@ def test_casimir_frozen_value_psl22(psl22):
     s = psl22
     value = casimir(s).value
     want = {
-        ((8,), ()): F(2),
-        ((0,), ()): F(2), ((1,), ()): F(2),
-        ((0, 1), ()): F(-2), ((1, 1), ()): F(-2), ((2, 3), ()): F(-2),
-        ((4,), (12,)): F(-2), ((5,), (11,)): F(-2),
-        ((6,), (9,)): F(2), ((7,), (10,)): F(2),
+        (8,): F(2),
+        (0,): F(2), (1,): F(2),
+        (0, 1): F(-2), (1, 1): F(-2), (2, 3): F(-2),
+        (4, 12): F(-2), (5, 11): F(-2),
+        (6, 9): F(2), (7, 10): F(2),
     }
     assert value.terms == want
 
@@ -129,17 +129,26 @@ def test_theta_cas_frozen_value_psl22(psl22):
     value = theta_cas(psl22).value
     z1, z2, z3, z4 = (psl22.z_letter(a) for a in range(4))
     want = {
-        ((), (z1, z2, z3, z4)): F(3),
-        ((), (z1, z4)): F(-3, 2), ((), (z2, z3)): F(-3, 2),
-        ((0,), ()): F(1), ((1,), ()): F(2),
-        ((0,), (z1, z4)): F(-1), ((0,), (z2, z3)): F(1),
-        ((1,), (z1, z4)): F(-2), ((1,), (z2, z3)): F(2),
-        ((2,), (z1, z3)): F(-2),
-        ((3,), (z2, z4)): F(-2),
-        ((0, 0), ()): F(-1, 2), ((0, 1), ()): F(-2), ((1, 1), ()): F(-2),
-        ((2, 3), ()): F(-2),
+        (z1, z2, z3, z4): F(3),
+        (z1, z4): F(-3, 2), (z2, z3): F(-3, 2),
+        (0,): F(1), (1,): F(2),
+        (0, z1, z4): F(-1), (0, z2, z3): F(1),
+        (1, z1, z4): F(-2), (1, z2, z3): F(2),
+        (2, z1, z3): F(-2),
+        (3, z2, z4): F(-2),
+        (0, 0): F(-1, 2), (0, 1): F(-2), (1, 1): F(-2),
+        (2, 3): F(-2),
     }
     assert value.terms == want
+
+
+def test_theta_cas_render_orders_by_p_part_then_z_part(psl22):
+    # reports sort terms by (p-word, z-word), not by the whole word: the
+    # pure z-terms come first and x1·z1·z4 precedes x1·x1
+    assert theta_cas(psl22).value.render() == (
+        "3·z1·z2·z3·z4 - 3/2·z1·z4 - 3/2·z2·z3 + x1 - x1·z1·z4 + x1·z2·z3"
+        " - 1/2·x1·x1 - 2·x1·x2 + 2·x2 - 2·x2·z1·z4 + 2·x2·z2·z3 - 2·x2·x2"
+        " - 2·x3·z1·z3 - 2·x3·x4 - 2·x4·z2·z4")
 
 
 def test_theta_cas_commutes_with_theta_v(catalog_setup):

@@ -40,6 +40,37 @@ def test_import_reports_location_of_malformed_entry():
         import_table(doc)
 
 
+def _terms_not_a_list(doc):
+    doc["brackets"][1]["terms"] = "x"
+    return doc
+
+
+def _form_entry_not_an_object(doc):
+    doc["form"][0] = "x"
+    return doc
+
+
+def _bracket_index_not_a_number(doc):
+    doc["brackets"][0]["i"] = [0]
+    return doc
+
+
+def _document_not_an_object(doc):
+    return [doc]
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (_terms_not_a_list, r"brackets\[1\]\.terms"),
+    (_form_entry_not_an_object, r"form\[0\]"),
+    (_bracket_index_not_a_number, r"brackets\[0\]"),
+    (_document_not_an_object, "document"),
+], ids=["terms", "form-entry", "bracket-index", "document"])
+def test_import_reports_location_of_wrongly_typed_entry(corrupt, where):
+    doc = corrupt(export_table(build_osp(1, 2)))
+    with pytest.raises(TableError, match=where):
+        import_table(doc)
+
+
 def test_import_rejects_out_of_range_index():
     doc = export_table(build_osp(1, 2))
     doc["form"].append({"i": 99, "j": 0, "num": "1", "den": "1"})

@@ -20,7 +20,24 @@ def test_project_f_is_one(catalog_setup):
 def test_project_leaves_p_letters(psl22):
     s = psl22
     e = EnvElement.from_letter(s, s.idx_e)
-    assert project(e).terms == {((s.idx_e,), ()): Fraction(1)}
+    assert project(e).terms == {(s.idx_e,): Fraction(1)}
+
+
+def test_model_arithmetic_stays_in_the_model(psl22):
+    # +, -, unary -, scale, parity parts and project give model elements,
+    # so * on their results is the model product, which has no f letters
+    s = psl22
+    x = project(EnvElement.from_letter(s, 0))
+    z = project(EnvElement.from_letter(s, s.z_letter(0)))
+    zs = project(EnvElement.from_vector(s, s.zdual[0]))
+    results = [x + z, x - z, -z, z.scale(2), 3 * z, z * 3]
+    results += (x + z).homogeneous_parts().values()
+    for q in results:
+        assert type(q) is WhittakerElement
+    prod = zs * (z - x)
+    assert prod == multiply_q(zs, z - x)
+    assert () in prod.terms                    # the pairing, with f -> 1
+    assert all(s.idx_f not in w for w in prod.terms)
 
 
 def test_clifford_weyl_relation(catalog_setup):
