@@ -16,7 +16,7 @@ from .enveloping import EnvElement, supercommutator
 from .errors import (DegeneracyError, InputError, NotMinimalError, TableError,
                      ValidationError)
 from .generators import (WGenerator, casimir, standard_generators, theta_cas,
-                         theta_of, theta_v, theta_w)
+                         theta_v, theta_w)
 from .grading import (MinimalSetup, SL2Triple, build_minimal_setup,
                       find_sl2_triple, kw_dimensions)
 from .relations import (C0Result, RELATION_IDS, RelationReport, SuiteResult,

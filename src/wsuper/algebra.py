@@ -12,8 +12,8 @@ Supercommutator convention throughout: [x,y] = xy - (-1)^{|x||y|} yx.
 from fractions import Fraction
 
 from .errors import DegeneracyError, InputError, TableError, ValidationError
-from .linalg import (ONE, ZERO, is_zero_vec, nullspace, rank, solve_in_span,
-                     unit_vec, vec_add, vec_scale)
+from .linalg import (ONE, ZERO, Span, is_zero_vec, nullspace, rank, unit_vec,
+                     vec_add, vec_scale)
 
 EVEN, ODD = 0, 1
 
@@ -291,15 +291,17 @@ def subalgebra(amb, vectors, name, names=None):
         if p is None:
             raise ValidationError("subalgebra basis vector not parity-homogeneous")
         parity.append(p)
+    try:
+        span = Span(vectors)
+    except ValueError:
+        raise ValidationError("subalgebra basis vectors are linearly dependent") from None
     brackets = {}
     for i in range(dim):
         for j in range(dim):
-            w = amb.bracket(vectors[i], vectors[j])
-            coords = solve_in_span(vectors, w)
-            if coords is None:
+            terms = span.coords(amb.bracket(vectors[i], vectors[j]))
+            if terms is None:
                 raise ValidationError(
                     "subspace not closed under bracket at pair (%d,%d)" % (i, j))
-            terms = {k: c for k, c in enumerate(coords) if c != 0}
             if terms:
                 brackets[(i, j)] = terms
     form = [[amb.form_value(vectors[i], vectors[j]) for j in range(dim)]
@@ -363,15 +365,14 @@ def build_psl22():
                 names.append("E[%d,%d]" % (a, b))
     dim = len(vectors)
     parity = [gl.parity_of(v) for v in vectors]
-    with_ident = vectors + [ident]
+    with_ident = Span(vectors + [ident])
     brackets = {}
     for i in range(dim):
         for j in range(dim):
-            w = gl.bracket(vectors[i], vectors[j])
-            coords = solve_in_span(with_ident, w)
+            coords = with_ident.coords(gl.bracket(vectors[i], vectors[j]))
             if coords is None:
                 raise ValidationError("sl(2|2) bracket left the expected span")
-            terms = {k: c for k, c in enumerate(coords[:dim]) if c != 0}
+            terms = {k: c for k, c in coords.items() if k < dim}
             if terms:
                 brackets[(i, j)] = terms
     # supertrace form descends: I is in its radical on sl(2|2)
@@ -512,6 +513,17 @@ def _doc_list(items, where, kind):
     return items
 
 
+def _doc_index(ent, key, dim, where):
+    """ent[key] as an index below dim: a JSON integer, not a bool, float
+    or string, which int() would truncate or coerce."""
+    x = ent.get(key)
+    if type(x) is not int:
+        raise TableError("%s: %s must be an integer" % (where, key))
+    if not 0 <= x < dim:
+        raise TableError("%s: index %s out of range" % (where, key))
+    return x
+
+
 def import_table(doc):
     """Parse and fully validate a structure-constant document."""
     if not isinstance(doc, dict):
@@ -519,28 +531,24 @@ def import_table(doc):
     for key in ("name", "dim", "parity", "brackets", "form"):
         if key not in doc:
             raise TableError("missing key %r" % key)
+    if not isinstance(doc["name"], str):
+        raise TableError("name: expected a string")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim <= 0:
+    if type(dim) is not int or dim <= 0:
         raise TableError("dim: expected positive integer")
     parity = _doc_list(doc["parity"], "parity", int)
     if len(parity) != dim or any(p not in (0, 1) for p in parity):
-        raise TableError("parity: expected list of %d entries in {0,1}" % dim)
+        raise TableError("parity: expected a list of dim entries in {0,1}")
     brackets = {}
     for pos, ent in enumerate(_doc_list(doc["brackets"], "brackets", dict)):
         where = "brackets[%d]" % pos
-        try:
-            i, j = int(ent["i"]), int(ent["j"])
-        except (KeyError, TypeError, ValueError):
-            raise TableError("%s: expected integer i, j" % where)
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise TableError("%s: index out of range" % where)
+        i, j = _doc_index(ent, "i", dim, where), _doc_index(ent, "j", dim, where)
         terms = {}
         for tpos, t in enumerate(_doc_list(ent.get("terms", []),
                                            where + ".terms", dict)):
-            k = t.get("k")
-            if not isinstance(k, int) or not 0 <= k < dim:
-                raise TableError("%s.terms[%d]: bad k" % (where, tpos))
-            val = _frac_from_doc(t, "%s.terms[%d]" % (where, tpos))
+            twhere = "%s.terms[%d]" % (where, tpos)
+            k = _doc_index(t, "k", dim, twhere)
+            val = _frac_from_doc(t, twhere)
             if val != 0:
                 terms[k] = val
         if terms:
@@ -548,16 +556,11 @@ def import_table(doc):
     form = [[ZERO] * dim for _ in range(dim)]
     for pos, ent in enumerate(_doc_list(doc["form"], "form", dict)):
         where = "form[%d]" % pos
-        try:
-            i, j = int(ent["i"]), int(ent["j"])
-        except (KeyError, TypeError, ValueError):
-            raise TableError("%s: expected integer i, j" % where)
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise TableError("%s: index out of range" % where)
+        i, j = _doc_index(ent, "i", dim, where), _doc_index(ent, "j", dim, where)
         form[i][j] = _frac_from_doc(ent, where)
     if all(all(x == 0 for x in row) for row in form):
         raise TableError("form: missing or identically zero")
-    alg = SuperAlgebra(str(doc["name"]), parity, brackets, form)
+    alg = SuperAlgebra(doc["name"], parity, brackets, form)
     report = check_algebra(alg)
     if not report.ok:
         name, witness = report.first_failure()

@@ -11,7 +11,7 @@ from .algebra import (_gl_index, build_gl, build_psl22, build_sl,
                       osp_realization, subalgebra)
 from .errors import DegeneracyError, InputError
 from .grading import build_minimal_setup
-from .linalg import solve_in_span, vec_scale
+from .linalg import ZERO, Span, vec_scale
 
 CATALOG_NAMES = ("sl(2|1)", "osp(1|2)", "psl22", "osp(3|2)")
 
@@ -31,10 +31,10 @@ def _osp_with_e(m, n):
     names = ["M%d" % i for i in range(len(vectors))]
     alg = subalgebra(gl, vectors, "osp(%d|%d)" % (m, n), names)
     target = gl.basis_vector(_gl_index(m, n, m, m + n - 1))
-    coords = solve_in_span(vectors, target)
+    coords = Span(vectors).coords(target)
     if coords is None:
         raise InputError("sp raising element not found in osp(%d|%d)" % (m, n))
-    return alg, tuple(coords)
+    return alg, tuple(coords.get(k, ZERO) for k in range(alg.dim))
 
 
 def build_catalog_algebra(name):

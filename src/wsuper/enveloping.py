@@ -67,14 +67,6 @@ def weight(setup, word):
     return total
 
 
-def exponents(word):
-    """Sparse exponent view of a normal word."""
-    out = {}
-    for i in word:
-        out[i] = out.get(i, 0) + 1
-    return out
-
-
 class EnvElement:
     """Element of U(g) as a sparse map from normal monomials to Fractions."""
 

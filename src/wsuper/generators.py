@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .enveloping import EnvElement
 from .errors import InputError
-from .linalg import ZERO
 from .whittaker import (WhittakerElement, env_from_zvector, is_w_element,
                         multiply_q, project)
 
@@ -155,7 +154,7 @@ def casimir(setup, check=True):
     return gen
 
 
-def theta_cas(setup, theta0=None):
+def theta_cas(setup):
     """sum_i (-1)^{|i|} Theta_{a_i} Theta_{b_i} over the g^e(0) dual bases."""
     value = WhittakerElement(setup)
     for a, b in zip(setup.dual_a, setup.dual_b):
@@ -164,25 +163,6 @@ def theta_cas(setup, theta0=None):
         tb = theta_v(setup, b, check=False).value
         value = value + multiply_q(ta, tb).scale(sign)
     return WGenerator("ThetaCas", tuple(setup.triple.e), value, 4, 0)
-
-
-def theta_of(setup, x):
-    """Theta of an arbitrary g^e(0) + g^e(1) vector, extended linearly
-    through the grading components."""
-    h_bracket = setup.alg.bracket(setup.triple.h, x)
-    comp0, comp1 = list(x), [ZERO] * setup.dim
-    if any(c != 0 for c in h_bracket):
-        # split x = x0 + x1 by eigenvalue: x1 = [h,x], x0 = x - x1
-        comp1 = list(h_bracket)
-        comp0 = [a - b for a, b in zip(x, comp1)]
-        if setup.alg.bracket(setup.triple.h, tuple(comp1)) != tuple(comp1):
-            raise InputError("vector is not in g^e(0) + g^e(1)")
-    out = WhittakerElement(setup)
-    if any(c != 0 for c in comp0):
-        out = out + theta_v(setup, tuple(comp0), check=False).value
-    if any(c != 0 for c in comp1):
-        out = out + theta_w(setup, tuple(comp1), check=False).value
-    return out
 
 
 def _vec_label(setup, v):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneracyError, InputError, NotMinimalError
-from .linalg import (ONE, ZERO, inverse, is_zero_vec, nullspace, solve,
+from .linalg import (ONE, ZERO, Span, is_zero_vec, nullspace, solve, unit_vec,
                      vec_add, vec_scale)
 
 
@@ -125,10 +125,10 @@ class MinimalSetup:
         self.idx_e = self.n_p - 1
         self.idx_f = len(letters) - 1
         self.z_start = self.n_p
-        self._to_letter_matrix = inverse(
-            [[letters[j][i] for j in range(len(letters))] for i in range(alg.dim)])
-        if self._to_letter_matrix is None:
-            raise DegeneracyError("letter system is not a basis")
+        try:
+            self._letter_span = Span(letters)
+        except ValueError:
+            raise DegeneracyError("letter system is not a basis") from None
         self._lbracket_cache = {}
         self._chi = tuple(alg.form_value(triple.e, alg.basis_vector(i))
                           for i in range(alg.dim))
@@ -164,10 +164,7 @@ class MinimalSetup:
 
     def to_letters(self, vec):
         """Coordinates of an algebra vector in the letter basis."""
-        coords = [sum((self._to_letter_matrix[i][j] * vec[j]
-                       for j in range(self.dim) if vec[j] != 0), ZERO)
-                  for i in range(self.dim)]
-        return {i: c for i, c in enumerate(coords) if c != 0}
+        return self._letter_span.coords(vec)
 
     def letter_bracket(self, i, j):
         """[letter_i, letter_j] expanded in letters; cached."""
@@ -364,19 +361,20 @@ def build_minimal_setup(alg, e):
     if len(cent[2]) != 1:
         raise NotMinimalError("g^e(2) is not one-dimensional")
 
+    # b_j = sum_k M[k][j] a_k with gram . M = I: column j of M is the
+    # coordinate vector of the j-th unit vector over the gram columns
     dual_a = list(cent[0])
+    dual_b = []
     if dual_a:
-        gram = [[alg.form_value(a, b) for b in dual_a] for a in dual_a]
-        inv = inverse(gram)
-        if inv is None:
-            raise DegeneracyError("form degenerate on g^e(0)")
-        dual_b = []
-        for j in range(len(dual_a)):
-            w = tuple(sum((inv[k][j] * dual_a[k][t] for k in range(len(dual_a))), ZERO)
-                      for t in range(alg.dim))
-            dual_b.append(w)
-    else:
-        dual_b = []
+        n0 = len(dual_a)
+        try:
+            gram = Span([[alg.form_value(a, b) for a in dual_a] for b in dual_a])
+        except ValueError:
+            raise DegeneracyError("form degenerate on g^e(0)") from None
+        for j in range(n0):
+            coords = gram.coords(unit_vec(n0, j))
+            dual_b.append(tuple(sum((c * dual_a[k][t] for k, c in coords.items()), ZERO)
+                                for t in range(alg.dim)))
 
     letters, lpar, lgrade, lnames = [], [], [], []
     counters = {"x": 0, "y": 0}

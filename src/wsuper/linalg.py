@@ -110,24 +110,35 @@ def solve(rows, rhs):
     return tuple(x)
 
 
-def solve_in_span(vectors, target):
-    """Coordinates of target in the span of the given vectors, or None.
+class Span:
+    """Exact coordinates in the span of linearly independent vectors.
 
-    vectors are column vectors of equal length; returns a tuple c with
-    sum(c[i] * vectors[i]) == target.
+    One RREF of [A | I], A having the k vectors as columns, factors the
+    span once.  The top k rows of the right block are a left inverse of A;
+    the remaining rows annihilate exactly the span, so coords can both
+    test membership and read off the unique coordinates.  Both blocks are
+    kept by column, so a sparse vector costs only its nonzero entries.
     """
-    if not vectors:
-        return () if is_zero_vec(target) else None
-    n = len(vectors[0])
-    rows = [[vectors[j][i] for j in range(len(vectors))] for i in range(n)]
-    return solve(rows, list(target))
 
+    def __init__(self, vectors):
+        k = len(vectors)
+        n = len(vectors[0]) if k else 0
+        red, pivots = rref([[v[i] for v in vectors] + list(unit_vec(n, i))
+                            for i in range(n)])
+        if pivots[:k] != list(range(k)):
+            raise ValueError("vectors are linearly dependent")
+        self._k = k
+        self._cols = [{r: row[k + j] for r, row in enumerate(red) if row[k + j] != 0}
+                      for j in range(n)]
 
-def inverse(rows):
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + list(unit_vec(n, i)) for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [red[i][n:] for i in range(n)]
+    def coords(self, x):
+        """{index: nonzero coefficient} with sum c_i v_i == x, or None
+        when x lies outside the span."""
+        acc = {}
+        for j, c in enumerate(x):
+            if c != 0:
+                for r, p in self._cols[j].items():
+                    acc[r] = acc.get(r, ZERO) + c * p
+        if any(c != 0 for r, c in acc.items() if r >= self._k):
+            return None
+        return {r: acc[r] for r in sorted(acc) if acc[r] != 0}

@@ -6,8 +6,8 @@ from oracles import (gl_vector_to_matrix, mat_parity, oracle_rank,
                      super_bracket, supertrace, munit)
 from wsuper.algebra import (build_algebra, build_gl, build_osp, build_psl22,
                             build_sl, check_algebra, normalized_form,
-                            osp_realization)
-from wsuper.errors import DegeneracyError, InputError
+                            osp_realization, subalgebra)
+from wsuper.errors import DegeneracyError, InputError, ValidationError
 
 
 def test_gl11_dimensions():
@@ -98,6 +98,15 @@ def test_bracket_dimension_mismatch():
     alg = build_gl(1, 1)
     with pytest.raises(InputError):
         alg.bracket((Fraction(1),), alg.basis_vector(0))
+
+
+def test_subalgebra_rejects_dependent_vectors():
+    # the diagonal of gl(2|0) is bracket-closed, so only the dependence of
+    # the third vector on the first two is wrong here
+    gl = build_gl(2, 0)
+    d0, d1 = gl.basis_vector(0), gl.basis_vector(3)
+    with pytest.raises(ValidationError, match="dependent"):
+        subalgebra(gl, [d0, d1, tuple(a + b for a, b in zip(d0, d1))], "diag")
 
 
 def test_check_algebra_flags_parity_violation_with_witness():

@@ -7,7 +7,7 @@ from wsuper.catalog import _unit_by_name
 from wsuper.enveloping import EnvElement
 from wsuper.errors import InputError
 from wsuper.generators import (casimir, standard_generators, theta_cas,
-                               theta_of, theta_v, theta_w)
+                               theta_v, theta_w)
 from wsuper.grading import build_minimal_setup
 from wsuper.whittaker import is_w_element, project, supercommutator_q
 
@@ -163,8 +163,9 @@ def test_theta_of_splits_grading_components(psl22):
     v = s.cent[0][1]
     w = s.cent[1][0]
     x = tuple(a + b for a, b in zip(v, w))
-    got = theta_of(s, x)
+    ctx = get_ctx("psl22")
+    got = ctx.theta(x)
     want = theta_v(s, v).value + theta_w(s, w).value
     assert got == want
     with pytest.raises(InputError):
-        theta_of(s, s.triple.f)
+        ctx.theta(s.triple.f)

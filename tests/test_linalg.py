@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from oracles import oracle_rank
-from wsuper.linalg import (inverse, nullspace, rank, rref, solve,
-                           solve_in_span, unit_vec)
+from wsuper.linalg import Span, nullspace, rank, rref, solve, unit_vec
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6):
@@ -49,29 +50,35 @@ def test_solve_inconsistent_returns_none():
     assert solve(m, [Fraction(1), Fraction(2)]) is None
 
 
-def test_inverse_round_trip():
+def test_span_left_inverse_round_trip():
     rng = random.Random(3)
     found = 0
     while found < 10:
         n = rng.randint(1, 5)
         m = rand_matrix(rng, n, n, density=0.9)
-        inv = inverse(m)
-        if inv is None:
+        columns = [[m[i][j] for i in range(n)] for j in range(n)]
+        if rank(m) < n:
+            with pytest.raises(ValueError):
+                Span(columns)
             continue
         found += 1
+        span = Span(columns)
         for i in range(n):
-            for j in range(n):
-                acc = sum(m[i][k] * inv[k][j] for k in range(n))
-                assert acc == (1 if i == j else 0)
+            coords = span.coords(unit_vec(n, i))
+            assert all(c != 0 for c in coords.values())
+            for r in range(n):
+                acc = sum(m[r][j] * c for j, c in coords.items())
+                assert acc == (1 if r == i else 0)
 
 
-def test_solve_in_span():
+def test_span_coordinates_and_membership():
     v1 = (Fraction(1), Fraction(0), Fraction(2))
     v2 = (Fraction(0), Fraction(1), Fraction(1))
     target = (Fraction(2), Fraction(3), Fraction(7))
-    coords = solve_in_span([v1, v2], target)
-    assert coords == (Fraction(2), Fraction(3))
-    assert solve_in_span([v1], (Fraction(0), Fraction(1), Fraction(0))) is None
+    assert Span([v1, v2]).coords(target) == {0: Fraction(2), 1: Fraction(3)}
+    assert Span([v1]).coords((Fraction(0), Fraction(1), Fraction(0))) is None
+    with pytest.raises(ValueError):
+        Span([v1, v2, tuple(a + b for a, b in zip(v1, v2))])
 
 
 def test_rref_pivots_deterministic():

@@ -10,6 +10,7 @@ from wsuper.relations import (RELATION_IDS, SuiteContext, bw_element,
                               verify_centrality, verify_deg0, verify_deg01,
                               w_pbw_check)
 from wsuper.errors import InputError
+from wsuper.whittaker import WhittakerElement
 
 from conftest import get_ctx, get_setup
 
@@ -120,6 +121,20 @@ def test_verify_scalar_reduction_reports_the_measured_gap(catalog_setup):
 
 def test_b_invariance(catalog_setup):
     assert verify_b_invariance(catalog_setup, ctx_for(catalog_setup)).ok
+
+
+def test_b_invariance_fails_on_a_perturbed_table():
+    # b vanishes on osp(3|2), so a zero entry is replaced rather than scaled;
+    # (w0,w1) has zero pairing and both vectors are odd, so only the
+    # invariance identity can catch it
+    s = get_setup("osp(3|2)")
+    ctx = SuiteContext(s)
+    B, pair = ctx.b_table[0][1]
+    assert B.is_zero() and pair == 0
+    ctx.b_table[0][1] = (WhittakerElement.unit(s, 1), pair)
+    rep = verify_b_invariance(s, ctx)
+    assert not rep.ok
+    assert all(w.startswith("invariance at") for w, _ in rep.failures)
 
 
 def test_one_dim_rep(catalog_setup):

@@ -59,12 +59,43 @@ def _document_not_an_object(doc):
     return [doc]
 
 
+def _bracket_index_fractional(doc):
+    doc["brackets"][0]["i"] = 0.5
+    return doc
+
+
+def _form_index_a_string(doc):
+    doc["form"][1]["j"] = "3"
+    return doc
+
+
+def _term_index_a_bool(doc):
+    doc["brackets"][2]["terms"][0]["k"] = True
+    return doc
+
+
+def _name_not_a_string(doc):
+    doc["name"] = 10 ** 5000          # str() of it raises ValueError
+    return doc
+
+
+def _dim_too_large_to_print(doc):
+    doc["dim"] = 10 ** 5000
+    return doc
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (_terms_not_a_list, r"brackets\[1\]\.terms"),
     (_form_entry_not_an_object, r"form\[0\]"),
     (_bracket_index_not_a_number, r"brackets\[0\]"),
     (_document_not_an_object, "document"),
-], ids=["terms", "form-entry", "bracket-index", "document"])
+    (_bracket_index_fractional, r"brackets\[0\]: i must be an integer"),
+    (_form_index_a_string, r"form\[1\]: j must be an integer"),
+    (_term_index_a_bool, r"brackets\[2\]\.terms\[0\]: k must be an integer"),
+    (_name_not_a_string, "name"),
+    (_dim_too_large_to_print, "parity"),
+], ids=["terms", "form-entry", "bracket-index", "document", "bracket-index-float",
+        "form-index-str", "term-index-bool", "name", "huge-dim"])
 def test_import_reports_location_of_wrongly_typed_entry(corrupt, where):
     doc = corrupt(export_table(build_osp(1, 2)))
     with pytest.raises(TableError, match=where):
