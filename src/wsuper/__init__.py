@@ -11,12 +11,12 @@ __version__ = "1.0.0"
 from .algebra import (AlgebraReport, SuperAlgebra, build_algebra, build_gl,
                       build_osp, build_psl22, build_sl, check_algebra,
                       export_table, import_table, normalized_form)
-from .catalog import CATALOG_NAMES, build_catalog_algebra, family_setup, minimal_setup
+from .catalog import CATALOG_NAMES, family_setup, minimal_setup
 from .enveloping import EnvElement, supercommutator
 from .errors import (DegeneracyError, InputError, NotMinimalError, TableError,
                      ValidationError)
-from .generators import (WGenerator, casimir, standard_generators, theta_cas,
-                         theta_v, theta_w)
+from .generators import (WGenerator, casimir, standard_generators, theta_v,
+                         theta_w)
 from .grading import (MinimalSetup, SL2Triple, build_minimal_setup,
                       find_sl2_triple, kw_dimensions)
 from .relations import (C0Result, RELATION_IDS, RelationReport, SuiteResult,

@@ -10,10 +10,11 @@ Supercommutator convention throughout: [x,y] = xy - (-1)^{|x||y|} yx.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import DegeneracyError, InputError, TableError, ValidationError
-from .linalg import (ONE, ZERO, Span, is_zero_vec, nullspace, rank, unit_vec,
-                     vec_add, vec_scale)
+from .linalg import (ONE, ZERO, Span, nullspace, rank, unit_vec, vec_add,
+                     vec_scale)
 
 EVEN, ODD = 0, 1
 
@@ -136,97 +137,75 @@ class AlgebraReport:
         return out
 
 
+def _first_failure(candidates, fails):
+    """The first candidate for which fails(candidate) holds, or None."""
+    for cand in candidates:
+        if fails(cand):
+            return cand
+    return None
+
+
 def check_algebra(alg):
-    """Verify every axiom exactly, exhaustively over basis tuples."""
+    """Verify every axiom exactly on the structure constants and the Gram
+    matrix; the witness of a failed axiom is its first failing candidate."""
+    n, par, form = alg.dim, alg.parity, alg.form
+    c = alg.bracket_basis                 # c(i, j) = {k: c_ij^k}
+
+    def sign(i, j):
+        return -1 if (par[i] and par[j]) else 1
+
+    def stored(keys):
+        # stored pairs in sorted order, then sorted k: a pair whose mirror
+        # is not stored is reached from the stored side
+        return ((i, j, k) for (i, j), terms in sorted(alg.brackets.items())
+                for k in sorted(keys(i, j, terms)))
+
+    def antisymmetry_fails(t):
+        # c_ij^k = -(-1)^{|i||j|} c_ji^k
+        i, j, k = t
+        return c(i, j).get(k, ZERO) != -sign(i, j) * c(j, i).get(k, ZERO)
+
+    def parity_fails(t):
+        i, j, k = t
+        return c(i, j)[k] != 0 and par[k] != (par[i] + par[j]) & 1
+
+    def add_nested(out, s, a, b, d):
+        # out += s [x_a, [x_b, x_d]], with [x_b, x_d] = sum_m c_bd^m x_m
+        for m, cm in c(b, d).items():
+            for l, cl in c(a, m).items():
+                out[l] = out.get(l, ZERO) + s * cm * cl
+
+    def jacobi_fails(t):
+        # (-1)^{|i||k|}[x_i,[x_j,x_k]] + cyclic with Koszul signs = 0
+        i, j, k = t
+        total = {}
+        add_nested(total, sign(i, k), i, j, k)
+        add_nested(total, sign(j, i), j, k, i)
+        add_nested(total, sign(k, j), k, i, j)
+        return any(total.values())
+
+    def invariance_fails(t):
+        # ([x_i, x_j], x_k) = (x_i, [x_j, x_k])
+        i, j, k = t
+        lhs = sum((cm * form[m][k] for m, cm in c(i, j).items()), ZERO)
+        rhs = sum((form[i][m] * cm for m, cm in c(j, k).items()), ZERO)
+        return lhs != rhs
+
+    scans = (
+        (stored(lambda i, j, terms: set(terms) | set(c(j, i))), antisymmetry_fails),
+        (stored(lambda i, j, terms: terms), parity_fails),
+        (product(range(n), repeat=3), jacobi_fails),
+        (product(range(n), repeat=2),
+         lambda t: par[t[0]] != par[t[1]] and form[t[0]][t[1]] != 0),
+        (product(range(n), repeat=2),
+         lambda t: form[t[0]][t[1]] != sign(*t) * form[t[1]][t[0]]),
+        (product(range(n), repeat=3), invariance_fails),
+        (["gram rank < dim"], lambda _: rank([list(row) for row in form]) != n),
+    )
     checks = []
-    n = alg.dim
-    par = alg.parity
-
-    witness = None
-    for (i, j), terms in sorted(alg.brackets.items()):
-        rev = alg.bracket_basis(j, i)
-        sign = -1 if (par[i] and par[j]) else 1
-        keys = set(terms) | set(rev)
-        for k in sorted(keys):
-            # c_ij^k = -(-1)^{|i||j|} c_ji^k
-            if terms.get(k, ZERO) != -Fraction(sign) * rev.get(k, ZERO):
-                witness = (i, j, k)
-                break
-        if witness:
-            break
-    checks.append(("super_antisymmetry", witness is None, witness))
-
-    witness = None
-    for (i, j), terms in sorted(alg.brackets.items()):
-        want = (par[i] + par[j]) & 1
-        for k in sorted(terms):
-            if terms[k] != 0 and par[k] != want:
-                witness = (i, j, k)
-                break
-        if witness:
-            break
-    checks.append(("parity_additivity", witness is None, witness))
-
-    witness = None
-    basis = [alg.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # (-1)^{|i||k|}[x_i,[x_j,x_k]] + cyclic with Koszul signs = 0
-                s_ik = -1 if (par[i] and par[k]) else 1
-                s_ji = -1 if (par[j] and par[i]) else 1
-                s_kj = -1 if (par[k] and par[j]) else 1
-                t1 = vec_scale(s_ik, alg.bracket(basis[i], alg.bracket(basis[j], basis[k])))
-                t2 = vec_scale(s_ji, alg.bracket(basis[j], alg.bracket(basis[k], basis[i])))
-                t3 = vec_scale(s_kj, alg.bracket(basis[k], alg.bracket(basis[i], basis[j])))
-                if not is_zero_vec(vec_add(vec_add(t1, t2), t3)):
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(("jacobi", witness is None, witness))
-
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            if par[i] != par[j] and alg.form[i][j] != 0:
-                witness = (i, j)
-                break
-        if witness:
-            break
-    checks.append(("form_even", witness is None, witness))
-
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            sign = -1 if (par[i] and par[j]) else 1
-            if alg.form[i][j] != Fraction(sign) * alg.form[j][i]:
-                witness = (i, j)
-                break
-        if witness:
-            break
-    checks.append(("form_supersymmetric", witness is None, witness))
-
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = alg.form_value(alg.bracket(basis[i], basis[j]), basis[k])
-                rhs = alg.form_value(basis[i], alg.bracket(basis[j], basis[k]))
-                if lhs != rhs:
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(("form_invariant", witness is None, witness))
-
-    nondeg = rank([list(row) for row in alg.form]) == n
-    checks.append(("form_nondegenerate", nondeg, None if nondeg else "gram rank < dim"))
-
+    for name, (candidates, fails) in zip(AlgebraReport.AXIOMS, scans):
+        witness = _first_failure(candidates, fails)
+        checks.append((name, witness is None, witness))
     return AlgebraReport(checks)
 
 
@@ -508,7 +487,8 @@ def _doc_list(items, where, kind):
     if not isinstance(items, list):
         raise TableError("%s: expected a list" % where)
     for pos, x in enumerate(items):
-        if not isinstance(x, kind):
+        # bool is an int subclass, but a JSON true/false is never an entry
+        if not isinstance(x, kind) or isinstance(x, bool):
             raise TableError("%s[%d]: expected %s" % (where, pos, kind.__name__))
     return items
 

@@ -13,7 +13,10 @@ from .errors import DegeneracyError, InputError
 from .grading import build_minimal_setup
 from .linalg import ZERO, Span, vec_scale
 
-CATALOG_NAMES = ("sl(2|1)", "osp(1|2)", "psl22", "osp(3|2)")
+# catalog name -> family selection, in report order
+_CATALOG = {"sl(2|1)": ("sl", 2, 1), "osp(1|2)": ("osp", 1, 2),
+            "psl22": ("psl22",), "osp(3|2)": ("osp", 3, 2)}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def _unit_by_name(alg, name):
@@ -37,21 +40,6 @@ def _osp_with_e(m, n):
     return alg, tuple(coords.get(k, ZERO) for k in range(alg.dim))
 
 
-def build_catalog_algebra(name):
-    """(algebra, e) for a catalog key; e not yet middle-rescaled."""
-    if name == "sl(2|1)":
-        alg = build_sl(2, 1)
-        return alg, _unit_by_name(alg, "E[0,1]")
-    if name == "psl22":
-        alg = build_psl22()
-        return alg, _unit_by_name(alg, "E[0,1]")
-    if name == "osp(1|2)":
-        return _osp_with_e(1, 2)
-    if name == "osp(3|2)":
-        return _osp_with_e(3, 2)
-    raise InputError("unknown catalog entry %r" % (name,))
-
-
 def _setup_with_middle_rescale(alg, e):
     try:
         return build_minimal_setup(alg, e)
@@ -63,23 +51,26 @@ def _setup_with_middle_rescale(alg, e):
 
 def minimal_setup(name):
     """Build a catalog algebra and its verified minimal setup."""
-    alg, e = build_catalog_algebra(name)
-    return _setup_with_middle_rescale(alg, e)
+    selection = _CATALOG.get(name)
+    if selection is None:
+        raise InputError("unknown catalog entry %r" % (name,))
+    return family_setup(*selection)
 
 
 def family_algebra(family, m=None, n=None):
-    """(algebra, default minimal nilpotent) for a family selection."""
-    if family == "psl22":
-        return build_catalog_algebra("psl22")
-    if family == "sl":
-        alg = build_sl(m, n)
-        return alg, _unit_by_name(alg, "E[0,1]")
-    if family == "gl":
-        alg = build_gl(m, n)
-        return alg, _unit_by_name(alg, "E[0,1]")
+    """(algebra, default minimal nilpotent) for a family selection: E[0,1]
+    for gl, sl and psl22, the sp highest-root vector for osp."""
     if family == "osp":
         return _osp_with_e(m, n)
-    raise InputError("unknown family %r" % (family,))
+    if family == "psl22":
+        alg = build_psl22()
+    elif family == "sl":
+        alg = build_sl(m, n)
+    elif family == "gl":
+        alg = build_gl(m, n)
+    else:
+        raise InputError("unknown family %r" % (family,))
+    return alg, _unit_by_name(alg, "E[0,1]")
 
 
 def family_setup(family, m=None, n=None, e=None):

@@ -134,10 +134,10 @@ def cmd_info(args):
 def cmd_verify(args):
     setup = _setup_from_args(args)
     which = None
-    if getattr(args, "suite", None):
+    if args.suite is not None:
         which = [t.strip() for t in args.suite.split(",") if t.strip()]
-    result = run_suite(setup, which=which, corrupt=getattr(args, "corrupt", None),
-                       max_deg=getattr(args, "max_deg", 4))
+    result = run_suite(setup, which=which, corrupt=args.corrupt,
+                       max_deg=args.max_deg)
     _emit(args, result.lines(), result.as_json())
     return EXIT_OK if result.ok else EXIT_FAIL
 

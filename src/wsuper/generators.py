@@ -1,9 +1,10 @@
 """Generators of the minimal W-superalgebra inside the Whittaker model.
 
 theta_v and theta_w implement the degree-0 and degree-1 generator formulas;
-casimir builds the quadratic Casimir attached to the normalized form, and
-theta_cas the contracted product of the dual-basis generators of degree 0.
-Every generator is checked for model membership at construction.
+casimir builds the quadratic Casimir attached to the normalized form.  The
+contracted product of the dual-basis generators of degree 0 (ThetaCas) is
+summed from the cached generators in relations.SuiteContext.  Every
+generator is checked for model membership at construction.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,7 @@ from fractions import Fraction
 
 from .enveloping import EnvElement
 from .errors import InputError
-from .whittaker import (WhittakerElement, env_from_zvector, is_w_element,
-                        multiply_q, project)
+from .whittaker import WhittakerElement, env_from_zvector, is_w_element, project
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -152,17 +152,6 @@ def casimir(setup, check=True):
     if check:
         _check_membership(setup, "C", value)
     return gen
-
-
-def theta_cas(setup):
-    """sum_i (-1)^{|i|} Theta_{a_i} Theta_{b_i} over the g^e(0) dual bases."""
-    value = WhittakerElement(setup)
-    for a, b in zip(setup.dual_a, setup.dual_b):
-        sign = -1 if setup.alg.parity_of(a) else 1
-        ta = theta_v(setup, a, check=False).value
-        tb = theta_v(setup, b, check=False).value
-        value = value + multiply_q(ta, tb).scale(sign)
-    return WGenerator("ThetaCas", tuple(setup.triple.e), value, 4, 0)
 
 
 def _vec_label(setup, v):

@@ -23,16 +23,15 @@ class SL2Triple:
     f: tuple
 
 
+def _from_columns(cols):
+    """The matrix whose j-th column is cols[j]."""
+    return [list(row) for row in zip(*cols)]
+
+
 def _ad_matrix(alg, x):
     """Matrix of ad x in the algebra basis (columns are [x, basis_j])."""
-    cols = [alg.bracket(x, alg.basis_vector(j)) for j in range(alg.dim)]
-    return [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
-             for j in range(n)] for i in range(n)]
+    return _from_columns([alg.bracket(x, alg.basis_vector(j))
+                          for j in range(alg.dim)])
 
 
 def _restricted_kernel(alg, mat, shift, indices):
@@ -63,7 +62,8 @@ def find_sl2_triple(alg, e):
     if alg.parity_of(e) != 0:
         raise InputError("e must be even and parity-homogeneous")
     ad_e = _ad_matrix(alg, e)
-    ad_e2 = _mat_mul(ad_e, ad_e)
+    # (ad e)^2 column by column: [e, [e, x_j]]
+    ad_e2 = _from_columns([alg.bracket(e, col) for col in zip(*ad_e)])
     y = solve(ad_e2, vec_scale(-2, e))
     if y is None:
         raise NotMinimalError("e is not sl2-embeddable: (ad e)^2 y = -2e has no solution")
@@ -341,7 +341,6 @@ def build_minimal_setup(alg, e):
     zbasis = list(ubasis) + list(vbasis)
     zdual = _zdual(pairing, zbasis, s, r) if zbasis else []
 
-    ad_e = _ad_matrix(alg, triple.e)
     cent = {}
     for i in (0, 1, 2):
         found = []
@@ -349,10 +348,7 @@ def build_minimal_setup(alg, e):
             piece = [v for v in grading[i] if alg.parity_of(v) == par]
             if not piece:
                 continue
-            rows = []
-            for row_i in range(alg.dim):
-                rows.append([sum((ad_e[row_i][k] * v[k] for k in range(alg.dim)
-                                  if v[k] != 0), ZERO) for v in piece])
+            rows = _from_columns([alg.bracket(triple.e, v) for v in piece])
             for sol in nullspace(rows, len(piece)):
                 w = tuple(sum((sol[t] * piece[t][k] for t in range(len(piece))), ZERO)
                           for k in range(alg.dim))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .enveloping import EnvElement, kazhdan_degree
 from .errors import InputError
-from .generators import casimir, theta_cas, theta_v, theta_w
+from .generators import WGenerator, casimir, theta_v, theta_w
 from .linalg import ZERO, Span, is_zero_vec, rank, solve, vec_scale, vec_sub
 from .whittaker import (WhittakerElement, is_w_element, multiply_q, project,
                         sigma, supercommutator_q)
@@ -135,8 +135,15 @@ class SuiteContext:
 
     @property
     def tcas(self):
+        """ThetaCas = sum_i (-1)^{|a_i|} Theta_{a_i} Theta_{b_i} over the
+        g^e(0) dual bases; a_i is cent[0][i], so Theta_{a_i} is cached."""
         if self._tcas is None:
-            self._tcas = theta_cas(self.setup)
+            setup = self.setup
+            value = WhittakerElement(setup)
+            for ta, b in zip(self.thetas0, setup.dual_b):
+                sign = -1 if ta.parity else 1
+                value = value + multiply_q(ta.value, self.theta(b)).scale(sign)
+            self._tcas = WGenerator("ThetaCas", tuple(setup.triple.e), value, 4, 0)
         return self._tcas
 
     def coords(self, x):
@@ -722,6 +729,8 @@ def run_suite(setup, which=None, fail_fast=True, corrupt=None, max_deg=4):
     for rel in selected:
         if rel not in RELATION_IDS:
             raise InputError("unknown relation id %r" % rel)
+    if not selected:
+        raise InputError("no relation id selected")
     result = SuiteResult(setup)
     c0_value = None
     for rel in RELATION_IDS:

@@ -109,18 +109,81 @@ def test_subalgebra_rejects_dependent_vectors():
         subalgebra(gl, [d0, d1, tuple(a + b for a, b in zip(d0, d1))], "diag")
 
 
-def test_check_algebra_flags_parity_violation_with_witness():
+def _break_antisymmetry(br, form):
+    br[(0, 1)] = {1: Fraction(2)}              # [E00, E01] = 2 E01, [E01, E00] = -E01
+
+
+def _break_parity(br, form):
+    br[(0, 0)] = {1: Fraction(1)}              # even-even bracket hits odd E01
+
+
+def _break_jacobi(br, form):
+    # antisymmetric and parity-preserving, but [E00, E11] = E00 is no derivation
+    br[(0, 3)] = {0: Fraction(1)}
+    br[(3, 0)] = {0: Fraction(-1)}
+
+
+def _break_form_even(br, form):
+    form[0][1] = form[1][0] = Fraction(1)       # pairs even E00 with odd E01
+
+
+def _break_form_supersymmetry(br, form):
+    form[0][3] = Fraction(2)                    # (E00, E11) != (E11, E00)
+
+
+def _break_form_invariance(br, form):
+    form[0][0] = Fraction(2)                    # still even and symmetric
+
+
+def _break_form_nondegeneracy(br, form):
+    form[3][3] = Fraction(0)
+
+
+# witnesses recorded from the dense check over basis vectors that the
+# structure-constant scan replaced; every failing axiom is pinned, not only
+# the one an edit aims at
+@pytest.mark.parametrize("edit, failed", [
+    (_break_antisymmetry, {"super_antisymmetry": (0, 1, 1), "jacobi": (0, 0, 1),
+                           "form_invariant": (0, 1, 2)}),
+    (_break_parity, {"super_antisymmetry": (0, 0, 1), "parity_additivity": (0, 0, 1),
+                     "jacobi": (0, 0, 0), "form_invariant": (0, 0, 2)}),
+    (_break_jacobi, {"jacobi": (0, 1, 2), "form_invariant": (0, 0, 3)}),
+    (_break_form_even, {"form_even": (0, 1), "form_invariant": (0, 0, 1)}),
+    (_break_form_supersymmetry, {"form_supersymmetric": (0, 3),
+                                 "form_invariant": (0, 1, 2)}),
+    (_break_form_invariance, {"form_invariant": (0, 1, 2)}),
+    (_break_form_nondegeneracy, {"form_invariant": (1, 2, 3),
+                                 "form_nondegenerate": "gram rank < dim"}),
+], ids=["super_antisymmetry", "parity_additivity", "jacobi", "form_even",
+        "form_supersymmetric", "form_invariant", "form_nondegenerate"])
+def test_check_algebra_flags_violation_with_witness(edit, failed):
+    # gl(1|1): E00, E11 even; E01, E10 odd; supertrace form
+    from wsuper.algebra import SuperAlgebra
     alg = build_gl(1, 1)
     bad = {k: dict(v) for k, v in alg.brackets.items()}
-    # E[0,0] is even, E[0,1] odd: force an even-even bracket to hit an odd index
-    bad[(0, 0)] = {1: Fraction(1)}
-    from wsuper.algebra import SuperAlgebra
-    broken = SuperAlgebra("broken", alg.parity, bad, alg.form)
-    report = check_algebra(broken)
+    form = [list(row) for row in alg.form]
+    edit(bad, form)
+    report = check_algebra(SuperAlgebra("broken", alg.parity, bad, form))
     assert not report.ok
-    failed = dict((name, witness) for name, ok, witness in report.checks if not ok)
-    assert "parity_additivity" in failed
-    assert failed["parity_additivity"] == (0, 0, 1)
+    assert [name for name, _, _ in report.checks] == [
+        "super_antisymmetry", "parity_additivity", "jacobi", "form_even",
+        "form_supersymmetric", "form_invariant", "form_nondegenerate"]
+    assert {name: witness for name, ok, witness in report.checks
+            if not ok} == failed
+    assert all(witness is None for _, ok, witness in report.checks if ok)
+
+
+def test_check_algebra_reads_the_structure_constants(monkeypatch):
+    # every axiom is decided on alg.brackets and alg.form alone, never by
+    # bracketing dense basis vectors
+    from wsuper.algebra import SuperAlgebra
+    alg = build_psl22()
+
+    def forbidden(*args):
+        raise AssertionError("check_algebra re-derived a structure constant")
+    monkeypatch.setattr(SuperAlgebra, "bracket", forbidden)
+    monkeypatch.setattr(SuperAlgebra, "basis_vector", forbidden)
+    assert check_algebra(alg).ok
 
 
 def test_normalized_form_conditions():

@@ -73,6 +73,16 @@ def test_verify_full_default_suite_green_at_s_equals_r():
     assert "all pass" in out.stdout
 
 
+@pytest.mark.parametrize("suite", [",", "", "nope"],
+                         ids=["only-commas", "empty", "unknown-id"])
+def test_verify_suite_selecting_no_known_id_is_input_error(suite):
+    # an empty selection would check nothing and still print "all pass"
+    out = run_cli("verify", "--family", "psl22", "--suite", suite)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert "all pass" not in out.stdout
+    assert any(line.startswith("error:") for line in out.stderr.splitlines())
+
+
 def test_verify_corrupt_negative_control():
     out = run_cli("verify", "--family", "psl22", "--corrupt", "theta-v-sign")
     assert out.returncode == 1

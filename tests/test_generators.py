@@ -6,12 +6,11 @@ from wsuper.algebra import build_gl
 from wsuper.catalog import _unit_by_name
 from wsuper.enveloping import EnvElement
 from wsuper.errors import InputError
-from wsuper.generators import (casimir, standard_generators, theta_cas,
-                               theta_v, theta_w)
+from wsuper.generators import casimir, standard_generators, theta_v, theta_w
 from wsuper.grading import build_minimal_setup
 from wsuper.whittaker import is_w_element, project, supercommutator_q
 
-from conftest import get_ctx, get_setup
+from conftest import get_ctx
 
 F = Fraction
 
@@ -119,14 +118,13 @@ def test_casimir_commutes_with_everything(catalog_setup):
 
 
 def test_theta_cas_empty_for_osp12():
-    s = get_setup("osp(1|2)")
-    assert theta_cas(s).value.is_zero()
+    assert get_ctx("osp(1|2)").tcas.value.is_zero()
 
 
 def test_theta_cas_frozen_value_psl22(psl22):
     # engine-derived, cross-checked by commutation with every Theta_v and
     # by the model expansion of C - ThetaCas
-    value = theta_cas(psl22).value
+    value = get_ctx("psl22").tcas.value
     z1, z2, z3, z4 = (psl22.z_letter(a) for a in range(4))
     want = {
         (z1, z2, z3, z4): F(3),
@@ -142,10 +140,10 @@ def test_theta_cas_frozen_value_psl22(psl22):
     assert value.terms == want
 
 
-def test_theta_cas_render_orders_by_p_part_then_z_part(psl22):
+def test_theta_cas_render_orders_by_p_part_then_z_part():
     # reports sort terms by (p-word, z-word), not by the whole word: the
     # pure z-terms come first and x1·z1·z4 precedes x1·x1
-    assert theta_cas(psl22).value.render() == (
+    assert get_ctx("psl22").tcas.value.render() == (
         "3·z1·z2·z3·z4 - 3/2·z1·z4 - 3/2·z2·z3 + x1 - x1·z1·z4 + x1·z2·z3"
         " - 1/2·x1·x1 - 2·x1·x2 + 2·x2 - 2·x2·z1·z4 + 2·x2·z2·z3 - 2·x2·x2"
         " - 2·x3·z1·z3 - 2·x3·x4 - 2·x4·z2·z4")

@@ -84,6 +84,11 @@ def _dim_too_large_to_print(doc):
     return doc
 
 
+def _parity_as_booleans(doc):
+    doc["parity"] = [bool(p) for p in doc["parity"]]
+    return doc
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (_terms_not_a_list, r"brackets\[1\]\.terms"),
     (_form_entry_not_an_object, r"form\[0\]"),
@@ -94,8 +99,9 @@ def _dim_too_large_to_print(doc):
     (_term_index_a_bool, r"brackets\[2\]\.terms\[0\]: k must be an integer"),
     (_name_not_a_string, "name"),
     (_dim_too_large_to_print, "parity"),
+    (_parity_as_booleans, r"parity\[0\]: expected int"),
 ], ids=["terms", "form-entry", "bracket-index", "document", "bracket-index-float",
-        "form-index-str", "term-index-bool", "name", "huge-dim"])
+        "form-index-str", "term-index-bool", "name", "huge-dim", "parity-bool"])
 def test_import_reports_location_of_wrongly_typed_entry(corrupt, where):
     doc = corrupt(export_table(build_osp(1, 2)))
     with pytest.raises(TableError, match=where):
