@@ -257,11 +257,12 @@ def build_gl(m, n):
     return SuperAlgebra("gl(%d|%d)" % (m, n), parity, brackets, form, names)
 
 
-def subalgebra(amb, vectors, name, names=None):
+def subalgebra(amb, vectors, name, names=None, span=None):
     """Structure constants of a bracket-closed subspace of amb.
 
     vectors must be parity-homogeneous and linearly independent; the form
-    is the restriction of the ambient form.
+    is the restriction of the ambient form.  span is Span(vectors) when
+    the caller has factored it already.
     """
     dim = len(vectors)
     parity = []
@@ -270,10 +271,11 @@ def subalgebra(amb, vectors, name, names=None):
         if p is None:
             raise ValidationError("subalgebra basis vector not parity-homogeneous")
         parity.append(p)
-    try:
-        span = Span(vectors)
-    except ValueError:
-        raise ValidationError("subalgebra basis vectors are linearly dependent") from None
+    if span is None:
+        try:
+            span = Span(vectors)
+        except ValueError:
+            raise ValidationError("subalgebra basis vectors are linearly dependent") from None
     brackets = {}
     for i in range(dim):
         for j in range(dim):

@@ -32,9 +32,10 @@ def _osp_with_e(m, n):
     vector for every even n (for n = 2 it is E[m, m+1])."""
     gl, vectors = osp_realization(m, n)
     names = ["M%d" % i for i in range(len(vectors))]
-    alg = subalgebra(gl, vectors, "osp(%d|%d)" % (m, n), names)
+    span = Span(vectors)
+    alg = subalgebra(gl, vectors, "osp(%d|%d)" % (m, n), names, span)
     target = gl.basis_vector(_gl_index(m, n, m, m + n - 1))
-    coords = Span(vectors).coords(target)
+    coords = span.coords(target)
     if coords is None:
         raise InputError("sp raising element not found in osp(%d|%d)" % (m, n))
     return alg, tuple(coords.get(k, ZERO) for k in range(alg.dim))

@@ -6,6 +6,7 @@ topmost-row, so every routine is deterministic.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -142,3 +143,50 @@ class Span:
         if any(c != 0 for r, c in acc.items() if r >= self._k):
             return None
         return {r: acc[r] for r in sorted(acc) if acc[r] != 0}
+
+
+class Echelon:
+    """Sparse row echelon over dict vectors {key: coefficient}.
+
+    The pivot of a row is its smallest key and every row is scaled to 1
+    there.  Reducing a vector clears its pivot keys in increasing order; a
+    row only carries keys above its pivot, so one pass leaves a remainder
+    with no pivot key, which is empty exactly when the vector lies in the
+    span of the rows.
+    """
+
+    def __init__(self):
+        self._rows = {}          # pivot key -> row
+
+    def reduce(self, v):
+        """The remainder of v modulo the rows, as a new dict."""
+        rows = self._rows
+        v = {k: c for k, c in v.items() if c != 0}
+        heap = [k for k in v if k in rows]
+        heap.sort()
+        while heap:
+            p = heappop(heap)
+            c = v.get(p)
+            if c is None:
+                continue
+            for k, a in rows[p].items():
+                x = v.get(k)
+                if x is None:
+                    v[k] = -c * a
+                    if k in rows:
+                        heappush(heap, k)
+                elif x == c * a:
+                    del v[k]
+                else:
+                    v[k] = x - c * a
+        return v
+
+    def add(self, v):
+        """Add v as a row unless it lies in the span; True when it is new."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = min(v)
+        c = v[p]
+        self._rows[p] = {k: a / c for k, a in v.items()}
+        return True

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .enveloping import EnvElement, kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
-from .linalg import ZERO, Span, is_zero_vec, rank, solve, vec_scale, vec_sub
+from .linalg import ZERO, Echelon, Span, is_zero_vec, vec_scale, vec_sub
 from .whittaker import (WhittakerElement, is_w_element, multiply_q, project,
                         sigma, supercommutator_q)
 
@@ -96,18 +96,22 @@ class SuiteContext:
     coordinate map of g^e and the table of B on the g^e(1) basis.
 
     Theta is linear, so Theta of any vector of g^e(0) + g^e(1) + g^e(2)
-    is summed from its coordinates over the cached basis generators; B is
-    bilinear, so every relation that needs it reads the basis-pair table.
+    is summed from its coordinates over the cached basis generators, and
+    the model product of two such Thetas from the memo of basis products;
+    B is bilinear, so every relation that needs it reads the basis-pair
+    table.
     """
 
     def __init__(self, setup, corrupt=None):
         self.setup = setup
         self.corrupt = corrupt
+        self.basis = setup.cent[0] + setup.cent[1] + setup.cent[2]
         self._t0 = None
         self._t1 = None
         self._cas = None
         self._tcas = None
         self._span = None
+        self._products = {}
         self._b_table = None
 
     @property
@@ -147,18 +151,16 @@ class SuiteContext:
         return self._tcas
 
     def coords(self, x):
-        """Coordinates of x over the basis cent[0] + cent[1] + cent[2]."""
+        """Coordinates of x over basis = cent[0] + cent[1] + cent[2]."""
         if self._span is None:
-            cent = self.setup.cent
-            self._span = Span(cent[0] + cent[1] + cent[2])
+            self._span = Span(self.basis)
         coords = self._span.coords(x)
         if coords is None:
             raise InputError("vector is not in g^e(0) + g^e(1) + g^e(2)")
         return coords
 
     def basis_theta(self, k):
-        """Theta of the k-th basis vector of coords; the g^e(2) vector c*e
-        maps to c*C/2."""
+        """Theta of basis[k]; the g^e(2) vector c*e maps to c*C/2."""
         n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
         if k < n0:
             return self.thetas0[k].value
@@ -173,13 +175,66 @@ class SuiteContext:
             out = out + self.basis_theta(k).scale(c)
         return out
 
+    def product(self, k, l):
+        """basis_theta(k) * basis_theta(l) in the model; memoised."""
+        out = self._products.get((k, l))
+        if out is None:
+            out = multiply_q(self.basis_theta(k), self.basis_theta(l))
+            self._products[(k, l)] = out
+        return out
+
+    def commutator(self, k, l):
+        """[basis_theta(k), basis_theta(l)] from the product memo; each
+        basis generator has the parity of its basis vector."""
+        parity = self.setup.alg.parity_of
+        odd = parity(self.basis[k]) and parity(self.basis[l])
+        return self.product(k, l) - self.product(l, k).scale(-1 if odd else 1)
+
     @property
     def b_table(self):
-        """b_table[i][j] = bw_element of the g^e(1) basis pair (w_i, w_j)."""
+        """b_table[i][j] = bw_element of the g^e(1) basis pair (w_i, w_j).
+
+        Assembled bilinearly: with sign = -1 iff w_i and w_j are both odd,
+        B_ij = [Theta_wi, Theta_wj] - (pair/2)(C - ThetaCas)
+               + sum_{k,l} M_ij[k,l] product(k, l),
+        M_ij = sum_a (L[i][a] (x) R[j][a] - sign L[j][a] (x) R[i][a]) / 2,
+        where L[i][a] and R[j][a] are the g^e(0) coordinates of
+        [w_i, z_a]# and [z*_a, w_j]#, each computed once.
+        """
         if self._b_table is None:
-            basis = self.setup.cent[1]
-            self._b_table = [[bw_element(self.setup, self, w1, w2) for w2 in basis]
-                             for w1 in basis]
+            setup = self.setup
+            alg = setup.alg
+            basis = setup.cent[1]
+            n0 = len(setup.cent[0])
+
+            def sharp_coords(x):
+                return {} if is_zero_vec(x) else self.coords(setup.sharp(x))
+
+            left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis]
+                    for w in basis]
+            right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual]
+                     for w in basis]
+            c_minus_tcas = self.c_minus_tcas()
+            table = []
+            for i, w1 in enumerate(basis):
+                row = []
+                for j, w2 in enumerate(basis):
+                    sign = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
+                    out = self.commutator(n0 + i, n0 + j).terms
+                    pair = self.pair_value(w1, w2)
+                    _add_scaled(out, Fraction(-pair, 2), c_minus_tcas)
+                    m = {}
+                    for x, y, c in ((left[i], right[j], Fraction(1, 2)),
+                                    (left[j], right[i], Fraction(-sign, 2))):
+                        for xa, ya in zip(x, y):
+                            for k, xk in xa.items():
+                                for l, yl in ya.items():
+                                    m[(k, l)] = m.get((k, l), ZERO) + c * xk * yl
+                    for (k, l), c in m.items():
+                        _add_scaled(out, c, self.product(k, l))
+                    row.append((WhittakerElement(setup, out), pair))
+                table.append(row)
+            self._b_table = table
         return self._b_table
 
     def c_minus_tcas(self):
@@ -383,6 +438,18 @@ def bw_element(setup, ctx, w1, w2):
             out = out - multiply_q(ctx.theta(setup.sharp(x2)),
                                    ctx.theta(setup.sharp(y1))).scale(Fraction(sign, 2))
     return out, pair
+
+
+def _add_scaled(terms, c, q):
+    """terms += c * q, in place on a word -> coefficient dict."""
+    if c == 0:
+        return
+    for w, v in q.terms.items():
+        x = terms.get(w, ZERO) + c * v
+        if x == 0:
+            terms.pop(w, None)
+        else:
+            terms[w] = x
 
 
 def c0_double_sum(setup, w1, w2):
@@ -634,6 +701,15 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
         gens.append((g.value, 3, setup.alg.parity_of(setup.cent[1][k]), g.label))
     gens.append((ctx.cas.value, 4, 0, "C"))
 
+    def extend(idxs, q, g):
+        """The monomial idxs times generator g; a product of two basis
+        generators comes from the product memo."""
+        if not idxs:
+            return gens[g][0]
+        if len(idxs) == 1 and g < len(gens) - 1:
+            return ctx.product(idxs[0], g)
+        return multiply_q(q, gens[g][0])
+
     monomials = [((), WhittakerElement.unit(setup), 0)]
     frontier = [((), WhittakerElement.unit(setup), 0)]
     while frontier:
@@ -641,25 +717,18 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
         for idxs, q, deg in frontier:
             start = idxs[-1] if idxs else 0
             for g in range(start, len(gens)):
-                value, gdeg, gpar, _ = gens[g]
+                _, gdeg, gpar, _ = gens[g]
                 if gpar == 1 and idxs and idxs[-1] == g:
                     continue                       # odd generators square away
                 if deg + gdeg > max_deg:
                     continue
-                item = (idxs + (g,), multiply_q(q, value), deg + gdeg)
+                item = (idxs + (g,), extend(idxs, q, g), deg + gdeg)
                 nxt.append(item)
                 monomials.append(item)
         frontier = nxt
 
-    keys = sorted({k for _, q, _ in monomials for k in q.terms})
-    key_pos = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for _, q, _ in monomials:
-        row = [ZERO] * len(keys)
-        for k, c in q.terms.items():
-            row[key_pos[k]] = c
-        rows.append(row)
-    rk = rank(rows)
+    echelon = Echelon()
+    rk = sum(echelon.add(q.terms) for _, q, _ in monomials)
     rep.detail["monomials"] = len(monomials)
     rep.detail["rank"] = rk
     if rk != len(monomials):
@@ -674,34 +743,31 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
     # commutator filtration: [Theta_i, Theta_j] - Theta_[Yi,Yj] equals a
     # polynomial with no constant or linear part modulo Kazhdan degree
     # m_i + m_j + 1; operationally the part above the bound must lie in
-    # the span of the same parts of two-generator products.
-    sources = [(y, grade) for grade in (0, 1, 2) for y in setup.cent[grade]]
-    reps_q = [ctx.basis_theta(k) for k in range(len(sources))]
-    quads = []
-    for gi in ctx.thetas0:
-        for gj in ctx.thetas0:
-            quads.append(multiply_q(gi.value, gj.value))
-    for i in range(len(sources)):
-        for j in range(i, len(sources)):
-            yi, mi = sources[i]
-            yj, mj = sources[j]
+    # the span of the same parts of two-generator products, factored once
+    # per bound.
+    def above(q, bound):
+        return {k: c for k, c in q.terms.items() if kazhdan_degree(setup, k) > bound}
+
+    n0 = len(setup.cent[0])
+    grades = [grade for grade in (0, 1, 2) for _ in setup.cent[grade]]
+    quad_tops = {}
+    for i, yi in enumerate(ctx.basis):
+        for j in range(i, len(ctx.basis)):
+            yj = ctx.basis[j]
             if i == j and setup.alg.parity_of(yi) == 0:
                 continue
-            comm = supercommutator_q(reps_q[i], reps_q[j])
-            diff = comm - ctx.theta(setup.alg.bracket(yi, yj))
-            bound = mi + mj + 1
-            top = {k: c for k, c in diff.terms.items()
-                   if kazhdan_degree(setup, k) > bound}
+            diff = ctx.commutator(i, j) - ctx.theta(setup.alg.bracket(yi, yj))
+            bound = grades[i] + grades[j] + 1
+            top = above(diff, bound)
             if not top:
                 continue
-            cols = []
-            for q in quads:
-                cols.append({k: c for k, c in q.terms.items()
-                             if kazhdan_degree(setup, k) > bound})
-            keys = sorted(set(top) | {k for col in cols for k in col})
-            rows = [[col.get(k, ZERO) for col in cols] for k in keys]
-            target = [top.get(k, ZERO) for k in keys]
-            if solve(rows, target) is None:
+            echelon = quad_tops.get(bound)
+            if echelon is None:
+                echelon = quad_tops[bound] = Echelon()
+                for k in range(n0):
+                    for l in range(n0):
+                        echelon.add(above(ctx.product(k, l), bound))
+            if echelon.reduce(top):
                 rep.fail("filtration bound at (%d,%d): top part not a "
                          "quadratic polynomial in the generators" % (i, j))
     return rep

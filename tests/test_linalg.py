@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_rank
-from wsuper.linalg import Span, nullspace, rank, rref, solve, unit_vec
+from wsuper.linalg import Echelon, Span, nullspace, rank, rref, solve, unit_vec
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6):
@@ -87,3 +88,41 @@ def test_rref_pivots_deterministic():
     assert pivots == [0, 1]
     assert red[0][:2] == [Fraction(1), Fraction(0)]
     assert unit_vec(3, 1) == (Fraction(0), Fraction(1), Fraction(0))
+
+
+FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def dependent_rows(draw):
+    """Rows of a small matrix, some of them combinations of earlier rows,
+    and a target vector drawn the same way."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.one_of(st.just(Fraction(0)), FRACTIONS),
+                   min_size=ncols, max_size=ncols)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(FRACTIONS, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(row))
+    return rows, draw(row)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=dependent_rows())
+def test_echelon_agrees_with_dense_rank_and_solve(data):
+    rows, target = data
+    echelon = Echelon()
+    added = [echelon.add({j: c for j, c in enumerate(r)}) for r in rows]
+    assert sum(added) == rank(rows)
+    # each row is new exactly when it raises the rank of the rows before it
+    assert added == [rank(rows[:i + 1]) > rank(rows[:i]) for i in range(len(rows))]
+    columns = [list(col) for col in zip(*rows)]
+    in_span = solve(columns, target) is not None
+    remainder = echelon.reduce({j: c for j, c in enumerate(target)})
+    assert (not remainder) == in_span
+    assert all(c != 0 for c in remainder.values())

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from wsuper import linalg
+from wsuper.catalog import family_setup
+from wsuper.grading import MinimalSetup
 from wsuper.relations import (RELATION_IDS, SuiteContext, bw_element,
                               c0_double_sum, c0_formula, extract_c0,
                               identities_suite, one_dim_rep, run_suite,
@@ -260,3 +263,77 @@ def test_failure_report_carries_residue_terms(psl22):
     first = rel["residue"][0]
     assert first["terms"][0]["coeff"] == "1/2"
     assert first["terms"][0]["monomial"] == []
+
+
+B_TABLE_ALGEBRAS = {"psl22": ("psl22",), "sl(3|1)": ("sl", 3, 1),
+                    "osp(5|2)": ("osp", 5, 2), "sl(4|1)": ("sl", 4, 1),
+                    "osp(1|4)": ("osp", 1, 4)}
+
+
+@pytest.mark.parametrize("corrupt", [None, "theta-v-sign"])
+@pytest.mark.parametrize("name", sorted(B_TABLE_ALGEBRAS))
+def test_b_table_equals_the_definition(name, corrupt):
+    # the table is assembled bilinearly from factored data; bw_element is
+    # the per-pair definition, run here on a context that has built no table
+    setup = family_setup(*B_TABLE_ALGEBRAS[name])
+    table = SuiteContext(setup, corrupt=corrupt).b_table
+    fresh = SuiteContext(setup, corrupt=corrupt)
+    basis = setup.cent[1]
+    assert basis
+    for i, w1 in enumerate(basis):
+        for j, w2 in enumerate(basis):
+            assert table[i][j] == bw_element(setup, fresh, w1, w2), (i, j)
+
+
+def _warmed_osp52():
+    setup = family_setup("osp", 5, 2)
+    ctx = SuiteContext(setup)
+    _ = ctx.thetas0, ctx.thetas1, ctx.cas, ctx.tcas, ctx.coords(setup.cent[0][0])
+    return setup, ctx
+
+
+def test_b_table_takes_each_sharp_once(monkeypatch):
+    # work counter, not a timing: one sharp per (w, z) and per (z*, w)
+    setup, ctx = _warmed_osp52()
+    calls = []
+    sharp = MinimalSetup.sharp
+    monkeypatch.setattr(MinimalSetup, "sharp",
+                        lambda self, x: calls.append(x) or sharp(self, x))
+    _ = ctx.b_table
+    assert len(calls) <= 2 * len(setup.cent[1]) * len(setup.zbasis) == 50
+
+
+def test_pbw_on_a_warmed_context_runs_no_dense_elimination(monkeypatch):
+    setup, ctx = _warmed_osp52()
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or rref(rows))
+    assert w_pbw_check(setup, 4, ctx).ok
+    assert calls == []
+
+
+def test_w_pbw_check_fails_on_a_duplicated_generator(psl22):
+    ctx = SuiteContext(psl22)
+    ctx.thetas0[1] = ctx.thetas0[0]
+    rep = w_pbw_check(psl22, 4, ctx)
+    n = rep.detail["monomials"]
+    assert rep.detail["rank"] < n
+    assert "monomials dependent: rank %d of %d" % (rep.detail["rank"], n) \
+        in [w for w, _ in rep.failures]
+
+
+def test_w_pbw_check_filtration_bound_can_fail(psl22):
+    # adding a term of Kazhdan degree 4 to every Theta_[Yi,Yj] puts it in
+    # the top part of each pair with bound <= 3.  The lone letter e is not
+    # a quadratic polynomial in the degree-0 generators, so pbw must fail;
+    # the product Theta_v0 Theta_v1 is one, so pbw must still pass.
+    for extra, fails in (
+            (WhittakerElement(psl22, {(psl22.idx_e,): F(1)}), True),
+            (get_ctx("psl22").product(0, 1), False)):
+        ctx = SuiteContext(psl22)
+        theta = ctx.theta
+        ctx.theta = lambda x: theta(x) + extra
+        rep = w_pbw_check(psl22, 4, ctx)
+        bounds = [w for w, _ in rep.failures if w.startswith("filtration bound")]
+        assert bool(bounds) == fails
+        assert rep.failures == [(w, None) for w in bounds]
