@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import __version__
 from .algebra import check_algebra, export_table, import_table
@@ -162,7 +163,15 @@ _P_RESTRICTIONS = {
 }
 
 
+def _check_prime(p):
+    """Trial division, so p is bounded: at most 10^6 steps."""
+    if not (2 <= p < 10 ** 12 and all(p % d for d in range(2, isqrt(p) + 1))):
+        raise InputError("--prime must be a prime with 2 <= p < 10^12, got %d" % p)
+
+
 def cmd_kw(args):
+    if args.prime is not None:
+        _check_prime(args.prime)
     setup = _setup_from_args(args)
     data = kw_dimensions(setup)
     obj = {
@@ -176,7 +185,7 @@ def cmd_kw(args):
     lines = ["%s: d0=%d d1=%d" % (setup.alg.name, data["d0"], data["d1"]),
              "bound = p^%s * 2^%d (ceiling convention for the power of two)"
              % (data["exponent_p"], data["exponent_two"])]
-    if args.prime:
+    if args.prime is not None:
         p = args.prime
         restrict = _P_RESTRICTIONS.get(args.family or "", lambda m, n, q: q > 2)
         if not restrict(args.m or 0, args.n or 0, p):

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything works on plain lists/tuples of Fraction; no floats anywhere.
-Matrices are lists of row lists.  All pivoting is leftmost-column,
-topmost-row, so every routine is deterministic.
+Everything works on Fraction entries; no floats anywhere.  Dense
+matrices are lists of row lists.  There is one elimination, the sparse
+Echelon; rank, rref, nullspace, solve and Span are views of it.  The
+pivot of a row is its smallest key, so every result is deterministic,
+and reduced() gives the unique reduced row echelon form.
 """
 
 from fractions import Fraction
@@ -33,118 +35,6 @@ def is_zero_vec(x):
     return all(a == 0 for a in x)
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
-def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix, one vector per free column.
-
-    Free columns are taken in increasing order and the free variable is
-    set to 1, so the result is deterministic.
-    """
-    if not rows:
-        return [unit_vec(ncols, i) for i in range(ncols)]
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(rows, rhs):
-    """One exact solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to 0 (least-index pivoting), so the particular
-    solution is deterministic.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    for r in range(len(pivots)):
-        if pivots[r] == ncols:
-            return None
-    # rows below the last pivot are zero rows; inconsistency is a pivot in
-    # the rhs column, handled above
-    x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = red[r][ncols]
-    return tuple(x)
-
-
-class Span:
-    """Exact coordinates in the span of linearly independent vectors.
-
-    One RREF of [A | I], A having the k vectors as columns, factors the
-    span once.  The top k rows of the right block are a left inverse of A;
-    the remaining rows annihilate exactly the span, so coords can both
-    test membership and read off the unique coordinates.  Both blocks are
-    kept by column, so a sparse vector costs only its nonzero entries.
-    """
-
-    def __init__(self, vectors):
-        k = len(vectors)
-        n = len(vectors[0]) if k else 0
-        red, pivots = rref([[v[i] for v in vectors] + list(unit_vec(n, i))
-                            for i in range(n)])
-        if pivots[:k] != list(range(k)):
-            raise ValueError("vectors are linearly dependent")
-        self._k = k
-        self._cols = [{r: row[k + j] for r, row in enumerate(red) if row[k + j] != 0}
-                      for j in range(n)]
-
-    def coords(self, x):
-        """{index: nonzero coefficient} with sum c_i v_i == x, or None
-        when x lies outside the span."""
-        acc = {}
-        for j, c in enumerate(x):
-            if c != 0:
-                for r, p in self._cols[j].items():
-                    acc[r] = acc.get(r, ZERO) + c * p
-        if any(c != 0 for r, c in acc.items() if r >= self._k):
-            return None
-        return {r: acc[r] for r in sorted(acc) if acc[r] != 0}
-
-
 class Echelon:
     """Sparse row echelon over dict vectors {key: coefficient}.
 
@@ -152,16 +42,18 @@ class Echelon:
     there.  Reducing a vector clears its pivot keys in increasing order; a
     row only carries keys above its pivot, so one pass leaves a remainder
     with no pivot key, which is empty exactly when the vector lies in the
-    span of the rows.
+    span of the rows.  rows maps each pivot to its row.
     """
 
-    def __init__(self):
-        self._rows = {}          # pivot key -> row
+    def __init__(self, vectors=()):
+        self.rows = {}
+        for v in vectors:
+            self.add(v)
 
     def reduce(self, v):
         """The remainder of v modulo the rows, as a new dict."""
-        rows = self._rows
-        v = {k: c for k, c in v.items() if c != 0}
+        rows = self.rows
+        v = {k: c for k, c in v.items() if c}
         heap = [k for k in v if k in rows]
         heap.sort()
         while heap:
@@ -169,16 +61,19 @@ class Echelon:
             c = v.get(p)
             if c is None:
                 continue
+            c = -c
             for k, a in rows[p].items():
                 x = v.get(k)
                 if x is None:
-                    v[k] = -c * a
+                    v[k] = c * a
                     if k in rows:
                         heappush(heap, k)
-                elif x == c * a:
-                    del v[k]
                 else:
-                    v[k] = x - c * a
+                    x += c * a
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
         return v
 
     def add(self, v):
@@ -188,5 +83,89 @@ class Echelon:
             return False
         p = min(v)
         c = v[p]
-        self._rows[p] = {k: a / c for k, a in v.items()}
+        self.rows[p] = {k: a / c for k, a in v.items()}
         return True
+
+    def reduced(self):
+        """The unique reduced row echelon form of the same span: from the
+        largest pivot down, each row is reduced by the rows cleared above it."""
+        out = Echelon()
+        for p in sorted(self.rows, reverse=True):
+            out.rows[p] = out.reduce(self.rows[p])
+        return out
+
+
+def _sparse(v):
+    return {j: c for j, c in enumerate(v) if c}
+
+
+def rref(rows):
+    """Reduced row echelon form, (new_rows, pivot_columns): the dense view
+    of Echelon.reduced(), with the zero rows last."""
+    ncols = len(rows[0]) if rows else 0
+    red = Echelon(map(_sparse, rows)).reduced().rows
+    pivots = sorted(red)
+    m = [[red[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
+    return m + [[ZERO] * ncols for _ in range(len(rows) - len(m))], pivots
+
+
+def rank(rows):
+    return len(Echelon(map(_sparse, rows)).rows)
+
+
+def nullspace(rows, ncols):
+    """Basis of the right kernel of the matrix, one vector per free column.
+
+    Free columns are taken in increasing order and the free variable is
+    set to 1, so the result is deterministic.
+    """
+    red = Echelon(map(_sparse, rows)).reduced().rows
+    basis = []
+    for fc in range(ncols):
+        if fc not in red:
+            v = [ZERO] * ncols
+            v[fc] = ONE
+            for pc, row in red.items():
+                v[pc] = -row.get(fc, ZERO)
+            basis.append(tuple(v))
+    return basis
+
+
+def solve(rows, rhs):
+    """One exact solution of rows * x = rhs, or None if inconsistent.
+
+    Free variables are set to 0, so the particular solution is
+    deterministic.  The rhs is key ncols of the augmented rows; a pivot
+    there means inconsistency.
+    """
+    ncols = len(rows[0]) if rows else 0
+    red = Echelon(_sparse(list(row) + [b]) for row, b in zip(rows, rhs)).reduced().rows
+    if ncols in red:
+        return None
+    return tuple(red[c].get(ncols, ZERO) if c in red else ZERO for c in range(ncols))
+
+
+class Span:
+    """Exact coordinates in the span of linearly independent vectors.
+
+    Vector i of length n enters one Echelon with the tag key n + i, so
+    the reduced rows carry a left inverse on the tags: reducing x leaves
+    x - sum c_i v_i below n and -c_i on tag n + i.  A sparse vector costs
+    only its nonzero entries.
+    """
+
+    def __init__(self, vectors):
+        n = self._n = len(vectors[0]) if vectors else 0
+        echelon = Echelon({**_sparse(v), n + i: ONE} for i, v in enumerate(vectors))
+        if any(p >= n for p in echelon.rows):
+            raise ValueError("vectors are linearly dependent")
+        self._echelon = echelon.reduced()
+
+    def coords(self, x):
+        """{index: nonzero coefficient} with sum c_i v_i == x, or None
+        when x lies outside the span."""
+        n = self._n
+        rest = self._echelon.reduce(_sparse(x))
+        if any(k < n for k in rest):
+            return None
+        return {k - n: -c for k, c in sorted(rest.items())}

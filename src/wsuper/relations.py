@@ -368,12 +368,13 @@ def generator_checks(setup, ctx):
 
 
 def _theta_brackets(setup, ctx, rel_id, left, lname, right, rname):
-    """[Theta_x, Theta_y] = Theta_[x,y] over all pairs of basis generators."""
+    """[Theta_x, Theta_y] = Theta_[x,y] over pairs of ctx.basis indices from
+    the ranges left and right, with the commutators read from the memo."""
     rep = RelationReport(rel_id)
-    for i, gi in enumerate(left):
-        for j, gj in enumerate(right):
-            res = supercommutator_q(gi.value, gj.value) \
-                - ctx.theta(setup.alg.bracket(gi.source, gj.source))
+    basis = ctx.basis
+    for i, k in enumerate(left):
+        for j, l in enumerate(right):
+            res = ctx.commutator(k, l) - ctx.theta(setup.alg.bracket(basis[k], basis[l]))
             if not res.is_zero():
                 rep.fail("(%s%d,%s%d)" % (lname, i, rname, j), res)
     rep.detail["pairs"] = len(left) * len(right)
@@ -383,13 +384,15 @@ def _theta_brackets(setup, ctx, rel_id, left, lname, right, rname):
 def verify_deg0(setup, ctx=None):
     """[Theta_v1, Theta_v2] = Theta_[v1,v2] over all ordered basis pairs."""
     ctx = ctx or SuiteContext(setup)
-    return _theta_brackets(setup, ctx, "deg0", ctx.thetas0, "v", ctx.thetas0, "v")
+    n0 = range(len(setup.cent[0]))
+    return _theta_brackets(setup, ctx, "deg0", n0, "v", n0, "v")
 
 
 def verify_deg01(setup, ctx=None):
     """[Theta_v, Theta_w] = Theta_[v,w] over all basis pairs."""
     ctx = ctx or SuiteContext(setup)
-    return _theta_brackets(setup, ctx, "deg01", ctx.thetas0, "v", ctx.thetas1, "w")
+    n0, n1 = len(setup.cent[0]), len(setup.cent[1])
+    return _theta_brackets(setup, ctx, "deg01", range(n0), "v", range(n0, n0 + n1), "w")
 
 
 def verify_centrality(setup, ctx=None):

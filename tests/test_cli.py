@@ -116,6 +116,17 @@ def test_kw_warns_on_restricted_prime_but_computes():
     assert obj["value"] == "4"           # 2^1 * 2^1
 
 
+@pytest.mark.parametrize("prime", ["0", "1", "-7", "4"])
+def test_kw_rejects_a_prime_that_is_not_prime(prime):
+    # 0 used to be dropped silently, and 1, -7, 4 computed a value
+    out = run_cli("kw", "--family", "sl", "--m", "2", "--n", "1",
+                  "--prime", prime)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stdout == ""
+    assert [line for line in out.stderr.splitlines() if line] == \
+        ["error: --prime must be a prime with 2 <= p < 10^12, got %s" % prime]
+
+
 def test_export_reimport_identical_verification(tmp_path):
     table = tmp_path / "psl22.json"
     out = run_cli("export", "--family", "psl22", "--format", "json",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wsuper import linalg
+from wsuper import linalg, relations, whittaker
 from wsuper.catalog import family_setup
 from wsuper.grading import MinimalSetup
 from wsuper.relations import (RELATION_IDS, SuiteContext, bw_element,
@@ -301,6 +301,22 @@ def test_b_table_takes_each_sharp_once(monkeypatch):
                         lambda self, x: calls.append(x) or sharp(self, x))
     _ = ctx.b_table
     assert len(calls) <= 2 * len(setup.cent[1]) * len(setup.zbasis) == 50
+
+
+def test_deg0_reads_each_product_from_the_memo(monkeypatch):
+    # work counter: one model product per ordered (v, v') pair of the memo;
+    # multiplying both orders of every commutator afresh makes 2 * n0^2
+    setup, ctx = _warmed_osp52()
+    calls = []
+    multiply_q = relations.multiply_q
+
+    def counted(a, b):
+        calls.append((a, b))
+        return multiply_q(a, b)
+    for module in (relations, whittaker):
+        monkeypatch.setattr(module, "multiply_q", counted)
+    assert verify_deg0(setup, ctx).ok
+    assert len(calls) <= len(setup.cent[0]) ** 2 == 100
 
 
 def test_pbw_on_a_warmed_context_runs_no_dense_elimination(monkeypatch):
