@@ -7,6 +7,7 @@ deterministic: the same configuration produces byte-identical JSON.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -214,8 +215,20 @@ def cmd_export(args):
     return EXIT_OK
 
 
+def _glue_e_value(argv):
+    """argparse takes a spaced value such as `--e -1,0,0` for an option;
+    glue it to its `--e` so it parses like `--e=-1,0,0`."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--e" and re.match(r"-[\d./]", tok):
+            out[-1] = "--e=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_glue_e_value(sys.argv[1:] if argv is None else argv))
     handler = {
         "info": cmd_info,
         "verify": cmd_verify,

@@ -5,6 +5,10 @@ order (g(0), g(1), e, z's, f); odd letters never repeat.  Out-of-order
 neighbours a.b rewrite to (-1)^{|a||b|} b.a + [a,b]; an odd square x.x
 rewrites to [x,x]/2.  Rewriting scans from the right so the reduction is
 a single right-to-left pass for nearly-sorted products.
+
+A supercommutator of two normal words is expanded by the superderivation
+rule into words one letter shorter, so the top terms of uv and vu, which
+cancel, are never formed.
 """
 
 from fractions import Fraction
@@ -40,10 +44,44 @@ def straighten(setup, word, coeff, sink):
             for k, ck in setup.letter_bracket(a, a):
                 stack.append((head + (k,) + tail, c * ck * HALF))
         else:
-            sign = -1 if (par[a] and par[b]) else 1
-            stack.append((head + (b, a) + tail, c * sign))
+            stack.append((head + (b, a) + tail, -c if par[a] and par[b] else c))
             for k, ck in setup.letter_bracket(a, b):
                 stack.append((head + (k,) + tail, c * ck))
+
+
+def straighten_commutator(setup, u, v, c, sink):
+    """Accumulate c * [u, v] of two normal words into the sink dict.
+
+    ad is a superderivation, so
+    [u, v] = sum_{i,j} (-1)^{|v||u_>i| + |u_i||v_<j|} u_<i v_<j [u_i, v_j] v_>j u_>i,
+    and each term is straightened on its own.
+    """
+    par, letter_bracket = setup.letter_parity, setup.letter_bracket
+    pv = sum(par[b] for b in v) & 1
+    tail_par = 0                        # |u_>i|, walking i from the right
+    for i in range(len(u) - 1, -1, -1):
+        a = u[i]
+        head, tail = u[:i], u[i + 1:]
+        sign = pv & tail_par
+        for j, b in enumerate(v):
+            bracket = letter_bracket(a, b)
+            if bracket:
+                cij = -c if sign else c
+                left, right = head + v[:j], v[j + 1:] + tail
+                for k, ck in bracket:
+                    straighten(setup, left + (k,) + right, cij * ck, sink)
+            sign ^= par[a] & par[b]
+        tail_par ^= par[a]
+
+
+def commutator_terms(setup, terms1, terms2):
+    """Normal form of [x, y] for sparse word maps x and y, word pair by
+    word pair, so mixed parity needs no splitting."""
+    out = {}
+    for u, c1 in terms1.items():
+        for v, c2 in terms2.items():
+            straighten_commutator(setup, u, v, c1 * c2, out)
+    return out
 
 
 def word_parity(setup, word):
@@ -157,12 +195,6 @@ class EnvElement:
                 return None
         return p
 
-    def homogeneous_parts(self):
-        parts = {0: {}, 1: {}}
-        for w, c in self.terms.items():
-            parts[word_parity(self.setup, w)][w] = c
-        return {p: type(self)(self.setup, t) for p, t in parts.items() if t}
-
     def max_kazhdan_degree(self):
         return max((kazhdan_degree(self.setup, w) for w in self.terms), default=0)
 
@@ -197,5 +229,4 @@ def supercommutator(u, v):
     pu, pv = u.parity(), v.parity()
     if (pu is None and not u.is_zero()) or (pv is None and not v.is_zero()):
         raise InputError("supercommutator needs parity-homogeneous arguments")
-    sign = -1 if (pu == 1 and pv == 1) else 1
-    return u * v - (v * u).scale(sign)
+    return EnvElement(u.setup, commutator_terms(u.setup, u.terms, v.terms))

@@ -97,9 +97,9 @@ class SuiteContext:
 
     Theta is linear, so Theta of any vector of g^e(0) + g^e(1) + g^e(2)
     is summed from its coordinates over the cached basis generators, and
-    the model product of two such Thetas from the memo of basis products;
-    B is bilinear, so every relation that needs it reads the basis-pair
-    table.
+    the model product or commutator of two such Thetas from the memos of
+    basis pairs; B is bilinear, so every relation that needs it reads the
+    basis-pair table.
     """
 
     def __init__(self, setup, corrupt=None):
@@ -112,6 +112,7 @@ class SuiteContext:
         self._tcas = None
         self._span = None
         self._products = {}
+        self._commutators = {}
         self._b_table = None
 
     @property
@@ -184,11 +185,19 @@ class SuiteContext:
         return out
 
     def commutator(self, k, l):
-        """[basis_theta(k), basis_theta(l)] from the product memo; each
-        basis generator has the parity of its basis vector."""
+        """[basis_theta(k), basis_theta(l)]; memoised once per unordered
+        pair, the other order read by super-antisymmetry (each basis
+        generator has the parity of its basis vector).  The memo's value
+        is returned as is: copy its terms before changing them."""
+        key = (k, l) if k <= l else (l, k)
+        out = self._commutators.get(key)
+        if out is None:
+            out = supercommutator_q(self.basis_theta(key[0]), self.basis_theta(key[1]))
+            self._commutators[key] = out
         parity = self.setup.alg.parity_of
-        odd = parity(self.basis[k]) and parity(self.basis[l])
-        return self.product(k, l) - self.product(l, k).scale(-1 if odd else 1)
+        if k > l and not (parity(self.basis[k]) and parity(self.basis[l])):
+            return -out
+        return out
 
     @property
     def b_table(self):
@@ -220,7 +229,7 @@ class SuiteContext:
                 row = []
                 for j, w2 in enumerate(basis):
                     sign = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
-                    out = self.commutator(n0 + i, n0 + j).terms
+                    out = dict(self.commutator(n0 + i, n0 + j).terms)
                     pair = self.pair_value(w1, w2)
                     _add_scaled(out, Fraction(-pair, 2), c_minus_tcas)
                     m = {}

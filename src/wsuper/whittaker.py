@@ -7,12 +7,14 @@ and a model element is an EnvElement whose words carry no f.
 The z-letters generate the Weyl-Clifford algebra attached to the pairing
 on g(-1); products of model elements are computed by lifting to U(g),
 multiplying, and projecting back, which on ad-n invariants is exactly the
-model's associative product.
+model's associative product.  Commutators, ad-n included, project the
+supercommutator of the lifts, expanded letter by letter by the
+superderivation rule, without forming either product.
 """
 
 from bisect import bisect_left
 
-from .enveloping import EnvElement, kazhdan_degree, weight
+from .enveloping import EnvElement, commutator_terms, kazhdan_degree, weight
 from .errors import InputError
 from .linalg import ZERO
 
@@ -95,27 +97,16 @@ def multiply_q(q1, q2):
 
 
 def supercommutator_q(q1, q2):
-    """[q1, q2] extended additively over parity components."""
-    out = WhittakerElement(q1.setup)
-    for p1, a in q1.homogeneous_parts().items():
-        for p2, b in q2.homogeneous_parts().items():
-            sign = -1 if (p1 and p2) else 1
-            out = out + multiply_q(a, b) - multiply_q(b, a).scale(sign)
-    return out
+    """[q1, q2]: the projection of the supercommutator of the lifts,
+    extended additively over parity components."""
+    return project(EnvElement(q1.setup, commutator_terms(q1.setup, q1.terms, q2.terms)))
 
 
 def ad_act(setup, x_letter, q):
     """Adjoint action of a basis letter of n = g(-1) + Cf on the model."""
     if setup.letter_grade[x_letter] >= 0:
         raise InputError("ad_act expects a letter of n = g(-1) + g(-2)")
-    x = EnvElement.from_letter(setup, x_letter)
-    px = setup.letter_parity[x_letter]
-    out = WhittakerElement(setup)
-    for pq, part in q.homogeneous_parts().items():
-        lifted = lift(part)
-        sign = -1 if (px and pq) else 1
-        out = out + project(x * lifted - (lifted * x).scale(sign))
-    return out
+    return project(EnvElement(setup, commutator_terms(setup, {(x_letter,): 1}, q.terms)))
 
 
 def is_w_element(q):

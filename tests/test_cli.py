@@ -57,6 +57,21 @@ def test_usage_errors_exit_2():
     assert run_cli("verify", "--family", "osp", "--m", "1", "--n", "3").returncode == 2
 
 
+@pytest.mark.parametrize("family, e, code", [
+    (("sl", "--m", "2", "--n", "1"), "-1,0,0,0,0,0,0,0", 2),  # not sl2-embeddable
+    (("osp", "--m", "1", "--n", "2"), "-1/2,0,0,0,0", 2),     # -e: pairing -1
+    (("sl", "--m", "2", "--n", "1"), "-0,0,1,0,0,0,0,0", 0),  # the default e
+])
+def test_negative_e_parses_spaced_and_with_equals_alike(family, e, code):
+    # argparse alone takes a spaced value that starts with "-" for an option
+    spaced = run_cli("info", "--family", *family, "--e", e, "--format", "json")
+    glued = run_cli("info", "--family", *family, "--e=" + e, "--format", "json")
+    assert "expected one argument" not in spaced.stderr
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == \
+        (glued.returncode, glued.stdout, glued.stderr)
+    assert spaced.returncode == code, spaced.stderr
+
+
 def test_verify_subset_passes_and_full_suite_is_honest():
     out = run_cli("verify", "--family", "psl22", "--suite", OK_SUITE)
     assert out.returncode == 0, out.stdout + out.stderr

@@ -1,0 +1,97 @@
+"""Property test: the superderivation kernel for [u, v] equals the product
+definition uv - (-1)^{|u||v|} vu, and the model commutators built on it
+(supercommutator_q, ad_act) equal the projection of the lifted products."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from wsuper.enveloping import EnvElement, straighten_commutator, word_parity
+from wsuper.whittaker import (WhittakerElement, ad_act, multiply_q, project,
+                              supercommutator_q)
+
+from conftest import get_setup
+
+ALGEBRAS = ("sl(2|1)", "osp(3|2)", "psl22")
+COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                          Fraction(-3, 2), Fraction(2)])
+
+
+def _pool(setup, model):
+    """Letters to draw from, weighted towards odd letters, e, f and the z's;
+    model words carry no f."""
+    pool = list(range(setup.dim))
+    pool += [i for i in range(setup.dim) if setup.letter_parity[i]] * 2
+    pool += [setup.z_letter(a) for a in range(len(setup.zbasis))] * 2
+    pool += [setup.idx_e] * 3 + [setup.idx_f] * 3
+    return [i for i in pool if not (model and i == setup.idx_f)]
+
+
+def _normal(setup, letters):
+    """Sorted, with a repeated odd letter kept once: a normal word."""
+    word = []
+    for i in sorted(letters):
+        if not (word and word[-1] == i and setup.letter_parity[i]):
+            word.append(i)
+    return tuple(word)
+
+
+@st.composite
+def elements(draw, setup, model):
+    """A sum of up to three normal words, of mixed parity in general."""
+    pool = _pool(setup, model)
+    words = draw(st.lists(st.lists(st.sampled_from(pool), max_size=4),
+                          min_size=1, max_size=3))
+    terms = {}
+    for letters in words:
+        terms[_normal(setup, letters)] = draw(COEFFS)
+    return terms
+
+
+@st.composite
+def cases(draw, model=False):
+    setup = get_setup(draw(st.sampled_from(ALGEBRAS)))
+    return setup, draw(elements(setup, model)), draw(elements(setup, model))
+
+
+def _product_commutator(setup, terms1, terms2):
+    """sum over word pairs of c1 c2 (u v - (-1)^{|u||v|} v u), by products."""
+    out = EnvElement(setup)
+    for u, c1 in terms1.items():
+        for v, c2 in terms2.items():
+            uv = EnvElement.from_word(setup, u + v, c1 * c2)
+            vu = EnvElement.from_word(setup, v + u, c1 * c2)
+            odd = word_parity(setup, u) and word_parity(setup, v)
+            out = out + uv + vu if odd else out + uv - vu
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=cases())
+def test_kernel_equals_the_product_definition(case):
+    setup, terms1, terms2 = case
+    for u, c1 in terms1.items():
+        for v, c2 in terms2.items():
+            sink = {}
+            straighten_commutator(setup, u, v, c1 * c2, sink)
+            assert EnvElement(setup, sink) == \
+                _product_commutator(setup, {u: c1}, {v: c2}), (u, v)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=cases(model=True))
+def test_model_commutators_equal_the_projected_products(case):
+    setup, terms1, terms2 = case
+    q1, q2 = WhittakerElement(setup, terms1), WhittakerElement(setup, terms2)
+    assert supercommutator_q(q1, q2) == \
+        project(_product_commutator(setup, terms1, terms2))
+    x = setup.z_letter(0)
+    for letter in (x, setup.idx_f):
+        xq = project(_product_commutator(setup, {(letter,): Fraction(1)}, terms2))
+        assert ad_act(setup, letter, q2) == xq
+    # on one homogeneous word pair the model product is the other route
+    (u, c1), (v, c2) = next(iter(terms1.items())), next(iter(terms2.items()))
+    a, b = WhittakerElement(setup, {u: c1}), WhittakerElement(setup, {v: c2})
+    sign = -1 if word_parity(setup, u) and word_parity(setup, v) else 1
+    assert supercommutator_q(a, b) == \
+        multiply_q(a, b) - multiply_q(b, a).scale(sign)

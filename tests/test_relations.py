@@ -303,20 +303,68 @@ def test_b_table_takes_each_sharp_once(monkeypatch):
     assert len(calls) <= 2 * len(setup.cent[1]) * len(setup.zbasis) == 50
 
 
-def test_deg0_reads_each_product_from_the_memo(monkeypatch):
-    # work counter: one model product per ordered (v, v') pair of the memo;
-    # multiplying both orders of every commutator afresh makes 2 * n0^2
-    setup, ctx = _warmed_osp52()
+def _count(monkeypatch, name, modules):
+    """Record the calls of the function name as bound in each module."""
     calls = []
-    multiply_q = relations.multiply_q
+    fn = getattr(modules[0], name)
 
-    def counted(a, b):
-        calls.append((a, b))
-        return multiply_q(a, b)
-    for module in (relations, whittaker):
-        monkeypatch.setattr(module, "multiply_q", counted)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_deg0_computes_each_commutator_once(monkeypatch):
+    # work counters: no model product at all, and one commutator per
+    # unordered (v, v') pair; the other order is read from the memo
+    setup, ctx = _warmed_osp52()
+    products = _count(monkeypatch, "multiply_q", (whittaker, relations))
+    commutators = _count(monkeypatch, "supercommutator_q", (whittaker, relations))
     assert verify_deg0(setup, ctx).ok
-    assert len(calls) <= len(setup.cent[0]) ** 2 == 100
+    n0 = len(setup.cent[0])
+    assert products == []
+    assert len(commutators) == n0 * (n0 + 1) // 2 == 55
+
+
+def test_warmed_context_computes_each_commutator_pair_once(monkeypatch):
+    setup, ctx = _warmed_osp52()
+    commutators = _count(monkeypatch, "supercommutator_q", (whittaker, relations))
+    n = len(ctx.basis)
+    for _ in range(2):
+        for k in range(n):
+            for l in range(n):
+                ctx.commutator(k, l)
+    assert len(commutators) == n * (n + 1) // 2
+    assert verify_deg0(setup, ctx).ok and verify_deg01(setup, ctx).ok
+    assert w_pbw_check(setup, 4, ctx).ok
+    assert len(commutators) == n * (n + 1) // 2
+
+
+def test_centrality_and_membership_make_no_model_product(monkeypatch):
+    # commutators come from the superderivation kernel, not from uv and vu
+    setup, ctx = _warmed_osp52()
+    products = _count(monkeypatch, "multiply_q", (whittaker, relations))
+    assert verify_centrality(setup, ctx).ok
+    for gen in ctx.thetas0 + ctx.thetas1:
+        assert whittaker.is_w_element(gen.value) == (True, None)
+    assert products == []
+
+
+@pytest.mark.parametrize("name", ["psl22", "osp(5|2)"])
+def test_b_table_leaves_the_commutator_memo_intact(name):
+    # b_table adds its structural terms to a copy of each memoised
+    # commutator; the memo must still hold the commutators themselves
+    setup = family_setup(*B_TABLE_ALGEBRAS[name])
+    ctx = SuiteContext(setup)
+    _ = ctx.b_table
+    fresh = SuiteContext(setup)
+    n = len(ctx.basis)
+    assert ctx._commutators
+    for k in range(n):
+        for l in range(n):
+            assert ctx.commutator(k, l) == fresh.commutator(k, l), (k, l)
 
 
 def test_pbw_on_a_warmed_context_runs_no_dense_elimination(monkeypatch):
