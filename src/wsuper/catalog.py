@@ -2,16 +2,15 @@
 
 Each entry builds the algebra and a highest-root-style nilpotent for the
 designated simple component of the even part.  Minimality is never
-trusted: build_minimal_setup re-verifies dim g(2) = 1 on every load.  When
-the odd pairing has a self-dual middle vector whose self-pairing is not 1,
-the nilpotent is rescaled once by the exact reciprocal and rebuilt.
+trusted: build_minimal_setup re-verifies dim g(2) = 1 on every load, and
+normalizes the self-pairing of a middle odd g(-1) vector there.
 """
 
 from .algebra import (_gl_index, build_gl, build_psl22, build_sl,
                       osp_realization, subalgebra)
-from .errors import DegeneracyError, InputError
+from .errors import InputError
 from .grading import build_minimal_setup
-from .linalg import ZERO, Span, vec_scale
+from .linalg import ZERO, Span
 
 # catalog name -> family selection, in report order
 _CATALOG = {"sl(2|1)": ("sl", 2, 1), "osp(1|2)": ("osp", 1, 2),
@@ -41,15 +40,6 @@ def _osp_with_e(m, n):
     return alg, tuple(coords.get(k, ZERO) for k in range(alg.dim))
 
 
-def _setup_with_middle_rescale(alg, e):
-    try:
-        return build_minimal_setup(alg, e)
-    except DegeneracyError as exc:
-        if exc.self_pairing is None:
-            raise
-        return build_minimal_setup(alg, vec_scale(1 / exc.self_pairing, e))
-
-
 def minimal_setup(name):
     """Build a catalog algebra and its verified minimal setup."""
     selection = _CATALOG.get(name)
@@ -74,9 +64,6 @@ def family_algebra(family, m=None, n=None):
     return alg, _unit_by_name(alg, "E[0,1]")
 
 
-def family_setup(family, m=None, n=None, e=None):
-    """Setup for a CLI family selection; e defaults to the catalog choice."""
-    alg, e0 = family_algebra(family, m, n)
-    if e is not None:
-        return build_minimal_setup(alg, e)
-    return _setup_with_middle_rescale(alg, e0)
+def family_setup(family, m=None, n=None):
+    """Setup for a family selection at its default minimal nilpotent."""
+    return build_minimal_setup(*family_algebra(family, m, n))

@@ -80,14 +80,12 @@ def _parse_e(text, dim):
 def _setup_from_args(args):
     alg, family = _load_algebra(args)
     if family is not None:
-        e = None
-        if args.e:
-            fam_alg, _ = family_algebra(family, args.m, args.n)
-            e = _parse_e(args.e, fam_alg.dim)
-        return family_setup(family, args.m, args.n, e=e)
-    if not args.e:
+        alg, e = family_algebra(family, args.m, args.n)
+    elif not args.e:
         raise InputError("--table requires --e (no catalog nilpotent for imports)")
-    return build_minimal_setup(alg, _parse_e(args.e, alg.dim))
+    if args.e:
+        e = _parse_e(args.e, alg.dim)
+    return build_minimal_setup(alg, e)
 
 
 def _emit(args, text_lines, json_obj):

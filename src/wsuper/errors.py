@@ -14,13 +14,7 @@ class TableError(ValidationError):
 
 
 class DegeneracyError(ValueError):
-    """A pairing or form that must be non-degenerate is not.
-
-    self_pairing is set when the only fault is a middle odd g(-1) vector
-    whose self-pairing q is not 1; rescaling e by 1/q repairs it.
-    """
-
-    self_pairing = None
+    """A pairing or form that must be non-degenerate is not."""
 
 
 class NotMinimalError(ValueError):

@@ -231,8 +231,9 @@ def _paired_even_basis(setup_pairing, vectors):
 def _paired_odd_basis(setup_pairing, vectors):
     """Hyperbolic basis for the symmetric pairing on g(-1)_odd.
 
-    v_i with <v_i, v_j> = delta_{i+j,r+1}; when r is odd the middle vector
-    is self-paired and must satisfy <v,v> = 1 exactly (rescale e if not).
+    v_i with <v_i, v_j> = delta_{i+j,r+1}, except that when r is odd the
+    self-paired middle vector keeps its self-pairing, which is nonzero: it
+    is left over only when no isotropic pivot remains.
     """
     rem = list(vectors)
     left, right = [], []
@@ -269,14 +270,6 @@ def _paired_odd_basis(setup_pairing, vectors):
         rem = reduced
         left.append(a)
         right.append(b)
-    if middle is not None:
-        q = setup_pairing(middle, middle)
-        if q != 1:
-            exc = DegeneracyError(
-                "middle g(-1) vector has self-pairing %s != 1; "
-                "rescale e by 1/%s and rebuild" % (q, q))
-            exc.self_pairing = q
-            raise exc
     out = list(left)
     if middle is not None:
         out.append(middle)
@@ -301,12 +294,25 @@ def _zdual(setup_pairing, zbasis, s, r):
     return dual
 
 
+def _paired_neg1(alg, e, even, odd):
+    """The pairing <x,y> = (e,[x,y]) and the z-basis of g(-1) paired by it."""
+    def pairing(x, y):
+        return alg.form_value(e, alg.bracket(x, y))
+
+    return pairing, _paired_even_basis(pairing, even) + _paired_odd_basis(pairing, odd)
+
+
 def build_minimal_setup(alg, e):
-    """Construct the full minimal setup for a nilpotent e; verifies minimality."""
+    """Construct the full minimal setup for a nilpotent e; verifies minimality.
+
+    When r is odd the normal form wants <v,v> = 1 on the middle odd vector
+    of g(-1).  If its self-pairing is q != 1, e is rescaled once to e/q and
+    f to q*f: h, the grading, the normalized form, g^e and the dual bases
+    stay, and g(-1) is paired again.  setup.triple.e is the e used.
+    """
     e = tuple(Fraction(x) for x in e)
     triple = find_sl2_triple(alg, e)
     alg = normalized(alg, triple)
-    triple = SL2Triple(e=triple.e, h=triple.h, f=triple.f)
 
     ad_h = _ad_matrix(alg, triple.h)
     even_idx = [i for i in range(alg.dim) if alg.parity[i] == 0]
@@ -327,19 +333,22 @@ def build_minimal_setup(alg, e):
     if len(grading[-2]) != 1:
         raise NotMinimalError("dim g(-2) = %d != 1" % len(grading[-2]))
 
-    def pairing(x, y):
-        return alg.form_value(triple.e, alg.bracket(x, y))
-
     neg1 = grading[-1]
     neg1_even = [v for v in neg1 if alg.parity_of(v) == 0]
     neg1_odd = [v for v in neg1 if alg.parity_of(v) == 1]
     s, r = len(neg1_even), len(neg1_odd)
     if s % 2 != 0:
         raise NotMinimalError("dim g(-1)_even must be even, got %d" % s)
-    ubasis = _paired_even_basis(pairing, neg1_even) if s else []
-    vbasis = _paired_odd_basis(pairing, neg1_odd) if r else []
-    zbasis = list(ubasis) + list(vbasis)
-    zdual = _zdual(pairing, zbasis, s, r) if zbasis else []
+    pairing, zbasis = _paired_neg1(alg, triple.e, neg1_even, neg1_odd)
+    if r % 2:
+        middle = zbasis[s + r // 2]
+        q = pairing(middle, middle)
+        if q != 1:
+            triple = SL2Triple(e=vec_scale(1 / q, triple.e), h=triple.h,
+                               f=vec_scale(q, triple.f))
+            _assert_triple(alg, triple)
+            pairing, zbasis = _paired_neg1(alg, triple.e, neg1_even, neg1_odd)
+    zdual = _zdual(pairing, zbasis, s, r)
 
     cent = {}
     for i in (0, 1, 2):

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from wsuper import catalog, cli
 from wsuper.algebra import build_psl22, export_table
+from wsuper.catalog import family_algebra
 
 OK_SUITE = "identities,generators,deg0,deg01,central,c0,b_invariance,pbw,one_dim"
 
@@ -59,7 +61,7 @@ def test_usage_errors_exit_2():
 
 @pytest.mark.parametrize("family, e, code", [
     (("sl", "--m", "2", "--n", "1"), "-1,0,0,0,0,0,0,0", 2),  # not sl2-embeddable
-    (("osp", "--m", "1", "--n", "2"), "-1/2,0,0,0,0", 2),     # -e: pairing -1
+    (("osp", "--m", "1", "--n", "2"), "-1/2,0,0,0,0", 0),     # -e, rescaled by -1
     (("sl", "--m", "2", "--n", "1"), "-0,0,1,0,0,0,0,0", 0),  # the default e
 ])
 def test_negative_e_parses_spaced_and_with_equals_alike(family, e, code):
@@ -70,6 +72,44 @@ def test_negative_e_parses_spaced_and_with_equals_alike(family, e, code):
     assert (spaced.returncode, spaced.stdout, spaced.stderr) == \
         (glued.returncode, glued.stdout, glued.stderr)
     assert spaced.returncode == code, spaced.stderr
+
+
+def _report(path, *args):
+    code = cli.main([*args, "--format", "json", "--out", str(path)])
+    return code, path.read_bytes()
+
+
+OSP12 = ("--family", "osp", "--m", "1", "--n", "2")
+OSP32 = ("--family", "osp", "--m", "3", "--n", "2")
+
+
+@pytest.mark.parametrize("sel, e", [
+    (OSP12, "-1/2,0,0,0,0"),                       # minus the rescaled default
+    (OSP12, "1,0,0,0,0"),                          # the unscaled default
+    (OSP32, "0,0,0,1,0,0,0,0,0,0,0,0"),            # the unscaled default
+], ids=["osp(1|2)-minus", "osp(1|2)-unscaled", "osp(3|2)-unscaled"])
+def test_explicit_e_on_odd_r_family_is_rescaled_like_the_default(tmp_path, sel, e):
+    # r is odd: the middle odd g(-1) vector must have self-pairing 1, and an
+    # explicit e is rescaled to get it exactly as the default e is
+    out = tmp_path / "report.json"
+    for cmd in (("info",), ("verify", "--suite", "c0")):
+        want = _report(out, *cmd, *sel)
+        assert want[0] == 0
+        assert _report(out, *cmd, *sel, "--e", e) == want
+
+
+def test_explicit_e_builds_the_family_algebra_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return family_algebra(*args)
+    monkeypatch.setattr(cli, "family_algebra", counted)
+    monkeypatch.setattr(catalog, "family_algebra", counted)
+    code, _ = _report(tmp_path / "info.json", "info", "--family", "sl",
+                      "--m", "2", "--n", "1", "--e", "0,0,1,0,0,0,0,0")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_subset_passes_and_full_suite_is_honest():

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import oracle_nullity, oracle_rank
+from wsuper import grading
 from wsuper.algebra import build_gl, build_sl
-from wsuper.catalog import _unit_by_name
+from wsuper.catalog import _unit_by_name, family_algebra
 from wsuper.errors import InputError, NotMinimalError
-from wsuper.grading import build_minimal_setup, kw_dimensions, kw_numbers
+from wsuper.grading import (build_minimal_setup, find_sl2_triple, kw_dimensions,
+                            kw_numbers)
 from wsuper.linalg import is_zero_vec, vec_scale
 
 from conftest import get_setup
@@ -191,3 +193,30 @@ def test_gl_setup_with_equal_blocks_supported():
     s = build_minimal_setup(alg, _unit_by_name(alg, "E[0,1]"))
     assert s.sdim == 0 and s.rdim == 4
     assert kw_numbers(s)[0] % 2 == 0
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (3, 2), (5, 2), (7, 2), (3, 4)],
+                         ids=["osp(1|2)", "osp(3|2)", "osp(5|2)", "osp(7|2)",
+                              "osp(3|4)"])
+def test_middle_rescale_in_place_equals_the_rebuild(monkeypatch, m, n):
+    # r is odd: the middle odd g(-1) vector of the unscaled default e has
+    # self-pairing q != 1, so e becomes e/q inside the one build; building
+    # again from that e/q must reproduce every field of the setup
+    alg, e0 = family_algebra("osp", m, n)
+    calls = []
+    monkeypatch.setattr(grading, "find_sl2_triple",
+                        lambda *args: calls.append(1) or find_sl2_triple(*args))
+    s = build_minimal_setup(alg, e0)
+    assert len(calls) == 1 and s.rdim % 2 == 1
+    ratios = {a / b for a, b in zip(s.triple.e, e0) if b}
+    assert len(ratios) == 1 and ratios != {1}
+    assert all(a == 0 for a, b in zip(s.triple.e, e0) if b == 0)
+    mid = s.zbasis[s.sdim + s.rdim // 2]
+    assert s.pairing(mid, mid) == 1
+    again = build_minimal_setup(alg, s.triple.e)
+    assert len(calls) == 2
+    assert again.alg.form == s.alg.form
+    for name in ("triple", "grading", "zbasis", "zdual", "cent", "dual_a",
+                 "dual_b", "letters", "letter_parity", "letter_grade",
+                 "letter_names"):
+        assert getattr(again, name) == getattr(s, name), name

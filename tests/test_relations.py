@@ -196,9 +196,7 @@ def test_square_law_on_larger_osp():
     # osp(5|2): dim 23, r = 5 odd with a self-dual middle vector, ten-dim
     # g^e(0); extraction stays pair-consistent over 25 pairs and the gap to
     # the closed formula is again exactly -(s-r)^2/16
-    from wsuper.catalog import _osp_with_e, _setup_with_middle_rescale
-    alg, e = _osp_with_e(5, 2)
-    s = _setup_with_middle_rescale(alg, e)
+    s = family_setup("osp", 5, 2)
     assert (s.sdim, s.rdim) == (0, 5)
     ctx = SuiteContext(s)
     rep, res = extract_c0(s, ctx)

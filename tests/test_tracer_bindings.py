@@ -1,0 +1,39 @@
+"""The benchmark's tracer rebinds engine functions by name; a rename in
+src/ must fail here, not only when the benchmark runs."""
+
+import sys
+from pathlib import Path
+
+import wsuper.cli  # noqa: F401  (loads every wsuper module the tracer patches)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracer  # noqa: E402
+
+
+def test_tracer_binds_every_name_and_restores_it():
+    t = tracer.Tracer()
+    try:
+        tracer.install_layers(t)
+        tracer.install_setup(t)
+        patches = list(t._patches)
+        for owner, attr, old in patches:
+            assert getattr(owner, attr) is not old, (owner, attr)
+    finally:
+        t.close()
+    attrs = {attr for _, attr, _ in patches}
+    want = {attr for _, attr in tracer.SETUP_CALLS}
+    want |= {attr for _, attr in tracer.RELATION_FUNCTIONS}
+    want |= {"cmd_" + cmd for cmd in tracer.CLI_COMMANDS}
+    want |= {"family_algebra", "check_algebra", "import_table", "export_table",
+             "bracket", "rref", "build_minimal_setup", "to_letters",
+             "letter_bracket", "theta_v", "theta_w", "multiply_q", "project",
+             "is_w_element", "straighten"}
+    assert attrs == want
+    assert t._patches == []
+    # the first patch of each binding saved the original: it is back
+    seen = set()
+    for owner, attr, old in patches:
+        if (id(owner), attr) not in seen:
+            seen.add((id(owner), attr))
+            assert getattr(owner, attr) is old, (owner, attr)
