@@ -9,6 +9,7 @@ through a structure-constant table (import_table / export_table).
 Supercommutator convention throughout: [x,y] = xy - (-1)^{|x||y|} yx.
 """
 
+from copy import copy
 from fractions import Fraction
 from itertools import product
 
@@ -32,10 +33,17 @@ class SuperAlgebra:
         self.parity = tuple(int(p) & 1 for p in parity)
         self.dim = len(self.parity)
         self.brackets = {k: dict(v) for k, v in brackets.items() if v}
-        self.form = tuple(tuple(Fraction(x) for x in row) for row in form)
+        self._rows = {}                   # i -> {j: brackets[(i, j)]}
+        for (i, j), terms in self.brackets.items():
+            self._rows.setdefault(i, {})[j] = terms
+        self._set_form(tuple(tuple(Fraction(x) for x in row) for row in form))
         if basis_names is None:
             basis_names = tuple("x%d" % i for i in range(self.dim))
         self.basis_names = tuple(basis_names)
+
+    def _set_form(self, form):
+        self.form = form
+        self._gram = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in form)
 
     def basis_vector(self, i):
         return unit_vec(self.dim, i)
@@ -47,14 +55,14 @@ class SuperAlgebra:
         """[x, y] for coefficient vectors; Koszul signs live in the constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("vector length does not match algebra dimension")
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         out = [ZERO] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
+            row = self._rows.get(i) if xi else None
+            if not row:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                terms = self.brackets.get((i, j))
+            for j, yj in ys:
+                terms = row.get(j)
                 if terms:
                     c = xi * yj
                     for k, ck in terms.items():
@@ -62,21 +70,20 @@ class SuperAlgebra:
         return tuple(out)
 
     def form_value(self, x, y):
+        """(x, y), walking the nonzero Gram entries of each nonzero x_i."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise InputError("vector length does not match algebra dimension")
         acc = ZERO
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.form[i]
-            for j, yj in enumerate(y):
-                if yj != 0:
-                    acc += xi * yj * row[j]
+            if xi:
+                acc += xi * sum((y[j] * g for j, g in self._gram[i] if y[j]), ZERO)
         return acc
 
     def parity_of(self, x):
         """Parity of a homogeneous vector; None for 0 or mixed."""
         par = None
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
             if par is None:
                 par = self.parity[i]
@@ -85,10 +92,11 @@ class SuperAlgebra:
         return par
 
     def rescaled_form(self, c):
+        """The same algebra with its form scaled by c; the brackets are shared."""
         c = Fraction(c)
-        form = [[c * v for v in row] for row in self.form]
-        return SuperAlgebra(self.name, self.parity, self.brackets, form,
-                            self.basis_names)
+        out = copy(self)
+        out._set_form(tuple(tuple(c * v for v in row) for row in self.form))
+        return out
 
     def __repr__(self):
         ne = sum(1 for p in self.parity if p == EVEN)

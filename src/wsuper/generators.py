@@ -49,7 +49,7 @@ def theta_v(setup, v, check=True):
     expr = EnvElement.from_vector(setup, v)
     for alpha in range(len(setup.zbasis)):
         br = setup.alg.bracket(setup.zdual[alpha], v)
-        if any(c != 0 for c in br):
+        if any(br):
             za = EnvElement.from_letter(setup, setup.z_letter(alpha))
             expr = expr - (za * env_from_zvector(setup, br)).scale(HALF)
     value = project(expr)
@@ -69,12 +69,12 @@ def _zz_third(setup, w):
     out = EnvElement(setup)
     for alpha in range(n):
         inner = alg.bracket(setup.zdual[alpha], w)        # in g(0)
-        if all(c == 0 for c in inner):
+        if not any(inner):
             continue
         za = EnvElement.from_letter(setup, setup.z_letter(alpha))
         for beta in range(n):
             br2 = alg.bracket(setup.zdual[beta], inner)   # in g(-1)
-            if any(c != 0 for c in br2):
+            if any(br2):
                 zb = EnvElement.from_letter(setup, setup.z_letter(beta))
                 out = out + za * zb * env_from_zvector(setup, br2)
     return out.scale(THIRD)
@@ -89,10 +89,10 @@ def _theta_w_rests(setup, w):
     for alpha, zd in enumerate(setup.zdual):
         za = EnvElement.from_letter(setup, setup.z_letter(alpha))
         br = alg.bracket(zd, w)                           # in g(0)
-        if any(c != 0 for c in br):
+        if any(br):
             corr = corr - za * EnvElement.from_vector(setup, br)
         br = alg.bracket(w, zd)
-        if any(c != 0 for c in br):
+        if any(br):
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
             reord = reord + (EnvElement.from_vector(setup, br) * za).scale(sign)
     wf = env_from_zvector(setup, alg.bracket(w, setup.triple.f))   # in g(-1)
@@ -147,7 +147,7 @@ def casimir(setup):
                        * EnvElement.from_vector(setup, b)).scale(sign)
     for alpha in range(len(setup.zbasis)):
         ez = alg.bracket(t.e, setup.zdual[alpha])         # in g(1)
-        if any(c != 0 for c in ez):
+        if any(ez):
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
             za = EnvElement.from_letter(setup, setup.z_letter(alpha))
             expr = expr + (EnvElement.from_vector(setup, ez) * za).scale(2 * sign)

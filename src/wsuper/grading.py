@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneracyError, InputError, NotMinimalError
-from .linalg import (ONE, ZERO, Span, is_zero_vec, nullspace, solve, unit_vec,
-                     vec_add, vec_scale)
+from .linalg import (ONE, ZERO, Span, is_zero_vec, lin_comb, nullspace, solve,
+                     unit_vec, vec_add, vec_scale)
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,13 @@ def _ad_matrix(alg, x):
 def _restricted_kernel(alg, mat, shift, indices):
     """Kernel of (mat - shift*I) on the span of the given basis indices,
     returned as full-length homogeneous vectors."""
-    rows = []
-    for i in range(alg.dim):
-        row = [mat[i][j] - (shift if i == j else ZERO) for j in indices]
-        rows.append(row)
+    rows = [[mat[i][j] for j in indices] for i in range(alg.dim)]
+    for pos, j in enumerate(indices):
+        rows[j][pos] -= shift
     out = []
     for small in nullspace(rows, len(indices)):
-        v = [ZERO] * alg.dim
-        for pos, j in enumerate(indices):
-            v[j] = small[pos]
-        out.append(tuple(v))
+        v = dict(zip(indices, small))
+        out.append(tuple(v.get(j, ZERO) for j in range(alg.dim)))
     return out
 
 
@@ -137,7 +134,7 @@ class MinimalSetup:
 
     def chi(self, x):
         """chi(x) = (e, x)."""
-        return sum((c * self._chi[i] for i, c in enumerate(x) if c != 0), ZERO)
+        return sum((c * self._chi[i] for i, c in enumerate(x) if c), ZERO)
 
     def form(self, x, y):
         return self.alg.form_value(x, y)
@@ -358,10 +355,7 @@ def build_minimal_setup(alg, e):
             if not piece:
                 continue
             rows = _from_columns([alg.bracket(triple.e, v) for v in piece])
-            for sol in nullspace(rows, len(piece)):
-                w = tuple(sum((sol[t] * piece[t][k] for t in range(len(piece))), ZERO)
-                          for k in range(alg.dim))
-                found.append(w)
+            found.extend(lin_comb(sol, piece) for sol in nullspace(rows, len(piece)))
         cent[i] = found
     if len(cent[2]) != 1:
         raise NotMinimalError("g^e(2) is not one-dimensional")
@@ -378,8 +372,7 @@ def build_minimal_setup(alg, e):
             raise DegeneracyError("form degenerate on g^e(0)") from None
         for j in range(n0):
             coords = gram.coords(unit_vec(n0, j))
-            dual_b.append(tuple(sum((c * dual_a[k][t] for k, c in coords.items()), ZERO)
-                                for t in range(alg.dim)))
+            dual_b.append(lin_comb([coords.get(k, ZERO) for k in range(n0)], dual_a))
 
     letters, lpar, lgrade, lnames = [], [], [], []
     counters = {"x": 0, "y": 0}

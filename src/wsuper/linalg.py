@@ -32,7 +32,19 @@ def vec_scale(c, x):
 
 
 def is_zero_vec(x):
-    return all(a == 0 for a in x)
+    return not any(x)
+
+
+def lin_comb(coeffs, vectors):
+    """sum_t coeffs[t] * vectors[t] over the nonzero coefficients and
+    entries; vectors is nonempty and its vectors share one length."""
+    out = [ZERO] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, a in enumerate(v):
+                if a:
+                    out[k] += c * a
+    return tuple(out)
 
 
 class Echelon:

@@ -114,6 +114,7 @@ class SuiteContext:
         self._products = {}
         self._commutators = {}
         self._b_table = None
+        self._nested = {}
 
     @property
     def thetas0(self):
@@ -246,6 +247,12 @@ class SuiteContext:
             self._b_table = table
         return self._b_table
 
+    def nested(self, side, w):
+        """_nested_brackets(setup, side, w), memoised per (side, w)."""
+        if (side, w) not in self._nested:
+            self._nested[side, w] = _nested_brackets(self.setup, side, w)
+        return self._nested[side, w]
+
     def c_minus_tcas(self):
         return self.cas.value - self.tcas.value
 
@@ -288,10 +295,10 @@ def identities_suite(setup, ctx=None):
         for a in range(n):
             za = EnvElement.from_letter(setup, setup.z_letter(a))
             br1 = alg.bracket(setup.zdual[a], u)      # in g(-2)
-            if any(c != 0 for c in br1):
+            if any(br1):
                 lhs1 = lhs1 + EnvElement.from_vector(setup, br1) * za
             br2 = alg.bracket(setup.zbasis[a], u)
-            if any(c != 0 for c in br2):
+            if any(br2):
                 sign = -1 if alg.parity_of(setup.zbasis[a]) else 1
                 zs = EnvElement.from_vector(setup, setup.zdual[a])
                 lhs2 = lhs2 - (EnvElement.from_vector(setup, br2) * zs).scale(sign)
@@ -441,12 +448,12 @@ def bw_element(setup, ctx, w1, w2):
         za, zs = setup.zbasis[a], setup.zdual[a]
         x1 = alg.bracket(w1, za)
         y2 = alg.bracket(zs, w2)
-        if any(c != 0 for c in x1) and any(c != 0 for c in y2):
+        if any(x1) and any(y2):
             out = out + multiply_q(ctx.theta(setup.sharp(x1)),
                                    ctx.theta(setup.sharp(y2))).scale(Fraction(1, 2))
         x2 = alg.bracket(w2, za)
         y1 = alg.bracket(zs, w1)
-        if any(c != 0 for c in x2) and any(c != 0 for c in y1):
+        if any(x2) and any(y1):
             out = out - multiply_q(ctx.theta(setup.sharp(x2)),
                                    ctx.theta(setup.sharp(y1))).scale(Fraction(sign, 2))
     return out, pair
@@ -464,33 +471,32 @@ def _add_scaled(terms, c, q):
             terms[w] = x
 
 
-def c0_double_sum(setup, w1, w2):
+def _nested_brackets(setup, side, w):
+    """{(a, b): [z_b,[z_a,w]]} over the nonzero nested brackets, with z the
+    zbasis on side 0 and the zdual on side 1."""
+    zs, bracket = (setup.zbasis, setup.zdual)[side], setup.alg.bracket
+    inner = [(a, bracket(za, w)) for a, za in enumerate(zs)]             # g(0)
+    nested = (((a, b), bracket(zb, x)) for a, x in inner if any(x)
+              for b, zb in enumerate(zs))                                 # g(-1)
+    return {key: v for key, v in nested if any(v)}
+
+
+def c0_double_sum(setup, w1, w2, ctx=None):
     """The closed formula's double sum:
-    sum_{a,b} (-1)^{|a||w1|+|b||w1|+|a||b|} chi([[z_b,[z_a,w1]],[z*_b,[z*_a,w2]]])."""
-    alg = setup.alg
-    p1 = alg.parity_of(w1)
+    sum_{a,b} (-1)^{|a||w1|+|b||w1|+|a||b|} chi([[z_b,[z_a,w1]],[z*_b,[z*_a,w2]]]).
+    A ctx memoises the nested brackets of each side per vector."""
+    ctx = ctx or SuiteContext(setup)
+    left, right = ctx.nested(0, w1), ctx.nested(1, w2)
+    p1, par = setup.alg.parity_of(w1), setup.letter_parity[setup.z_start:]
     total = ZERO
-    n = len(setup.zbasis)
-    for a in range(n):
-        pa = alg.parity_of(setup.zbasis[a])
-        inner1 = alg.bracket(setup.zbasis[a], w1)          # g(0)
-        inner2 = alg.bracket(setup.zdual[a], w2)           # g(0)
-        if is_zero_vec(inner1) or is_zero_vec(inner2):
-            continue
-        for b in range(n):
-            pb = alg.parity_of(setup.zbasis[b])
-            left = alg.bracket(setup.zbasis[b], inner1)    # g(-1)
-            right = alg.bracket(setup.zdual[b], inner2)    # g(-1)
-            if is_zero_vec(left) or is_zero_vec(right):
-                continue
-            val = setup.chi(alg.bracket(left, right))      # g(-2) read via (e,.)
-            if val != 0:
-                sign = -1 if ((pa * p1 + pb * p1 + pa * pb) % 2) else 1
-                total += sign * val
+    for (a, b), x in left.items():
+        if (a, b) in right:
+            val = setup.chi(setup.alg.bracket(x, right[(a, b)]))   # g(-2) read via (e,.)
+            total += -val if (par[a] * p1 + par[b] * p1 + par[a] * par[b]) % 2 else val
     return total
 
 
-def c0_formula(setup, w1, w2):
+def c0_formula(setup, w1, w2, ctx=None):
     """Closed-form c0 from the double sum; requires ([w1,w2],f) != 0.
 
     This stays the published formula, as transcribed (criterion 2 checks
@@ -501,7 +507,7 @@ def c0_formula(setup, w1, w2):
     pair = setup.form(setup.alg.bracket(w1, w2), setup.triple.f)
     if pair == 0:
         raise InputError("c0_formula needs a pair with ([w1,w2],f) != 0")
-    ds = c0_double_sum(setup, w1, w2)
+    ds = c0_double_sum(setup, w1, w2, ctx)
     s, r = setup.sdim, setup.rdim
     return (Fraction(1, 12) * ds
             - Fraction(3 * (s - r) + 4, 12) * pair) / pair
@@ -540,7 +546,7 @@ def extract_c0(setup, ctx=None):
                 c0 = scalar / Fraction(-pair, 2)
                 values.append((label, c0))
                 result.pairs.append((label, pair, c0))
-                formula = c0_formula(setup, w1, w2)
+                formula = c0_formula(setup, w1, w2, ctx)
                 result.formula_values.append((label, formula))
                 if formula != c0:
                     result.matches_formula = False
@@ -578,7 +584,7 @@ def verify_scalar_reduction(setup, ctx=None):
     for i, w1 in enumerate(basis):
         for j, w2 in enumerate(basis):
             lhs, pair = ctx.b_table[i][j]
-            rhs = (Fraction(-1, 24) * c0_double_sum(setup, w1, w2)
+            rhs = (Fraction(-1, 24) * c0_double_sum(setup, w1, w2, ctx)
                    + Fraction(3 * (s - r) + 4, 24) * pair)
             res = lhs - WhittakerElement.unit(setup, rhs)
             if not res.is_zero():

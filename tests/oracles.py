@@ -340,3 +340,21 @@ def within_side_term(setup, w1, w2):
     """
     return setup.chi(setup.alg.bracket(x_contraction(setup, w1),
                                        x_contraction(setup, w2)))
+
+
+# ---- the structure-constant kernel, by the naive double loop ---------------
+
+def dense_bracket(alg, x, y):
+    """[x, y] summed over every index pair (i, j) of alg.brackets."""
+    out = [Fraction(0)] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k, c in alg.brackets.get((i, j), {}).items():
+                out[k] += x[i] * y[j] * c
+    return tuple(out)
+
+
+def dense_form(alg, x, y):
+    """(x, y) summed over every entry of the Gram matrix alg.form."""
+    return sum((x[i] * alg.form[i][j] * y[j]
+                for i in range(alg.dim) for j in range(alg.dim)), Fraction(0))

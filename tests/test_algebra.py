@@ -100,6 +100,20 @@ def test_bracket_dimension_mismatch():
         alg.bracket((Fraction(1),), alg.basis_vector(0))
 
 
+@pytest.mark.parametrize("short", ["x", "y"])
+def test_form_value_dimension_mismatch(short):
+    # a short vector is an input error, not a truncated sum or an IndexError
+    alg = build_gl(1, 1)
+    x = y = alg.basis_vector(0)
+    assert alg.form_value(x, y) == alg.form[0][0] != 0
+    if short == "x":
+        x = x[:1]
+    else:
+        y = y[:1]
+    with pytest.raises(InputError):
+        alg.form_value(x, y)
+
+
 def test_subalgebra_rejects_dependent_vectors():
     # the diagonal of gl(2|0) is bracket-closed, so only the dependence of
     # the third vector on the first two is wrong here

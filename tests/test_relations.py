@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wsuper import linalg, relations, whittaker
+from wsuper.algebra import SuperAlgebra
 from wsuper.catalog import family_setup
 from wsuper.grading import MinimalSetup
 from wsuper.relations import (RELATION_IDS, SuiteContext, bw_element,
@@ -312,6 +313,28 @@ def _count(monkeypatch, name, modules):
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_scalar_reduction_brackets_each_side_once(monkeypatch):
+    # work counter, not a timing: the nested brackets [z_b,[z_a,w1]] and
+    # [z*_b,[z*_a,w2]] are taken once per basis vector, not once per pair
+    # (a per-pair double sum makes 1293 brackets here); the verdict is the
+    # published scalar's, which fails on osp(5|2) where s != r
+    setup, ctx = _warmed_osp52()
+    _ = ctx.b_table
+    calls = []
+    bracket = SuperAlgebra.bracket
+    monkeypatch.setattr(SuperAlgebra, "bracket",
+                        lambda self, x, y: calls.append(x) or bracket(self, x, y))
+    rep = verify_scalar_reduction(setup, ctx)
+    assert not rep.ok and rep.detail["pairs"] == 25
+    assert len(calls) == 413
+    calls.clear()
+    assert verify_scalar_reduction(setup, ctx).as_json() == rep.as_json()
+    assert len(calls) == 153          # one final bracket per matched (a, b)
+    basis = setup.cent[1]
+    assert all(c0_double_sum(setup, w1, w2, ctx) == c0_double_sum(setup, w1, w2)
+               for w1 in basis for w2 in basis)
 
 
 def test_deg0_computes_each_commutator_once(monkeypatch):

@@ -1,0 +1,66 @@
+"""Property tests: the sparse structure-constant kernel (SuperAlgebra.bracket,
+SuperAlgebra.form_value) and linalg.lin_comb agree with naive dense sums."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import dense_bracket, dense_form
+from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
+                            export_table, import_table)
+from wsuper.linalg import ZERO, lin_comb
+
+ALGEBRAS = {
+    "gl(2|1)": build_gl(2, 1),
+    "sl(3|1)": build_sl(3, 1),
+    "osp(3|2)": build_osp(3, 2),
+    "psl22": build_psl22(),
+    "imported sl(2|1)": import_table(export_table(build_sl(2, 1))),
+    "osp(3|2) form * -3/7": build_osp(3, 2).rescaled_form(Fraction(-3, 7)),
+}
+
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def sparse_vectors(dim):
+    """Length-dim Fraction vectors with up to four nonzero entries, zero
+    entries drawn as explicit Fraction(0)s among them."""
+    return st.dictionaries(st.integers(0, dim - 1), FRACTIONS, max_size=4).map(
+        lambda d: tuple(d.get(k, ZERO) for k in range(dim)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data(), name=st.sampled_from(sorted(ALGEBRAS)))
+def test_bracket_and_form_value_match_the_dense_oracle(data, name):
+    alg = ALGEBRAS[name]
+    x = data.draw(sparse_vectors(alg.dim), label="x")
+    y = data.draw(sparse_vectors(alg.dim), label="y")
+    assert alg.bracket(x, y) == dense_bracket(alg, x, y)
+    assert alg.form_value(x, y) == dense_form(alg, x, y)
+
+
+def naive_lin_comb(coeffs, vectors):
+    return tuple(sum((c * v[k] for c, v in zip(coeffs, vectors)), ZERO)
+                 for k in range(len(vectors[0])))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 4), dim=st.integers(1, 6))
+def test_lin_comb_matches_the_naive_sum(data, n, dim):
+    vectors = [data.draw(sparse_vectors(dim)) for _ in range(n)]
+    coeffs = data.draw(st.lists(st.one_of(st.just(ZERO), FRACTIONS),
+                                min_size=n, max_size=n))
+    assert lin_comb(coeffs, vectors) == naive_lin_comb(coeffs, vectors)
+
+
+@pytest.mark.parametrize("coeffs, vectors", [
+    ([ZERO, ZERO], [(Fraction(1), Fraction(2)), (Fraction(3), ZERO)]),
+    ([Fraction(2), Fraction(-1)], [(Fraction(1), Fraction(3)), (Fraction(2), Fraction(6))]),
+    ([Fraction(5)], [(ZERO, ZERO, ZERO)]),
+])
+def test_lin_comb_all_zero_results(coeffs, vectors):
+    # zero coefficients, cancelling terms and zero vectors give Fraction zeros
+    out = lin_comb(coeffs, vectors)
+    assert out == naive_lin_comb(coeffs, vectors) == (ZERO,) * len(vectors[0])
+    assert all(type(a) is Fraction for a in out)
