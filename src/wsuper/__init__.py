@@ -8,9 +8,9 @@ constants with zero numerical tolerance.
 
 __version__ = "1.0.0"
 
-from .algebra import (AlgebraReport, SuperAlgebra, build_algebra, build_gl,
-                      build_osp, build_psl22, build_sl, check_algebra,
-                      export_table, import_table, normalized_form)
+from .algebra import (AlgebraReport, SuperAlgebra, build_gl, build_osp,
+                      build_psl22, build_sl, check_algebra, export_table,
+                      import_table, normalized_form)
 from .catalog import CATALOG_NAMES, family_setup, minimal_setup
 from .enveloping import EnvElement, supercommutator
 from .errors import (DegeneracyError, InputError, NotMinimalError, TableError,

@@ -430,26 +430,6 @@ def build_osp(m, n):
     return subalgebra(gl, vectors, "osp(%d|%d)" % (m, n), names)
 
 
-def build_algebra(selection):
-    """Build from a family-selection record.
-
-    selection: dict with keys family ('gl','sl','osp','psl22','imported'),
-    m, n where applicable, table for imported documents.
-    """
-    family = selection.get("family")
-    if family == "gl":
-        return build_gl(int(selection["m"]), int(selection["n"]))
-    if family == "sl":
-        return build_sl(int(selection["m"]), int(selection["n"]))
-    if family == "osp":
-        return build_osp(int(selection["m"]), int(selection["n"]))
-    if family == "psl22":
-        return build_psl22()
-    if family == "imported":
-        return import_table(selection["table"])
-    raise InputError("unknown family %r" % (family,))
-
-
 # ---------------------------------------------------------------------------
 # structure-constant documents
 

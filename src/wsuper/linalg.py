@@ -22,10 +22,6 @@ def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(c, x):
     c = Fraction(c)
     return tuple(c * a for a in x)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .enveloping import EnvElement, kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
-from .linalg import ZERO, Echelon, Span, is_zero_vec, vec_scale, vec_sub
+from .linalg import ONE, ZERO, Echelon, Span, is_zero_vec, lin_comb
 from .whittaker import (WhittakerElement, is_w_element, multiply_q, project,
                         sigma, supercommutator_q)
 
@@ -93,7 +93,8 @@ class C0Result:
 
 class SuiteContext:
     """Shared caches: the standard generators, the Casimir data, the
-    coordinate map of g^e and the table of B on the g^e(1) basis.
+    coordinate map of g^e, the table of B on the g^e(1) basis and the
+    factored generator monomials.
 
     Theta is linear, so Theta of any vector of g^e(0) + g^e(1) + g^e(2)
     is summed from its coordinates over the cached basis generators, and
@@ -115,6 +116,7 @@ class SuiteContext:
         self._commutators = {}
         self._b_table = None
         self._nested = {}
+        self._monomials = {}
 
     @property
     def thetas0(self):
@@ -202,7 +204,8 @@ class SuiteContext:
 
     @property
     def b_table(self):
-        """b_table[i][j] = bw_element of the g^e(1) basis pair (w_i, w_j).
+        """b_table[i][j] = (B(w_i, w_j), ([w_i, w_j], f)) on the g^e(1)
+        basis; B is the degree-1 commutator minus its structural terms.
 
         Assembled bilinearly: with sign = -1 iff w_i and w_j are both odd,
         B_ij = [Theta_wi, Theta_wj] - (pair/2)(C - ThetaCas)
@@ -224,7 +227,7 @@ class SuiteContext:
                     for w in basis]
             right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual]
                      for w in basis]
-            c_minus_tcas = self.c_minus_tcas()
+            c_minus_tcas = self.cas.value - self.tcas.value
             table = []
             for i, w1 in enumerate(basis):
                 row = []
@@ -253,8 +256,52 @@ class SuiteContext:
             self._nested[side, w] = _nested_brackets(self.setup, side, w)
         return self._nested[side, w]
 
-    def c_minus_tcas(self):
-        return self.cas.value - self.tcas.value
+    def monomials(self, max_deg):
+        """(gens, monomials, echelon), memoised per max_deg: each generator's
+        (degree, parity), for Theta_v (2), Theta_w (3) and C (4); each
+        ordered monomial of degree <= max_deg as (generator indices,
+        degree), 1 first and generator g as monomial g + 1; and one echelon
+        of them all, monomial t tagged by the key (len(letters), t) above
+        every word.  A reduced element in their span keeps only tags, with
+        minus its coefficient on monomial t at tag t."""
+        if max_deg in self._monomials:
+            return self._monomials[max_deg]
+        setup = self.setup
+        parity = setup.alg.parity_of
+        gens = [(g.value, 2, parity(v)) for g, v in zip(self.thetas0, setup.cent[0])]
+        gens += [(g.value, 3, parity(w)) for g, w in zip(self.thetas1, setup.cent[1])]
+        gens.append((self.cas.value, 4, 0))
+
+        def extend(idxs, q, g):
+            """The monomial idxs times generator g; a product of two basis
+            generators comes from the product memo."""
+            if not idxs:
+                return gens[g][0]
+            if len(idxs) == 1 and g < len(gens) - 1:
+                return self.product(idxs[0], g)
+            return multiply_q(q, gens[g][0])
+
+        monomials = [((), WhittakerElement.unit(setup), 0)]
+        frontier = [((), WhittakerElement.unit(setup), 0)]
+        while frontier:
+            nxt = []
+            for idxs, q, deg in frontier:
+                start = idxs[-1] if idxs else 0
+                for g in range(start, len(gens)):
+                    _, gdeg, gpar = gens[g]
+                    if (gpar and idxs and idxs[-1] == g) or deg + gdeg > max_deg:
+                        continue               # odd generators square away
+                    item = (idxs + (g,), extend(idxs, q, g), deg + gdeg)
+                    nxt.append(item)
+                    monomials.append(item)
+            frontier = nxt
+
+        tag = len(setup.letters)
+        echelon = Echelon({**q.terms, (tag, t): ONE}
+                          for t, (_, q, _) in enumerate(monomials))
+        self._monomials[max_deg] = ([g[1:] for g in gens],
+                                    [(idxs, deg) for idxs, _, deg in monomials], echelon)
+        return self._monomials[max_deg]
 
     def pair_value(self, w1, w2):
         """([w1, w2], f)."""
@@ -308,37 +355,41 @@ def identities_suite(setup, ctx=None):
             if not res.is_zero():
                 rep.fail("u=z%d %s" % (b + 1, tag), res)
 
-    # sum [z_a, [z*_a, w]] = (s-r)/2 [w, f] for w in g^e(1)
+    # sum [z_a, [z*_a, w]] = (s-r)/2 [w, f] for w in g^e(1), and
+    # sum [z_a, [e, z*_a]] = (r-s)/2 h; each residue is one lin_comb
+    ones = (ONE,) * n
     for k, w in enumerate(setup.cent[1]):
-        acc = (ZERO,) * setup.dim
-        for a in range(n):
-            acc = tuple(x + y for x, y in zip(
-                acc, alg.bracket(setup.zbasis[a],
-                                 alg.bracket(setup.zdual[a], w))))
-        want = vec_scale(Fraction(s - r, 2), alg.bracket(w, setup.triple.f))
-        if acc != want:
+        res = lin_comb(ones + (Fraction(r - s, 2),),
+                       [alg.bracket(za, alg.bracket(zs, w))
+                        for za, zs in zip(setup.zbasis, setup.zdual)]
+                       + [alg.bracket(w, setup.triple.f)])
+        if any(res):
             rep.fail("sum[z,[z*,w]] for w#%d" % k,
-                     project(EnvElement.from_vector(setup, vec_sub(acc, want))))
-
-    # sum [z_a, [e, z*_a]] = (r-s)/2 h
-    acc = (ZERO,) * setup.dim
-    for a in range(n):
-        acc = tuple(x + y for x, y in zip(
-            acc, alg.bracket(setup.zbasis[a],
-                             alg.bracket(setup.triple.e, setup.zdual[a]))))
-    want = vec_scale(Fraction(r - s, 2), setup.triple.h)
-    if acc != want:
+                     project(EnvElement.from_vector(setup, res)))
+    res = lin_comb(ones + (Fraction(s - r, 2),),
+                   [alg.bracket(za, alg.bracket(setup.triple.e, zs))
+                    for za, zs in zip(setup.zbasis, setup.zdual)]
+                   + [setup.triple.h])
+    if any(res):
         rep.fail("sum[z,[e,z*]] = (r-s)/2 h",
-                 project(EnvElement.from_vector(setup, vec_sub(acc, want))))
+                 project(EnvElement.from_vector(setup, res)))
 
-    # <[z_a, v], z_b> = <z_a, [v, z_b]> for even v in g^e(0)
+    # <[z_a, v], z_b> = <z_a, [v, z_b]> for even v in g^e(0), read off the
+    # Gram matrix G of the pairing and the z-coordinates X[a], Y[b] of
+    # [z_a, v], [v, z_b]: sum_c X[a][c] G[c][b] = sum_c G[a][c] Y[b][c]
+    gram = [[setup.pairing(za, zb) for zb in setup.zbasis] for za in setup.zbasis]
+
+    def zcoords(x):
+        return {k - setup.z_start: c for k, c in setup.to_letters(x).items()}
     for k, v in enumerate(setup.cent[0]):
         if alg.parity_of(v) != 0:
             continue
+        left = [zcoords(alg.bracket(za, v)) for za in setup.zbasis]
+        right = [zcoords(alg.bracket(v, zb)) for zb in setup.zbasis]
         for a in range(n):
             for b in range(n):
-                lhs = setup.pairing(alg.bracket(setup.zbasis[a], v), setup.zbasis[b])
-                rhs = setup.pairing(setup.zbasis[a], alg.bracket(v, setup.zbasis[b]))
+                lhs = sum((c * gram[l][b] for l, c in left[a].items()), ZERO)
+                rhs = sum((c * gram[a][l] for l, c in right[b].items()), ZERO)
                 if lhs != rhs:
                     rep.fail("pairing invariance v#%d (%d,%d)" % (k, a, b))
     return rep
@@ -347,22 +398,17 @@ def identities_suite(setup, ctx=None):
 def generator_checks(setup, ctx):
     """Membership, leading terms, degree bounds, and the parity involution."""
     rep = RelationReport("generators")
-    for gen in ctx.thetas0:
-        if sigma(gen.value) != gen.value:
-            rep.fail("sigma fixes %s" % gen.label, sigma(gen.value) - gen.value)
-        if gen.value.max_kazhdan_degree() > 2:
-            rep.fail("degree of %s > 2" % gen.label, gen.value)
-        ok, witness = is_w_element(gen.value)
-        if not ok:
-            rep.fail("membership %s at ad %s" % (gen.label, witness[0]), witness[1])
-    for gen in ctx.thetas1:
-        if sigma(gen.value) != -gen.value:
-            rep.fail("sigma negates %s" % gen.label, sigma(gen.value) + gen.value)
-        if gen.value.max_kazhdan_degree() > 3:
-            rep.fail("degree of %s > 3" % gen.label, gen.value)
-        ok, witness = is_w_element(gen.value)
-        if not ok:
-            rep.fail("membership %s at ad %s" % (gen.label, witness[0]), witness[1])
+    for gens, sign, verb, bound in ((ctx.thetas0, 1, "fixes", 2),
+                                    (ctx.thetas1, -1, "negates", 3)):
+        for gen in gens:
+            if sigma(gen.value) != gen.value.scale(sign):
+                rep.fail("sigma %s %s" % (verb, gen.label),
+                         sigma(gen.value) - gen.value.scale(sign))
+            if gen.value.max_kazhdan_degree() > bound:
+                rep.fail("degree of %s > %d" % (gen.label, bound), gen.value)
+            ok, witness = is_w_element(gen.value)
+            if not ok:
+                rep.fail("membership %s at ad %s" % (gen.label, witness[0]), witness[1])
     cas = ctx.cas
     if sigma(cas.value) != cas.value:
         rep.fail("sigma fixes C", sigma(cas.value) - cas.value)
@@ -429,34 +475,6 @@ def verify_centrality(setup, ctx=None):
         if not res.is_zero():
             rep.fail("[ThetaCas, %s]" % g.label, res)
     return rep
-
-
-def bw_element(setup, ctx, w1, w2):
-    """B(w1,w2): the degree-1 commutator minus its structural terms.
-
-    On the minimal setup this must be a scalar multiple of 1 x 1, namely
-    -([w1,w2],f) c0 / 2.
-    """
-    alg = setup.alg
-    p1, p2 = alg.parity_of(w1), alg.parity_of(w2)
-    sign = -1 if (p1 and p2) else 1
-    out = supercommutator_q(ctx.theta(w1), ctx.theta(w2))
-    pair = ctx.pair_value(w1, w2)
-    if pair != 0:
-        out = out - ctx.c_minus_tcas().scale(Fraction(pair, 2))
-    for a in range(len(setup.zbasis)):
-        za, zs = setup.zbasis[a], setup.zdual[a]
-        x1 = alg.bracket(w1, za)
-        y2 = alg.bracket(zs, w2)
-        if any(x1) and any(y2):
-            out = out + multiply_q(ctx.theta(setup.sharp(x1)),
-                                   ctx.theta(setup.sharp(y2))).scale(Fraction(1, 2))
-        x2 = alg.bracket(w2, za)
-        y1 = alg.bracket(zs, w1)
-        if any(x2) and any(y1):
-            out = out - multiply_q(ctx.theta(setup.sharp(x2)),
-                                   ctx.theta(setup.sharp(y1))).scale(Fraction(sign, 2))
-    return out, pair
 
 
 def _add_scaled(terms, c, q):
@@ -637,50 +655,39 @@ def verify_b_invariance(setup, ctx=None):
     return rep
 
 
-def one_dim_rep(setup, ctx=None, c0=None):
-    """Evaluate every presented relation under eps: Theta -> 0, C -> c0.
+def one_dim_rep(setup, ctx=None):
+    """The one-dimensional representation eps: Theta -> 0, C -> c0.
 
-    The checks are scalar identities; the report also carries the
-    generating set of the codimension-one ideal.
-    """
+    [Theta_wi, Theta_wj] has Kazhdan degree <= 4, so it lies in the span of
+    ctx.monomials(4): a_1 + a_C C + terms with a Theta factor.  eps is
+    multiplicative iff a_1 + c0 a_C = 0 on every g^e(1) basis pair; c0 is
+    -a_1/a_C at the first pair with a_C != 0, else 0.  The report carries
+    the generators of the ideal ker eps."""
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("one_dim")
-    if c0 is None:
-        crep, cres = extract_c0(setup, ctx)
-        if not crep.ok:
-            rep.fail("c0 extraction failed first", None)
-            return rep
-        c0 = cres.value if cres.value is not None else ZERO
-    eps_theta = ZERO
-    eps_c = Fraction(c0)
-
-    def eps_comm(a, b, sgn):
-        return a * b - sgn * b * a
-
-    alg = setup.alg
-    for i, v1 in enumerate(setup.cent[0]):
-        for j, v2 in enumerate(setup.cent[0]):
-            if eps_comm(eps_theta, eps_theta, 1 if not (alg.parity_of(v1) and alg.parity_of(v2)) else -1) != eps_theta:
-                rep.fail("relation(1) under eps at (v%d,v%d)" % (i, j))
-    for i, _v in enumerate(setup.cent[0]):
-        for j, _w in enumerate(setup.cent[1]):
-            if eps_comm(eps_theta, eps_theta, 1) != eps_theta:
-                rep.fail("relation(2) under eps at (v%d,w%d)" % (i, j))
-    eps_tcas = ZERO                      # sum of products of eps(Theta) = 0
-    for i, w1 in enumerate(setup.cent[1]):
-        for j, w2 in enumerate(setup.cent[1]):
-            pair = ctx.pair_value(w1, w2)
-            rhs = Fraction(pair, 2) * (eps_c - eps_tcas - eps_c)
-            sgn = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
-            # the sharp-product sums evaluate to 0 under eps termwise
-            if eps_comm(eps_theta, eps_theta, sgn) != rhs:
-                rep.fail("relation(3) under eps at (w%d,w%d)" % (i, j))
-    if eps_comm(eps_c, eps_theta, 1) != 0 or eps_comm(eps_c, eps_c, 1) != 0:
-        rep.fail("relation(4) under eps")
-    ideal_gens = [g.label for g in ctx.thetas0 + ctx.thetas1]
-    ideal_gens.append("C - %s" % eps_c)
-    rep.detail["ideal_generators"] = ideal_gens
-    rep.detail["c0"] = str(eps_c)
+    gens, _, echelon = ctx.monomials(4)
+    tag = len(setup.letters)
+    n0, n1 = len(setup.cent[0]), len(setup.cent[1])
+    coeffs = []                         # (label, a_1, a_C) per pair in the span
+    for i in range(n1):
+        for j in range(n1):
+            label = "(w%d,w%d)" % (i, j)
+            rest = echelon.reduce(ctx.commutator(n0 + i, n0 + j).terms)
+            words = {k: c for k, c in rest.items() if k < (tag,)}
+            if words:
+                rep.fail("%s outside the monomial span" % label,
+                         WhittakerElement(setup, words))
+            else:       # C is the last generator, monomial len(gens)
+                coeffs.append((label, -rest.get((tag, 0), ZERO),
+                               -rest.get((tag, len(gens)), ZERO)))
+    c0 = next((-a1 / ac for _, a1, ac in coeffs if ac), ZERO)
+    for label, a1, ac in coeffs:
+        if a1 + c0 * ac:
+            rep.fail("a_1 + c0 a_C != 0 at %s" % label,
+                     WhittakerElement.unit(setup, a1 + c0 * ac))
+    rep.detail["ideal_generators"] = [g.label for g in ctx.thetas0 + ctx.thetas1]
+    rep.detail["ideal_generators"].append("C - %s" % c0)
+    rep.detail["c0"] = str(c0)
     return rep
 
 
@@ -712,47 +719,15 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
         raise InputError("w_pbw_check needs max_deg >= 2")
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("pbw")
-    gens = []
-    for k, g in enumerate(ctx.thetas0):
-        gens.append((g.value, 2, setup.alg.parity_of(setup.cent[0][k]), g.label))
-    for k, g in enumerate(ctx.thetas1):
-        gens.append((g.value, 3, setup.alg.parity_of(setup.cent[1][k]), g.label))
-    gens.append((ctx.cas.value, 4, 0, "C"))
-
-    def extend(idxs, q, g):
-        """The monomial idxs times generator g; a product of two basis
-        generators comes from the product memo."""
-        if not idxs:
-            return gens[g][0]
-        if len(idxs) == 1 and g < len(gens) - 1:
-            return ctx.product(idxs[0], g)
-        return multiply_q(q, gens[g][0])
-
-    monomials = [((), WhittakerElement.unit(setup), 0)]
-    frontier = [((), WhittakerElement.unit(setup), 0)]
-    while frontier:
-        nxt = []
-        for idxs, q, deg in frontier:
-            start = idxs[-1] if idxs else 0
-            for g in range(start, len(gens)):
-                _, gdeg, gpar, _ = gens[g]
-                if gpar == 1 and idxs and idxs[-1] == g:
-                    continue                       # odd generators square away
-                if deg + gdeg > max_deg:
-                    continue
-                item = (idxs + (g,), extend(idxs, q, g), deg + gdeg)
-                nxt.append(item)
-                monomials.append(item)
-        frontier = nxt
-
-    echelon = Echelon()
-    rk = sum(echelon.add(q.terms) for _, q, _ in monomials)
+    gens, monomials, echelon = ctx.monomials(max_deg)
+    word_keys = (len(setup.letters),)
+    rk = sum(1 for p in echelon.rows if p < word_keys)
     rep.detail["monomials"] = len(monomials)
     rep.detail["rank"] = rk
     if rk != len(monomials):
         rep.fail("monomials dependent: rank %d of %d" % (rk, len(monomials)))
 
-    expect = _symalg_count([g[1] for g in gens], [g[2] for g in gens], max_deg)
+    expect = _symalg_count([g[0] for g in gens], [g[1] for g in gens], max_deg)
     rep.detail["symalg_count"] = expect
     if expect != len(monomials):
         rep.fail("graded count %d != supersymmetric-algebra count %d"
@@ -803,6 +778,22 @@ def _e_norm(setup):
 # ---------------------------------------------------------------------------
 # the assembled suite
 
+# relation id -> its check; each lambda looks the function up when it is
+# called, so a rebinding of the module-level name is seen by run_suite
+_CHECKS = {
+    "identities": lambda setup, ctx, max_deg: identities_suite(setup, ctx),
+    "generators": lambda setup, ctx, max_deg: generator_checks(setup, ctx),
+    "deg0": lambda setup, ctx, max_deg: verify_deg0(setup, ctx),
+    "deg01": lambda setup, ctx, max_deg: verify_deg01(setup, ctx),
+    "central": lambda setup, ctx, max_deg: verify_centrality(setup, ctx),
+    "c0": lambda setup, ctx, max_deg: extract_c0(setup, ctx),
+    "scalar_reduction": lambda setup, ctx, max_deg: verify_scalar_reduction(setup, ctx),
+    "b_invariance": lambda setup, ctx, max_deg: verify_b_invariance(setup, ctx),
+    "pbw": lambda setup, ctx, max_deg: w_pbw_check(setup, max_deg, ctx),
+    "one_dim": lambda setup, ctx, max_deg: one_dim_rep(setup, ctx),
+}
+
+
 def run_suite(setup, which=None, fail_fast=True, corrupt=None, max_deg=4):
     """Run the verification suite in derivation order.
 
@@ -816,32 +807,12 @@ def run_suite(setup, which=None, fail_fast=True, corrupt=None, max_deg=4):
     if not selected:
         raise InputError("no relation id selected")
     result = SuiteResult(setup)
-    c0_value = None
     for rel in RELATION_IDS:
         if rel not in selected:
             continue
-        if rel == "identities":
-            rep = identities_suite(setup, ctx)
-        elif rel == "generators":
-            rep = generator_checks(setup, ctx)
-        elif rel == "deg0":
-            rep = verify_deg0(setup, ctx)
-        elif rel == "deg01":
-            rep = verify_deg01(setup, ctx)
-        elif rel == "central":
-            rep = verify_centrality(setup, ctx)
-        elif rel == "c0":
-            rep, cres = extract_c0(setup, ctx)
-            result.c0 = cres
-            c0_value = cres.value
-        elif rel == "scalar_reduction":
-            rep = verify_scalar_reduction(setup, ctx)
-        elif rel == "b_invariance":
-            rep = verify_b_invariance(setup, ctx)
-        elif rel == "pbw":
-            rep = w_pbw_check(setup, max_deg, ctx)
-        else:
-            rep = one_dim_rep(setup, ctx, c0=c0_value)
+        rep = _CHECKS[rel](setup, ctx, max_deg)
+        if rel == "c0":
+            rep, result.c0 = rep
         result.reports.append(rep)
         if fail_fast and not rep.ok:
             break

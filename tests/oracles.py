@@ -3,9 +3,10 @@
 Deliberately separate implementations from the package: the naive rewriter
 recurses on the leftmost violation with no term-map plumbing, the rank
 routine uses plain forward elimination without normalization, the
-matrix helpers do integer supermatrix arithmetic directly, and a Weyl
+matrix helpers do integer supermatrix arithmetic directly, a Weyl
 algebra carries the oscillator realisations of sp(2k) and osp(1|2k), on
-which the Casimir's scalar pins c0 without the package's enveloping layer.
+which the Casimir's scalar pins c0 without the package's enveloping layer,
+and bw_element forms B(w1, w2) pair by pair from its definition.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 from wsuper.algebra import osp_realization
+from wsuper.whittaker import multiply_q, supercommutator_q
 
 
 def naive_reduce(setup, word, out=None, coeff=Fraction(1)):
@@ -340,6 +342,39 @@ def within_side_term(setup, w1, w2):
     """
     return setup.chi(setup.alg.bracket(x_contraction(setup, w1),
                                        x_contraction(setup, w2)))
+
+
+# ---- B(w1, w2) pair by pair, from its definition ---------------------------
+
+def bw_element(setup, ctx, w1, w2):
+    """(B(w1,w2), ([w1,w2],f)): the degree-1 commutator minus its
+    structural terms, each Theta taken by ctx.theta and each product and
+    commutator formed afresh; the package assembles the same element
+    bilinearly in SuiteContext.b_table.
+
+    On the minimal setup B must be a scalar multiple of 1 x 1, namely
+    -([w1,w2],f) c0 / 2.
+    """
+    alg = setup.alg
+    p1, p2 = alg.parity_of(w1), alg.parity_of(w2)
+    sign = -1 if (p1 and p2) else 1
+    out = supercommutator_q(ctx.theta(w1), ctx.theta(w2))
+    pair = ctx.pair_value(w1, w2)
+    if pair != 0:
+        out = out - (ctx.cas.value - ctx.tcas.value).scale(Fraction(pair, 2))
+    for a in range(len(setup.zbasis)):
+        za, zs = setup.zbasis[a], setup.zdual[a]
+        x1 = alg.bracket(w1, za)
+        y2 = alg.bracket(zs, w2)
+        if any(x1) and any(y2):
+            out = out + multiply_q(ctx.theta(setup.sharp(x1)),
+                                   ctx.theta(setup.sharp(y2))).scale(Fraction(1, 2))
+        x2 = alg.bracket(w2, za)
+        y1 = alg.bracket(zs, w1)
+        if any(x2) and any(y1):
+            out = out - multiply_q(ctx.theta(setup.sharp(x2)),
+                                   ctx.theta(setup.sharp(y1))).scale(Fraction(sign, 2))
+    return out, pair
 
 
 # ---- the structure-constant kernel, by the naive double loop ---------------

@@ -14,10 +14,10 @@ import itertools
 import time
 from fractions import Fraction
 
-from oracles import naive_reduce, within_side_term
+from oracles import bw_element, naive_reduce, within_side_term
 from wsuper.enveloping import EnvElement
 from wsuper.grading import kw_dimensions
-from wsuper.relations import (bw_element, c0_double_sum, c0_formula, extract_c0,
+from wsuper.relations import (c0_double_sum, c0_formula, extract_c0,
                               identities_suite, one_dim_rep, verify_centrality,
                               verify_deg0, verify_deg01, w_pbw_check)
 from wsuper.whittaker import WhittakerElement

@@ -4,9 +4,10 @@ import pytest
 
 from oracles import (gl_vector_to_matrix, mat_parity, oracle_rank,
                      super_bracket, supertrace, munit)
-from wsuper.algebra import (build_algebra, build_gl, build_osp, build_psl22,
-                            build_sl, check_algebra, normalized_form,
-                            osp_realization, subalgebra)
+from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
+                            check_algebra, normalized_form, osp_realization,
+                            subalgebra)
+from wsuper.catalog import family_algebra
 from wsuper.errors import DegeneracyError, InputError, ValidationError
 
 
@@ -230,12 +231,12 @@ def test_supertrace_oracle_agrees_on_gl():
     assert alg.form_value(x, y) == supertrace(mat_mul(*prod), 2)
 
 
-def test_build_algebra_spec_interface():
-    assert build_algebra({"family": "sl", "m": 2, "n": 1}).dim == 8
-    assert build_algebra({"family": "psl22"}).dim == 14
+def test_family_algebra_spec_interface():
+    assert family_algebra("sl", 2, 1)[0].dim == 8
+    assert family_algebra("psl22")[0].dim == 14
     with pytest.raises(InputError):
-        build_algebra({"family": "sl", "m": 2, "n": 2})
+        family_algebra("sl", 2, 2)
     with pytest.raises(InputError):
-        build_algebra({"family": "osp", "m": 1, "n": 3})
+        family_algebra("osp", 1, 3)
     with pytest.raises(InputError):
-        build_algebra({"family": "nope"})
+        family_algebra("nope")

@@ -13,6 +13,11 @@ The pins show the extraction right and the published closed constant
 (c0_formula) short by exactly (s-r)^2/16; that gap is -1/8 of the
 within-side contraction chi([X(w1), X(w2)]) per pair, pinned here against
 the residues verify_scalar_reduction reports.
+
+Where the oscillator realisation does not reach, one_dim_rep gives a
+second route: eps(Theta) = 0, eps(C) = c0 is multiplicative only for the
+c0 read off the monomial coordinates of [Theta_wi, Theta_wj], which never
+uses the presented degree-1 relation that extract_c0 solves.
 """
 
 from fractions import Fraction
@@ -26,7 +31,7 @@ from oracles import (dual_basis, oscillator_images, realisation_failures,
 from wsuper.catalog import family_setup
 from wsuper.enveloping import EnvElement
 from wsuper.generators import casimir
-from wsuper.relations import extract_c0, verify_scalar_reduction
+from wsuper.relations import extract_c0, one_dim_rep, verify_scalar_reduction
 from wsuper.whittaker import WhittakerElement, project
 
 from conftest import CATALOG_NAMES, get_ctx, get_setup
@@ -35,6 +40,11 @@ F = Fraction
 
 # (m, n) of osp(m|n): sp(4), sp(6), osp(1|2), osp(1|4)
 PINS = {"sp(4)": (0, 4), "sp(6)": (0, 6), "osp(1|2)": (1, 2), "osp(1|4)": (1, 4)}
+
+# c0 by the one-dimensional representation, on algebras the oscillator
+# realisation does not reach (s > 0 with s != r, or osp(m|n) with m > 1)
+ONE_DIM_PINS = {("sl", 4, 1): F(-3, 2), ("sl", 5, 1): F(-3),
+                ("osp", 1, 6): F(-15, 8), ("osp", 5, 2): F(-3, 8)}
 
 
 @lru_cache(maxsize=None)
@@ -82,6 +92,17 @@ def test_extract_c0_equals_oscillator_casimir(name):
     assert res.formula_values and not res.matches_formula
     for _, formula in res.formula_values:
         assert formula - cas == F((s - r) ** 2, 16)
+
+
+@pytest.mark.parametrize("kind,m,n", list(ONE_DIM_PINS))
+def test_one_dim_c0_equals_extract_c0(kind, m, n):
+    """Two routes on separate contexts: one_dim reads c0 off the monomial
+    coordinates of [Theta_wi, Theta_wj], extract_c0 off B(w1, w2)."""
+    setup = family(kind, m, n)
+    rep = one_dim_rep(setup)
+    crep, res = extract_c0(setup)
+    assert rep.ok and crep.ok and res.consistent
+    assert rep.detail["c0"] == str(res.value) == str(ONE_DIM_PINS[kind, m, n])
 
 
 def setup_named(name):

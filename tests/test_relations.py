@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import bw_element
 from wsuper import linalg, relations, whittaker
 from wsuper.algebra import SuperAlgebra
 from wsuper.catalog import family_setup
 from wsuper.grading import MinimalSetup
-from wsuper.relations import (RELATION_IDS, SuiteContext, bw_element,
-                              c0_double_sum, c0_formula, extract_c0,
-                              identities_suite, one_dim_rep, run_suite,
+from wsuper.relations import (RELATION_IDS, SuiteContext, c0_double_sum,
+                              c0_formula, extract_c0, identities_suite,
+                              one_dim_rep, run_suite,
                               verify_scalar_reduction, verify_b_invariance,
                               verify_centrality, verify_deg0, verify_deg01,
                               w_pbw_check)
@@ -142,12 +143,41 @@ def test_b_invariance_fails_on_a_perturbed_table():
 
 
 def test_one_dim_rep(catalog_setup):
-    rep = one_dim_rep(catalog_setup, ctx_for(catalog_setup))
+    s = catalog_setup
+    name = "psl22" if s.alg.name == "psl(2|2)" else s.alg.name
+    rep = one_dim_rep(s, ctx_for(s))
     assert rep.ok
     gens = rep.detail["ideal_generators"]
     assert gens[-1].startswith("C - ")
     n_thetas = len(catalog_setup.cent[0]) + len(catalog_setup.cent[1])
     assert len(gens) == n_thetas + 1
+    assert rep.detail["c0"] == str(EXTRACTED_C0[name])
+    assert gens[-1] == "C - %s" % EXTRACTED_C0[name]
+
+
+def test_one_dim_fails_outside_the_monomial_span():
+    # flipping the z-corrections of every Theta_v changes the quadratic
+    # monomials, so the true [Theta_wi, Theta_wj] leaves their span
+    result = run_suite(family_setup("sl", 3, 1), which=["one_dim"],
+                       corrupt="theta-v-sign")
+    rep = result.reports[0]
+    assert not rep.ok
+    assert [w for w, _ in rep.failures] == [
+        "(w%d,w%d) outside the monomial span" % p
+        for p in ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2))]
+    assert all(not r.is_zero() and r.scalar_part() is None for _, r in rep.failures)
+
+
+def test_one_dim_fails_where_eps_is_not_multiplicative():
+    # (w0,w0) has zero pairing, so its commutator has no C term: a constant
+    # added to it admits no c0 at all
+    s = get_setup("psl22")
+    ctx = SuiteContext(s)
+    n0 = len(s.cent[0])
+    ctx._commutators[(n0, n0)] = ctx.commutator(n0, n0) + WhittakerElement.unit(s, 1)
+    rep = one_dim_rep(s, ctx)
+    assert rep.failures == [("a_1 + c0 a_C != 0 at (w0,w0)", WhittakerElement.unit(s, 1))]
+    assert rep.detail["c0"] == "0"
 
 
 def test_w_pbw_check_psl22(psl22):
@@ -395,6 +425,35 @@ def test_pbw_on_a_warmed_context_runs_no_dense_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or rref(rows))
     assert w_pbw_check(setup, 4, ctx).ok
     assert calls == []
+
+
+def test_one_dim_reads_the_pbw_monomials(monkeypatch):
+    # work counter: pbw factors the monomials once on the context; one_dim
+    # reduces the memoised commutators on that echelon, with no product
+    setup, ctx = _warmed_osp52()
+    pbw = w_pbw_check(setup, 4, ctx)
+    assert pbw.ok and pbw.detail["rank"] == pbw.detail["monomials"]
+    products = _count(monkeypatch, "multiply_q", (whittaker, relations))
+    commutators = _count(monkeypatch, "supercommutator_q", (whittaker, relations))
+    rep = one_dim_rep(setup, ctx)
+    assert rep.ok and rep.detail["c0"] == "-3/8"
+    assert products == [] and commutators == []
+    assert ctx.monomials(4) is ctx.monomials(4)
+
+
+def test_pairing_invariance_can_fail(monkeypatch):
+    # x0 y0 added to the pairing, with x0 the z1-coordinate, keeps it
+    # bilinear but not g^e(0)-invariant; no other identity reads the pairing
+    setup = family_setup("psl22")
+    pairing = setup.pairing
+
+    def z1(x):
+        return setup.to_letters(x).get(setup.z_start, F(0))
+    monkeypatch.setattr(setup, "pairing", lambda x, y: pairing(x, y) + z1(x) * z1(y))
+    rep = identities_suite(setup)
+    assert rep.failures
+    assert all(w.startswith("pairing invariance v#") and r is None
+               for w, r in rep.failures)
 
 
 def test_w_pbw_check_fails_on_a_duplicated_generator(psl22):

@@ -5,10 +5,13 @@ import sys
 from pathlib import Path
 
 import wsuper.cli  # noqa: F401  (loads every wsuper module the tracer patches)
+from wsuper import relations
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
+
+from conftest import get_setup  # noqa: E402
 
 
 def test_tracer_binds_every_name_and_restores_it():
@@ -37,3 +40,17 @@ def test_tracer_binds_every_name_and_restores_it():
         if (id(owner), attr) not in seen:
             seen.add((id(owner), attr))
             assert getattr(owner, attr) is old, (owner, attr)
+
+
+def test_run_suite_calls_each_traced_relation_function_once(monkeypatch):
+    # the tracer rebinds relations.<fn>; run_suite must look each name up
+    # when it runs, or a traced pass would time none of the relation ids
+    calls = []
+    for rel_id, attr in tracer.RELATION_FUNCTIONS:
+        def recorder(*args, _id=rel_id, _fn=getattr(relations, attr)):
+            calls.append(_id)
+            return _fn(*args)
+        monkeypatch.setattr(relations, attr, recorder)
+    result = relations.run_suite(get_setup("sl(2|1)"), fail_fast=False)
+    assert calls == [rel_id for rel_id, _ in tracer.RELATION_FUNCTIONS]
+    assert [r.rel_id for r in result.reports] == list(relations.RELATION_IDS) == calls
