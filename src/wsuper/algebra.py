@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DegeneracyError, InputError, TableError, ValidationError
-from .linalg import (ONE, ZERO, Span, nullspace, rank, unit_vec, vec_add,
-                     vec_scale)
+from .linalg import ONE, ZERO, Span, nullspace, rank
 
 EVEN, ODD = 0, 1
 
@@ -24,8 +23,9 @@ class SuperAlgebra:
     """Z2-graded Lie algebra given by structure constants over Q.
 
     brackets stores every nonzero pair: brackets[(i,j)] = {k: c_ij^k}.
-    form is a dense dim x dim matrix of Fractions.  Instances are
-    immutable after construction and safe to share.
+    form is a dense dim x dim matrix of Fractions.  A vector is a dict
+    {basis index: nonzero coefficient}.  Instances are immutable after
+    construction and safe to share.
     """
 
     def __init__(self, name, parity, brackets, form, basis_names=None):
@@ -36,6 +36,7 @@ class SuperAlgebra:
         self._rows = {}                   # i -> {j: brackets[(i, j)]}
         for (i, j), terms in self.brackets.items():
             self._rows.setdefault(i, {})[j] = terms
+        self._indices = frozenset(range(self.dim))
         self._set_form(tuple(tuple(Fraction(x) for x in row) for row in form))
         if basis_names is None:
             basis_names = tuple("x%d" % i for i in range(self.dim))
@@ -46,50 +47,45 @@ class SuperAlgebra:
         self._gram = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in form)
 
     def basis_vector(self, i):
-        return unit_vec(self.dim, i)
+        return {i: ONE}
 
     def bracket_basis(self, i, j):
         return self.brackets.get((i, j), {})
 
+    def _check(self, *vectors):
+        for v in vectors:
+            if not v.keys() <= self._indices:
+                raise InputError("vector index outside range(%d)" % self.dim)
+
     def bracket(self, x, y):
-        """[x, y] for coefficient vectors; Koszul signs live in the constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise InputError("vector length does not match algebra dimension")
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            row = self._rows.get(i) if xi else None
+        """[x, y] for dict vectors; Koszul signs live in the constants."""
+        self._check(x, y)
+        out = {}
+        for i, xi in x.items():
+            row = self._rows.get(i)
             if not row:
                 continue
-            for j, yj in ys:
+            for j, yj in y.items():
                 terms = row.get(j)
                 if terms:
                     c = xi * yj
                     for k, ck in terms.items():
-                        out[k] += c * ck
-        return tuple(out)
+                        out[k] = out.get(k, ZERO) + c * ck
+        return {k: c for k, c in out.items() if c}
 
     def form_value(self, x, y):
-        """(x, y), walking the nonzero Gram entries of each nonzero x_i."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise InputError("vector length does not match algebra dimension")
+        """(x, y), walking the nonzero Gram entries of each x_i."""
+        self._check(x, y)
         acc = ZERO
-        for i, xi in enumerate(x):
-            if xi:
-                acc += xi * sum((y[j] * g for j, g in self._gram[i] if y[j]), ZERO)
+        for i, xi in x.items():
+            acc += xi * sum((y[j] * g for j, g in self._gram[i] if j in y), ZERO)
         return acc
 
     def parity_of(self, x):
         """Parity of a homogeneous vector; None for 0 or mixed."""
-        par = None
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            if par is None:
-                par = self.parity[i]
-            elif par != self.parity[i]:
-                return None
-        return par
+        self._check(x)
+        pars = {self.parity[i] for i, c in x.items() if c}
+        return pars.pop() if len(pars) == 1 else None
 
     def rescaled_form(self, c):
         """The same algebra with its form scaled by c; the brackets are shared."""
@@ -208,7 +204,7 @@ def check_algebra(alg):
         (product(range(n), repeat=2),
          lambda t: form[t[0]][t[1]] != sign(*t) * form[t[1]][t[0]]),
         (product(range(n), repeat=3), invariance_fails),
-        (["gram rank < dim"], lambda _: rank([list(row) for row in form]) != n),
+        (["gram rank < dim"], lambda _: rank(map(dict, alg._gram)) != n),
     )
     checks = []
     for name, (candidates, fails) in zip(AlgebraReport.AXIOMS, scans):
@@ -307,14 +303,10 @@ def _sl_vectors(m, n):
     pidx = [EVEN] * m + [ODD] * n
     for a in range(N - 1):
         # E[a,a] -+ E[a+1,a+1], sign chosen to kill the supertrace
-        va = gl.basis_vector(_gl_index(m, n, a, a))
-        vb = gl.basis_vector(_gl_index(m, n, a + 1, a + 1))
-        if pidx[a] == pidx[a + 1]:
-            vectors.append(vec_add(va, vec_scale(-1, vb)))
-            names.append("D[%d]" % a)
-        else:
-            vectors.append(vec_add(va, vb))
-            names.append("D[%d]" % a)
+        vectors.append({_gl_index(m, n, a, a): ONE,
+                        _gl_index(m, n, a + 1, a + 1):
+                            -ONE if pidx[a] == pidx[a + 1] else ONE})
+        names.append("D[%d]" % a)
     for a in range(N):
         for b in range(N):
             if a != b:
@@ -341,16 +333,16 @@ def build_psl22():
     reduce every bracket modulo CI.
     """
     gl = build_gl(2, 2)
-    E = lambda a, b: gl.basis_vector(_gl_index(2, 2, a, b))
-    h = vec_add(E(0, 0), vec_scale(-1, E(1, 1)))
-    h1 = vec_add(E(1, 1), E(2, 2))
-    ident = vec_add(vec_add(E(0, 0), E(1, 1)), vec_add(E(2, 2), E(3, 3)))
+    diag = [_gl_index(2, 2, a, a) for a in range(4)]
+    h = {diag[0]: ONE, diag[1]: -ONE}
+    h1 = {diag[1]: ONE, diag[2]: ONE}
+    ident = dict.fromkeys(diag, ONE)
     vectors = [h, h1]
     names = ["h", "H1"]
     for a in range(4):
         for b in range(4):
             if a != b:
-                vectors.append(E(a, b))
+                vectors.append(gl.basis_vector(_gl_index(2, 2, a, b)))
                 names.append("E[%d,%d]" % (a, b))
     dim = len(vectors)
     parity = [gl.parity_of(v) for v in vectors]
@@ -402,24 +394,19 @@ def osp_realization(m, n):
         rows = []
         for v in range(N):
             for w in range(N):
-                row = [ZERO] * len(slots)
+                row = {}
                 for idx, (a, b) in enumerate(slots):
-                    # (A^T B)_{vw} contribution: A_{av} B_{aw}? no:
                     # (A^T B)_{vw} = sum_u A_{uv} B_{uw}
-                    if b == v:
-                        row[idx] += B[a][w]
+                    x = B[a][w] if b == v else ZERO
                     # (-1)^{|A| p(v)} (B A)_{vw} = sum_u B_{vu} A_{uw}
                     if b == w:
-                        sgn = -1 if (apar and pidx[v]) else 1
-                        row[idx] += Fraction(sgn) * B[v][a]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+                        x += -B[v][a] if (apar and pidx[v]) else B[v][a]
+                    if x:
+                        row[idx] = x
+                rows.append(row)
         for sol in nullspace(rows, len(slots)):
-            vecm = [ZERO] * gl.dim
-            for idx, (a, b) in enumerate(slots):
-                if sol[idx] != 0:
-                    vecm[_gl_index(m, n, a, b)] = sol[idx]
-            vectors.append(tuple(vecm))
+            vectors.append({_gl_index(m, n, *slots[idx]): c
+                            for idx, c in sorted(sol.items())})
     return gl, vectors
 
 

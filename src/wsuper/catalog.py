@@ -10,7 +10,7 @@ from .algebra import (_gl_index, build_gl, build_psl22, build_sl,
                       osp_realization, subalgebra)
 from .errors import InputError
 from .grading import build_minimal_setup
-from .linalg import ZERO, Span
+from .linalg import Span
 
 # catalog name -> family selection, in report order
 _CATALOG = {"sl(2|1)": ("sl", 2, 1), "osp(1|2)": ("osp", 1, 2),
@@ -37,7 +37,7 @@ def _osp_with_e(m, n):
     coords = span.coords(target)
     if coords is None:
         raise InputError("sp raising element not found in osp(%d|%d)" % (m, n))
-    return alg, tuple(coords.get(k, ZERO) for k in range(alg.dim))
+    return alg, coords
 
 
 def minimal_setup(name):

@@ -68,13 +68,15 @@ def _load_algebra(args):
 
 
 def _parse_e(text, dim):
+    """The comma list of dim rationals as a {index: nonzero entry} vector."""
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != dim:
         raise InputError("--e needs %d comma-separated entries" % dim)
     try:
-        return tuple(Fraction(t) for t in parts)
+        entries = [Fraction(t) for t in parts]
     except (ValueError, ZeroDivisionError):
         raise InputError("--e entries must be rationals p/q with q != 0") from None
+    return {i: c for i, c in enumerate(entries) if c}
 
 
 def _setup_from_args(args):

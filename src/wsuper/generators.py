@@ -21,7 +21,7 @@ HALF = Fraction(1, 2)
 @dataclass
 class WGenerator:
     label: str
-    source: tuple          # the g^e vector the generator lifts, or e for C
+    source: dict           # the g^e vector the generator lifts, or e for C
     value: WhittakerElement
     kazhdan_degree: int
     parity: int
@@ -49,11 +49,11 @@ def theta_v(setup, v, check=True):
     expr = EnvElement.from_vector(setup, v)
     for alpha in range(len(setup.zbasis)):
         br = setup.alg.bracket(setup.zdual[alpha], v)
-        if any(br):
+        if br:
             za = EnvElement.from_letter(setup, setup.z_letter(alpha))
             expr = expr - (za * env_from_zvector(setup, br)).scale(HALF)
     value = project(expr)
-    gen = WGenerator("Theta[%s]" % _vec_label(setup, v), tuple(v), value, 2,
+    gen = WGenerator("Theta[%s]" % _vec_label(setup, v), v, value, 2,
                      setup.alg.parity_of(v))
     if check:
         _check_membership(setup, gen.label, value)
@@ -69,12 +69,12 @@ def _zz_third(setup, w):
     out = EnvElement(setup)
     for alpha in range(n):
         inner = alg.bracket(setup.zdual[alpha], w)        # in g(0)
-        if not any(inner):
+        if not inner:
             continue
         za = EnvElement.from_letter(setup, setup.z_letter(alpha))
         for beta in range(n):
             br2 = alg.bracket(setup.zdual[beta], inner)   # in g(-1)
-            if any(br2):
+            if br2:
                 zb = EnvElement.from_letter(setup, setup.z_letter(beta))
                 out = out + za * zb * env_from_zvector(setup, br2)
     return out.scale(THIRD)
@@ -89,10 +89,10 @@ def _theta_w_rests(setup, w):
     for alpha, zd in enumerate(setup.zdual):
         za = EnvElement.from_letter(setup, setup.z_letter(alpha))
         br = alg.bracket(zd, w)                           # in g(0)
-        if any(br):
+        if br:
             corr = corr - za * EnvElement.from_vector(setup, br)
         br = alg.bracket(w, zd)
-        if any(br):
+        if br:
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
             reord = reord + (EnvElement.from_vector(setup, br) * za).scale(sign)
     wf = env_from_zvector(setup, alg.bracket(w, setup.triple.f))   # in g(-1)
@@ -125,7 +125,7 @@ def theta_w(setup, w, check=True):
         raise InputError("the two generator formulas for %s disagree: %s vs %s"
                          % (_vec_label(setup, w), value.render(),
                             project(other + third).render()))
-    gen = WGenerator("Theta[%s]" % _vec_label(setup, w), tuple(w), value, 3,
+    gen = WGenerator("Theta[%s]" % _vec_label(setup, w), w, value, 3,
                      setup.alg.parity_of(w))
     if check:
         _check_membership(setup, gen.label, value)
@@ -147,12 +147,12 @@ def casimir(setup):
                        * EnvElement.from_vector(setup, b)).scale(sign)
     for alpha in range(len(setup.zbasis)):
         ez = alg.bracket(t.e, setup.zdual[alpha])         # in g(1)
-        if any(ez):
+        if ez:
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
             za = EnvElement.from_letter(setup, setup.z_letter(alpha))
             expr = expr + (EnvElement.from_vector(setup, ez) * za).scale(2 * sign)
     value = project(expr)
-    gen = WGenerator("C", tuple(t.e), value, 4, 0)
+    gen = WGenerator("C", t.e, value, 4, 0)
     _check_membership(setup, "C", value)
     return gen
 

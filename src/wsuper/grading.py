@@ -12,39 +12,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneracyError, InputError, NotMinimalError
-from .linalg import (ONE, ZERO, Span, is_zero_vec, lin_comb, nullspace, solve,
-                     unit_vec, vec_add, vec_scale)
+from .linalg import ONE, ZERO, Span, lin_comb, nullspace, solve, transpose, vec_scale
 
 
 @dataclass(frozen=True)
 class SL2Triple:
-    e: tuple
-    h: tuple
-    f: tuple
+    e: dict
+    h: dict
+    f: dict
 
 
-def _from_columns(cols):
-    """The matrix whose j-th column is cols[j]."""
-    return [list(row) for row in zip(*cols)]
+def _ad_columns(alg, x):
+    """The columns [x, x_j] of ad x, for j < dim."""
+    return [alg.bracket(x, {j: ONE}) for j in range(alg.dim)]
 
 
-def _ad_matrix(alg, x):
-    """Matrix of ad x in the algebra basis (columns are [x, basis_j])."""
-    return _from_columns([alg.bracket(x, alg.basis_vector(j))
-                          for j in range(alg.dim)])
+def _shifted_columns(cols, shift, indices):
+    """Columns j in indices of the matrix with columns cols, minus shift*I."""
+    return [lin_comb({0: ONE, 1: -shift}, (cols[j], {j: ONE})) for j in indices]
 
 
-def _restricted_kernel(alg, mat, shift, indices):
-    """Kernel of (mat - shift*I) on the span of the given basis indices,
-    returned as full-length homogeneous vectors."""
-    rows = [[mat[i][j] for j in indices] for i in range(alg.dim)]
-    for pos, j in enumerate(indices):
-        rows[j][pos] -= shift
-    out = []
-    for small in nullspace(rows, len(indices)):
-        v = dict(zip(indices, small))
-        out.append(tuple(v.get(j, ZERO) for j in range(alg.dim)))
-    return out
+def _restricted_kernel(ad_cols, shift, indices):
+    """Kernel of (ad - shift) on the span of the given basis indices, from
+    the columns of ad."""
+    rows = transpose(_shifted_columns(ad_cols, shift, indices))
+    return [{indices[p]: c for p, c in small.items()}
+            for small in nullspace(rows.values(), len(indices))]
 
 
 def find_sl2_triple(alg, e):
@@ -54,32 +47,25 @@ def find_sl2_triple(alg, e):
     (ad e)^2 y = -2e; any such h extends to a triple, and f is then the
     unique deterministic solution of [e,f] = h, [h,f] = -2f.
     """
-    if is_zero_vec(e):
+    if not e:
         raise InputError("e must be nonzero")
     if alg.parity_of(e) != 0:
         raise InputError("e must be even and parity-homogeneous")
-    ad_e = _ad_matrix(alg, e)
+    ad_e = _ad_columns(alg, e)
     # (ad e)^2 column by column: [e, [e, x_j]]
-    ad_e2 = _from_columns([alg.bracket(e, col) for col in zip(*ad_e)])
-    y = solve(ad_e2, vec_scale(-2, e))
+    y = solve(transpose([alg.bracket(e, col) for col in ad_e]), vec_scale(-2, e))
     if y is None:
         raise NotMinimalError("e is not sl2-embeddable: (ad e)^2 y = -2e has no solution")
     h = alg.bracket(e, y)
-    ad_h = _ad_matrix(alg, h)
-    rows = []
-    rhs = []
-    for i in range(alg.dim):
-        rows.append(list(ad_e[i]))
-        rhs.append(h[i])
-    for i in range(alg.dim):
-        row = list(ad_h[i])
-        row[i] += 2
-        rows.append(row)
-        rhs.append(ZERO)
-    f = solve(rows, rhs)
+    # [e, f] = h on equations i < dim, [h, f] + 2f = 0 on equations dim + i
+    rows = transpose(ad_e)
+    ad_h2 = _shifted_columns(_ad_columns(alg, h), -2, range(alg.dim))
+    for i, row in transpose(ad_h2).items():
+        rows[alg.dim + i] = row
+    f = solve(rows, h)
     if f is None:
         raise NotMinimalError("no f with [e,f]=h and [h,f]=-2f")
-    triple = SL2Triple(e=tuple(e), h=tuple(h), f=tuple(f))
+    triple = SL2Triple(e=e, h=h, f=f)
     _assert_triple(alg, triple)
     return triple
 
@@ -127,14 +113,14 @@ class MinimalSetup:
         except ValueError:
             raise DegeneracyError("letter system is not a basis") from None
         self._lbracket_cache = {}
-        self._chi = tuple(alg.form_value(triple.e, alg.basis_vector(i))
-                          for i in range(alg.dim))
+        chi = ((i, alg.form_value(triple.e, {i: ONE})) for i in range(alg.dim))
+        self._chi = {i: c for i, c in chi if c}
 
     # -- linear functionals and maps ------------------------------------
 
     def chi(self, x):
         """chi(x) = (e, x)."""
-        return sum((c * self._chi[i] for i, c in enumerate(x) if c), ZERO)
+        return sum((c * self._chi[i] for i, c in x.items() if i in self._chi), ZERO)
 
     def form(self, x, y):
         return self.alg.form_value(x, y)
@@ -148,14 +134,14 @@ class MinimalSetup:
         if not self.in_grade(x, 0):
             raise InputError("sharp expects a vector in g(0)")
         c = self.form(self.triple.h, x) / 2
-        return vec_sub_scaled(x, c, self.triple.h)
+        return lin_comb({0: ONE, 1: -c}, (x, self.triple.h))
 
     def in_grade(self, x, i):
         hx = self.alg.bracket(self.triple.h, x)
         return hx == vec_scale(i, x)
 
     def in_centralizer(self, x):
-        return is_zero_vec(self.alg.bracket(self.triple.e, x))
+        return not self.alg.bracket(self.triple.e, x)
 
     # -- letters ---------------------------------------------------------
 
@@ -191,10 +177,6 @@ class MinimalSetup:
         }
 
 
-def vec_sub_scaled(x, c, y):
-    return tuple(a - c * b for a, b in zip(x, y))
-
-
 def _paired_even_basis(setup_pairing, vectors):
     """Darboux pairs for the alternating pairing on g(-1)_even.
 
@@ -216,8 +198,8 @@ def _paired_even_basis(setup_pairing, vectors):
         b = vec_scale(Fraction(-1) / setup_pairing(a, b), b)   # <a,b> = -1
         reduced = []
         for x in rem:
-            x = vec_add(x, vec_scale(setup_pairing(x, b), a))
-            x = vec_sub_scaled(x, setup_pairing(x, a), b)
+            x = lin_comb({0: ONE, 1: setup_pairing(x, b)}, (x, a))
+            x = lin_comb({0: ONE, 1: -setup_pairing(x, a)}, (x, b))
             reduced.append(x)
         rem = reduced
         left.append(a)
@@ -258,11 +240,11 @@ def _paired_odd_basis(setup_pairing, vectors):
             raise DegeneracyError("odd pairing on g(-1) is degenerate")
         b = rem.pop(jb)
         b = vec_scale(ONE / setup_pairing(a, b), b)
-        b = vec_sub_scaled(b, setup_pairing(b, b) / 2, a)      # make b isotropic
+        b = lin_comb({0: ONE, 1: -setup_pairing(b, b) / 2}, (b, a))   # make b isotropic
         reduced = []
         for x in rem:
-            x = vec_sub_scaled(x, setup_pairing(x, b), a)
-            x = vec_sub_scaled(x, setup_pairing(x, a), b)
+            x = lin_comb({0: ONE, 1: -setup_pairing(x, b)}, (x, a))
+            x = lin_comb({0: ONE, 1: -setup_pairing(x, a)}, (x, b))
             reduced.append(x)
         rem = reduced
         left.append(a)
@@ -307,18 +289,18 @@ def build_minimal_setup(alg, e):
     f to q*f: h, the grading, the normalized form, g^e and the dual bases
     stay, and g(-1) is paired again.  setup.triple.e is the e used.
     """
-    e = tuple(Fraction(x) for x in e)
+    e = {k: Fraction(c) for k, c in e.items() if c}
     triple = find_sl2_triple(alg, e)
     alg = normalized(alg, triple)
 
-    ad_h = _ad_matrix(alg, triple.h)
+    ad_h = _ad_columns(alg, triple.h)
     even_idx = [i for i in range(alg.dim) if alg.parity[i] == 0]
     odd_idx = [i for i in range(alg.dim) if alg.parity[i] == 1]
     grading = {}
     total = 0
     for i in range(-2, 3):
-        pieces = (_restricted_kernel(alg, ad_h, Fraction(i), even_idx)
-                  + _restricted_kernel(alg, ad_h, Fraction(i), odd_idx))
+        pieces = (_restricted_kernel(ad_h, Fraction(i), even_idx)
+                  + _restricted_kernel(ad_h, Fraction(i), odd_idx))
         grading[i] = pieces
         total += len(pieces)
     if total != alg.dim:
@@ -354,8 +336,9 @@ def build_minimal_setup(alg, e):
             piece = [v for v in grading[i] if alg.parity_of(v) == par]
             if not piece:
                 continue
-            rows = _from_columns([alg.bracket(triple.e, v) for v in piece])
-            found.extend(lin_comb(sol, piece) for sol in nullspace(rows, len(piece)))
+            rows = transpose([alg.bracket(triple.e, v) for v in piece])
+            found.extend(lin_comb(sol, piece)
+                         for sol in nullspace(rows.values(), len(piece)))
         cent[i] = found
     if len(cent[2]) != 1:
         raise NotMinimalError("g^e(2) is not one-dimensional")
@@ -363,16 +346,12 @@ def build_minimal_setup(alg, e):
     # b_j = sum_k M[k][j] a_k with gram . M = I: column j of M is the
     # coordinate vector of the j-th unit vector over the gram columns
     dual_a = list(cent[0])
-    dual_b = []
-    if dual_a:
-        n0 = len(dual_a)
-        try:
-            gram = Span([[alg.form_value(a, b) for a in dual_a] for b in dual_a])
-        except ValueError:
-            raise DegeneracyError("form degenerate on g^e(0)") from None
-        for j in range(n0):
-            coords = gram.coords(unit_vec(n0, j))
-            dual_b.append(lin_comb([coords.get(k, ZERO) for k in range(n0)], dual_a))
+    pairs = [[(k, alg.form_value(a, b)) for k, a in enumerate(dual_a)] for b in dual_a]
+    try:
+        gram = Span([{k: c for k, c in col if c} for col in pairs])
+    except ValueError:
+        raise DegeneracyError("form degenerate on g^e(0)") from None
+    dual_b = [lin_comb(gram.coords({j: ONE}), dual_a) for j in range(len(dual_a))]
 
     letters, lpar, lgrade, lnames = [], [], [], []
     counters = {"x": 0, "y": 0}
@@ -423,7 +402,7 @@ def _post_checks(setup):
             want = ONE if i == j else ZERO
             if alg.form_value(setup.dual_a[i], setup.dual_b[j]) != want:
                 raise DegeneracyError("dual bases of g^e(0) failed at (%d,%d)" % (i, j))
-    if not is_zero_vec(alg.bracket(t.e, setup.cent[2][0])):
+    if alg.bracket(t.e, setup.cent[2][0]):
         raise NotMinimalError("g^e(2) is not centralized by e")
 
 

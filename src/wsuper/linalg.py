@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Everything works on Fraction entries; no floats anywhere.  Dense
-matrices are lists of row lists.  There is one elimination, the sparse
+Everything works on Fraction entries; no floats anywhere.  A vector is a
+dict {index: nonzero Fraction}, and a matrix is given by its rows, or by
+its columns, as such dicts.  There is one elimination, the sparse
 Echelon; rank, rref, nullspace, solve and Span are views of it.  The
 pivot of a row is its smallest key, so every result is deterministic,
 and reduced() gives the unique reduced row echelon form.
@@ -14,33 +15,30 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def unit_vec(n, i):
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def vec_scale(c, x):
     c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
-def is_zero_vec(x):
-    return not any(x)
+    return {k: c * a for k, a in x.items()} if c else {}
 
 
 def lin_comb(coeffs, vectors):
-    """sum_t coeffs[t] * vectors[t] over the nonzero coefficients and
-    entries; vectors is nonempty and its vectors share one length."""
-    out = [ZERO] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
+    """sum_t coeffs[t] * vectors[t] over the items t of the dict coeffs."""
+    out = {}
+    for t, c in coeffs.items():
         if c:
-            for k, a in enumerate(v):
-                if a:
-                    out[k] += c * a
-    return tuple(out)
+            for k, a in vectors[t].items():
+                x = out.pop(k, ZERO) + c * a
+                if x:
+                    out[k] = x
+    return out
+
+
+def transpose(cols):
+    """{i: row i} of the matrix whose j-th column is the vector cols[j]."""
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    return rows
 
 
 class Echelon:
@@ -103,68 +101,73 @@ class Echelon:
         return out
 
 
-def _sparse(v):
-    return {j: c for j, c in enumerate(v) if c}
+def _width(vectors):
+    """1 + the largest index among the vectors: a key above all of them."""
+    return 1 + max((k for v in vectors for k in v), default=-1)
 
 
 def rref(rows):
-    """Reduced row echelon form, (new_rows, pivot_columns): the dense view
-    of Echelon.reduced(), with the zero rows last."""
+    """Reduced row echelon form of dense rows, (new_rows, pivot_columns):
+    the dense view of Echelon.reduced(), with the zero rows last."""
     ncols = len(rows[0]) if rows else 0
-    red = Echelon(map(_sparse, rows)).reduced().rows
+    red = Echelon({j: c for j, c in enumerate(row) if c}
+                  for row in rows).reduced().rows
     pivots = sorted(red)
     m = [[red[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
     return m + [[ZERO] * ncols for _ in range(len(rows) - len(m))], pivots
 
 
 def rank(rows):
-    return len(Echelon(map(_sparse, rows)).rows)
+    return len(Echelon(rows).rows)
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix, one vector per free column.
+    """Basis of the right kernel of the matrix, one vector per free column
+    below ncols.
 
     Free columns are taken in increasing order and the free variable is
     set to 1, so the result is deterministic.
     """
-    red = Echelon(map(_sparse, rows)).reduced().rows
+    red = Echelon(rows).reduced().rows
     basis = []
     for fc in range(ncols):
         if fc not in red:
-            v = [ZERO] * ncols
-            v[fc] = ONE
+            v = {fc: ONE}
             for pc, row in red.items():
-                v[pc] = -row.get(fc, ZERO)
-            basis.append(tuple(v))
+                if fc in row:
+                    v[pc] = -row[fc]
+            basis.append(v)
     return basis
 
 
 def solve(rows, rhs):
-    """One exact solution of rows * x = rhs, or None if inconsistent.
+    """One exact solution x of rows * x = rhs, or None if inconsistent;
+    rows and rhs are keyed by equation.
 
     Free variables are set to 0, so the particular solution is
-    deterministic.  The rhs is key ncols of the augmented rows; a pivot
-    there means inconsistency.
+    deterministic.  The rhs is the key above every column of the
+    augmented rows; a pivot there means inconsistency.
     """
-    ncols = len(rows[0]) if rows else 0
-    red = Echelon(_sparse(list(row) + [b]) for row, b in zip(rows, rhs)).reduced().rows
-    if ncols in red:
+    n = _width(rows.values())
+    red = Echelon({**rows.get(i, {}), n: rhs.get(i, ZERO)}
+                  for i in rows.keys() | rhs.keys()).reduced().rows
+    if n in red:
         return None
-    return tuple(red[c].get(ncols, ZERO) if c in red else ZERO for c in range(ncols))
+    return {c: row[n] for c, row in sorted(red.items()) if n in row}
 
 
 class Span:
     """Exact coordinates in the span of linearly independent vectors.
 
-    Vector i of length n enters one Echelon with the tag key n + i, so
-    the reduced rows carry a left inverse on the tags: reducing x leaves
-    x - sum c_i v_i below n and -c_i on tag n + i.  A sparse vector costs
-    only its nonzero entries.
+    With n = 1 + the largest index of the vectors, vector i enters one
+    Echelon with the tag key n + i, so the reduced rows carry a left
+    inverse on the tags: reducing x leaves x - sum c_i v_i below n and
+    -c_i on tag n + i.  A vector costs only its nonzero entries.
     """
 
     def __init__(self, vectors):
-        n = self._n = len(vectors[0]) if vectors else 0
-        echelon = Echelon({**_sparse(v), n + i: ONE} for i, v in enumerate(vectors))
+        n = self._n = _width(vectors)
+        echelon = Echelon({**v, n + i: ONE} for i, v in enumerate(vectors))
         if any(p >= n for p in echelon.rows):
             raise ValueError("vectors are linearly dependent")
         self._echelon = echelon.reduced()
@@ -173,7 +176,9 @@ class Span:
         """{index: nonzero coefficient} with sum c_i v_i == x, or None
         when x lies outside the span."""
         n = self._n
-        rest = self._echelon.reduce(_sparse(x))
+        if any(k >= n for k in x):
+            return None
+        rest = self._echelon.reduce(x)
         if any(k < n for k in rest):
             return None
         return {k - n: -c for k, c in sorted(rest.items())}

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .enveloping import EnvElement, kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
-from .linalg import ONE, ZERO, Echelon, Span, is_zero_vec, lin_comb
+from .linalg import ONE, ZERO, Echelon, Span, lin_comb
 from .whittaker import (WhittakerElement, is_w_element, multiply_q, project,
                         sigma, supercommutator_q)
 
@@ -151,7 +151,7 @@ class SuiteContext:
             for ta, b in zip(self.thetas0, setup.dual_b):
                 sign = -1 if ta.parity else 1
                 value = value + multiply_q(ta.value, self.theta(b)).scale(sign)
-            self._tcas = WGenerator("ThetaCas", tuple(setup.triple.e), value, 4, 0)
+            self._tcas = WGenerator("ThetaCas", setup.triple.e, value, 4, 0)
         return self._tcas
 
     def coords(self, x):
@@ -221,7 +221,7 @@ class SuiteContext:
             n0 = len(setup.cent[0])
 
             def sharp_coords(x):
-                return {} if is_zero_vec(x) else self.coords(setup.sharp(x))
+                return self.coords(setup.sharp(x)) if x else {}
 
             left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis]
                     for w in basis]
@@ -252,9 +252,10 @@ class SuiteContext:
 
     def nested(self, side, w):
         """_nested_brackets(setup, side, w), memoised per (side, w)."""
-        if (side, w) not in self._nested:
-            self._nested[side, w] = _nested_brackets(self.setup, side, w)
-        return self._nested[side, w]
+        key = side, frozenset(w.items())
+        if key not in self._nested:
+            self._nested[key] = _nested_brackets(self.setup, side, w)
+        return self._nested[key]
 
     def monomials(self, max_deg):
         """(gens, monomials, echelon), memoised per max_deg: each generator's
@@ -312,7 +313,7 @@ class SuiteContext:
 # ---------------------------------------------------------------------------
 # algebra identities used throughout the derivations
 
-def identities_suite(setup, ctx=None):
+def identities_suite(setup):
     rep = RelationReport("identities")
     alg = setup.alg
     n = len(setup.zbasis)
@@ -342,10 +343,10 @@ def identities_suite(setup, ctx=None):
         for a in range(n):
             za = EnvElement.from_letter(setup, setup.z_letter(a))
             br1 = alg.bracket(setup.zdual[a], u)      # in g(-2)
-            if any(br1):
+            if br1:
                 lhs1 = lhs1 + EnvElement.from_vector(setup, br1) * za
             br2 = alg.bracket(setup.zbasis[a], u)
-            if any(br2):
+            if br2:
                 sign = -1 if alg.parity_of(setup.zbasis[a]) else 1
                 zs = EnvElement.from_vector(setup, setup.zdual[a])
                 lhs2 = lhs2 - (EnvElement.from_vector(setup, br2) * zs).scale(sign)
@@ -357,20 +358,20 @@ def identities_suite(setup, ctx=None):
 
     # sum [z_a, [z*_a, w]] = (s-r)/2 [w, f] for w in g^e(1), and
     # sum [z_a, [e, z*_a]] = (r-s)/2 h; each residue is one lin_comb
-    ones = (ONE,) * n
+    ones = dict.fromkeys(range(n), ONE)
     for k, w in enumerate(setup.cent[1]):
-        res = lin_comb(ones + (Fraction(r - s, 2),),
+        res = lin_comb({**ones, n: Fraction(r - s, 2)},
                        [alg.bracket(za, alg.bracket(zs, w))
                         for za, zs in zip(setup.zbasis, setup.zdual)]
                        + [alg.bracket(w, setup.triple.f)])
-        if any(res):
+        if res:
             rep.fail("sum[z,[z*,w]] for w#%d" % k,
                      project(EnvElement.from_vector(setup, res)))
-    res = lin_comb(ones + (Fraction(s - r, 2),),
+    res = lin_comb({**ones, n: Fraction(s - r, 2)},
                    [alg.bracket(za, alg.bracket(setup.triple.e, zs))
                     for za, zs in zip(setup.zbasis, setup.zdual)]
                    + [setup.triple.h])
-    if any(res):
+    if res:
         rep.fail("sum[z,[e,z*]] = (r-s)/2 h",
                  project(EnvElement.from_vector(setup, res)))
 
@@ -418,7 +419,8 @@ def generator_checks(setup, ctx):
     # at the sum of the basis, keeps that checked rather than assumed
     for grade, direct in ((0, theta_v), (1, theta_w)):
         if setup.cent[grade]:
-            x = tuple(sum(col, ZERO) for col in zip(*setup.cent[grade]))
+            x = lin_comb(dict.fromkeys(range(len(setup.cent[grade])), ONE),
+                         setup.cent[grade])
             res = direct(setup, x, check=False).value - ctx.theta(x)
             if not res.is_zero():
                 rep.fail("linearity of Theta on g^e(%d)" % grade, res)
@@ -494,9 +496,9 @@ def _nested_brackets(setup, side, w):
     zbasis on side 0 and the zdual on side 1."""
     zs, bracket = (setup.zbasis, setup.zdual)[side], setup.alg.bracket
     inner = [(a, bracket(za, w)) for a, za in enumerate(zs)]             # g(0)
-    nested = (((a, b), bracket(zb, x)) for a, x in inner if any(x)
+    nested = (((a, b), bracket(zb, x)) for a, x in inner if x
               for b, zb in enumerate(zs))                                 # g(-1)
-    return {key: v for key, v in nested if any(v)}
+    return {key: v for key, v in nested if v}
 
 
 def c0_double_sum(setup, w1, w2, ctx=None):
@@ -781,7 +783,7 @@ def _e_norm(setup):
 # relation id -> its check; each lambda looks the function up when it is
 # called, so a rebinding of the module-level name is seen by run_suite
 _CHECKS = {
-    "identities": lambda setup, ctx, max_deg: identities_suite(setup, ctx),
+    "identities": lambda setup, ctx, max_deg: identities_suite(setup),
     "generators": lambda setup, ctx, max_deg: generator_checks(setup, ctx),
     "deg0": lambda setup, ctx, max_deg: verify_deg0(setup, ctx),
     "deg01": lambda setup, ctx, max_deg: verify_deg01(setup, ctx),

@@ -17,6 +17,16 @@ from wsuper.algebra import osp_realization
 from wsuper.whittaker import multiply_q, supercommutator_q
 
 
+def dense(v, n):
+    """The dict vector v as a tuple of n Fractions."""
+    return tuple(Fraction(v.get(i, 0)) for i in range(n))
+
+
+def sparse(seq):
+    """The sequence seq as a dict vector {index: nonzero entry}."""
+    return {i: Fraction(c) for i, c in enumerate(seq) if c}
+
+
 def naive_reduce(setup, word, out=None, coeff=Fraction(1)):
     """Free-algebra rewriter: leftmost violation first, pure recursion."""
     if out is None:
@@ -126,10 +136,9 @@ def gl_vector_to_matrix(alg, vec, m, n):
     """Coefficient vector of gl(m|n) back to a matrix of Fractions."""
     N = m + n
     out = [[Fraction(0)] * N for _ in range(N)]
-    for idx, c in enumerate(vec):
-        if c != 0:
-            a, b = divmod(idx, N)
-            out[a][b] += c
+    for idx, c in vec.items():
+        a, b = divmod(idx, N)
+        out[a][b] += c
     return tuple(tuple(row) for row in out)
 
 
@@ -283,9 +292,8 @@ def oscillator_images(m, n):
 def weyl_image(images, vec):
     """phi(vec) for a coefficient vector, phi linear with phi(b_k) = images[k]."""
     out = {}
-    for k, c in enumerate(vec):
-        if c != 0:
-            out = weyl_add(out, images[k], c)
+    for k, c in vec.items():
+        out = weyl_add(out, images[k], c)
     return out
 
 
@@ -307,7 +315,7 @@ def dual_basis(alg):
                           for i in range(alg.dim)])
     if inv is None:
         raise ValueError("form is degenerate")
-    return [tuple(row) for row in inv]
+    return [sparse(row) for row in inv]
 
 
 def weyl_casimir(alg, images):
@@ -325,11 +333,11 @@ def weyl_casimir(alg, images):
 def x_contraction(setup, w):
     """X(w) = sum_a [z_a, [z*_a, w]], summed from its definition."""
     alg = setup.alg
-    out = (Fraction(0),) * setup.dim
+    out = [Fraction(0)] * setup.dim
     for z, zs in zip(setup.zbasis, setup.zdual):
-        out = tuple(a + b for a, b in
-                    zip(out, alg.bracket(z, alg.bracket(zs, w))))
-    return out
+        for k, c in alg.bracket(z, alg.bracket(zs, w)).items():
+            out[k] += c
+    return sparse(out)
 
 
 def within_side_term(setup, w1, w2):
@@ -366,12 +374,12 @@ def bw_element(setup, ctx, w1, w2):
         za, zs = setup.zbasis[a], setup.zdual[a]
         x1 = alg.bracket(w1, za)
         y2 = alg.bracket(zs, w2)
-        if any(x1) and any(y2):
+        if x1 and y2:
             out = out + multiply_q(ctx.theta(setup.sharp(x1)),
                                    ctx.theta(setup.sharp(y2))).scale(Fraction(1, 2))
         x2 = alg.bracket(w2, za)
         y1 = alg.bracket(zs, w1)
-        if any(x2) and any(y1):
+        if x2 and y1:
             out = out - multiply_q(ctx.theta(setup.sharp(x2)),
                                    ctx.theta(setup.sharp(y1))).scale(Fraction(sign, 2))
     return out, pair
@@ -380,7 +388,8 @@ def bw_element(setup, ctx, w1, w2):
 # ---- the structure-constant kernel, by the naive double loop ---------------
 
 def dense_bracket(alg, x, y):
-    """[x, y] summed over every index pair (i, j) of alg.brackets."""
+    """[x, y] summed over every index pair (i, j) of alg.brackets, for
+    dense coefficient tuples x and y."""
     out = [Fraction(0)] * alg.dim
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -390,6 +399,7 @@ def dense_bracket(alg, x, y):
 
 
 def dense_form(alg, x, y):
-    """(x, y) summed over every entry of the Gram matrix alg.form."""
+    """(x, y) summed over every entry of the Gram matrix alg.form, for
+    dense coefficient tuples x and y."""
     return sum((x[i] * alg.form[i][j] * y[j]
                 for i in range(alg.dim) for j in range(alg.dim)), Fraction(0))

@@ -8,6 +8,7 @@ from wsuper.enveloping import EnvElement
 from wsuper.errors import InputError
 from wsuper.generators import casimir, standard_generators, theta_v, theta_w
 from wsuper.grading import build_minimal_setup
+from wsuper.linalg import lin_comb
 from wsuper.whittaker import is_w_element, project, supercommutator_q
 
 from conftest import get_ctx
@@ -66,11 +67,10 @@ def test_theta_v_with_vanishing_correction_is_bare():
     # gl(2|2) keeps the identity matrix: central, so every z-bracket dies
     alg = build_gl(2, 2)
     s = build_minimal_setup(alg, _unit_by_name(alg, "E[0,1]"))
-    ident = [F(0)] * alg.dim
-    for name in ("E[0,0]", "E[1,1]", "E[2,2]", "E[3,3]"):
-        ident[alg.basis_names.index(name)] = F(1)
-    gen = theta_v(s, tuple(ident))
-    assert gen.value == project(EnvElement.from_vector(s, tuple(ident)))
+    ident = {alg.basis_names.index(name): F(1)
+             for name in ("E[0,0]", "E[1,1]", "E[2,2]", "E[3,3]")}
+    gen = theta_v(s, ident)
+    assert gen.value == project(EnvElement.from_vector(s, ident))
 
 
 def test_theta_domain_errors(psl22):
@@ -160,7 +160,7 @@ def test_theta_of_splits_grading_components(psl22):
     s = psl22
     v = s.cent[0][1]
     w = s.cent[1][0]
-    x = tuple(a + b for a, b in zip(v, w))
+    x = lin_comb({0: F(1), 1: F(1)}, (v, w))
     ctx = get_ctx("psl22")
     got = ctx.theta(x)
     want = theta_v(s, v).value + theta_w(s, w).value

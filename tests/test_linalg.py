@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_nullity, oracle_rank
-from wsuper.linalg import Echelon, Span, nullspace, rank, rref, solve, unit_vec
+from oracles import dense, oracle_nullity, oracle_rank, sparse
+from wsuper.linalg import (Echelon, Span, lin_comb, nullspace, rank, rref, solve,
+                           transpose)
+
+F = Fraction
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6):
@@ -18,7 +21,7 @@ def test_rank_matches_oracle():
     rng = random.Random(11)
     for _ in range(60):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank(m) == oracle_rank(m)
+        assert rank(map(sparse, m)) == oracle_rank(m)
 
 
 def test_nullspace_vectors_are_in_kernel():
@@ -26,12 +29,12 @@ def test_nullspace_vectors_are_in_kernel():
     for _ in range(40):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         m = rand_matrix(rng, nrows, ncols)
-        basis = nullspace(m, ncols)
+        basis = nullspace(map(sparse, m), ncols)
         assert len(basis) == oracle_nullity(m, ncols)
-        assert oracle_rank(basis) == len(basis)
+        assert oracle_rank([dense(v, ncols) for v in basis]) == len(basis)
         for v in basis:
             for row in m:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+                assert sum(row[j] * c for j, c in v.items()) == 0
 
 
 def test_solve_exact():
@@ -41,15 +44,21 @@ def test_solve_exact():
         m = rand_matrix(rng, nrows, ncols)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
         b = [sum(row[j] * x[j] for j in range(ncols)) for row in m]
-        got = solve(m, b)
+        got = solve(dict(enumerate(map(sparse, m))), sparse(b))
         assert got is not None
         for row, bi in zip(m, b):
-            assert sum(a * g for a, g in zip(row, got)) == bi
+            assert sum(row[j] * c for j, c in got.items()) == bi
+        # the particular solution of the reduced form: free variables are 0
+        red, pivots = rref([row + [bi] for row, bi in zip(m, b)])
+        assert got == {p: red[r][ncols] for r, p in enumerate(pivots) if red[r][ncols]}
 
 
 def test_solve_inconsistent_returns_none():
-    m = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert solve(m, [Fraction(1), Fraction(2)]) is None
+    m = {0: {0: Fraction(1)}, 1: {0: Fraction(1)}}
+    assert solve(m, {0: Fraction(1), 1: Fraction(2)}) is None
+    # an equation with no row and a nonzero right-hand side
+    assert solve(m, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}) is None
+    assert solve(m, {0: Fraction(1), 1: Fraction(1)}) == {0: Fraction(1)}
 
 
 def test_span_left_inverse_round_trip():
@@ -58,7 +67,7 @@ def test_span_left_inverse_round_trip():
     while found < 10:
         n = rng.randint(1, 5)
         m = rand_matrix(rng, n, n, density=0.9)
-        columns = [[m[i][j] for i in range(n)] for j in range(n)]
+        columns = [sparse(m[i][j] for i in range(n)) for j in range(n)]
         if oracle_rank(m) < n:
             with pytest.raises(ValueError):
                 Span(columns)
@@ -66,7 +75,7 @@ def test_span_left_inverse_round_trip():
         found += 1
         span = Span(columns)
         for i in range(n):
-            coords = span.coords(unit_vec(n, i))
+            coords = span.coords({i: Fraction(1)})
             assert all(c != 0 for c in coords.values())
             for r in range(n):
                 acc = sum(m[r][j] * c for j, c in coords.items())
@@ -74,13 +83,16 @@ def test_span_left_inverse_round_trip():
 
 
 def test_span_coordinates_and_membership():
-    v1 = (Fraction(1), Fraction(0), Fraction(2))
-    v2 = (Fraction(0), Fraction(1), Fraction(1))
-    target = (Fraction(2), Fraction(3), Fraction(7))
+    v1 = {0: Fraction(1), 2: Fraction(2)}
+    v2 = {1: Fraction(1), 2: Fraction(1)}
+    target = {0: Fraction(2), 1: Fraction(3), 2: Fraction(7)}
     assert Span([v1, v2]).coords(target) == {0: Fraction(2), 1: Fraction(3)}
-    assert Span([v1]).coords((Fraction(0), Fraction(1), Fraction(0))) is None
+    assert Span([v1]).coords({1: Fraction(1)}) is None
     with pytest.raises(ValueError):
-        Span([v1, v2, tuple(a + b for a, b in zip(v1, v2))])
+        Span([v1, v2, {0: Fraction(1), 1: Fraction(1), 2: Fraction(3)}])
+    # an index above every vector's is outside the span, not a tag
+    assert Span([v1, v2]).coords({3: Fraction(1)}) is None
+    assert Span([v1, v2]).coords({**target, 4: Fraction(1)}) is None
 
 
 def test_rref_pivots_deterministic():
@@ -88,7 +100,14 @@ def test_rref_pivots_deterministic():
     red, pivots = rref(m)
     assert pivots == [0, 1]
     assert red[0][:2] == [Fraction(1), Fraction(0)]
-    assert unit_vec(3, 1) == (Fraction(0), Fraction(1), Fraction(0))
+    assert red[1][:2] == [Fraction(0), Fraction(1)]
+
+
+def test_transpose_and_lin_comb_on_dict_vectors():
+    cols = [{0: F(2)}, {0: F(1), 2: F(3)}]
+    assert transpose(cols) == {0: {0: F(2), 1: F(1)}, 2: {1: F(3)}}
+    assert lin_comb({0: F(1), 1: F(-2)}, cols) == {2: F(-6)}
+    assert lin_comb({1: F(0)}, cols) == {}
 
 
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -1,12 +1,13 @@
 """Property tests: the sparse structure-constant kernel (SuperAlgebra.bracket,
-SuperAlgebra.form_value) and linalg.lin_comb agree with naive dense sums."""
+SuperAlgebra.form_value) and linalg.lin_comb agree with naive dense sums,
+and keep no explicit zero in a vector they return."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_bracket, dense_form
+from oracles import dense, dense_bracket, dense_form, sparse
 from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
                             export_table, import_table)
 from wsuper.linalg import ZERO, lin_comb
@@ -24,10 +25,9 @@ FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 def sparse_vectors(dim):
-    """Length-dim Fraction vectors with up to four nonzero entries, zero
-    entries drawn as explicit Fraction(0)s among them."""
-    return st.dictionaries(st.integers(0, dim - 1), FRACTIONS, max_size=4).map(
-        lambda d: tuple(d.get(k, ZERO) for k in range(dim)))
+    """Dict vectors below dim with up to four entries, explicit
+    Fraction(0)s drawn among them."""
+    return st.dictionaries(st.integers(0, dim - 1), FRACTIONS, max_size=4)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -36,8 +36,11 @@ def test_bracket_and_form_value_match_the_dense_oracle(data, name):
     alg = ALGEBRAS[name]
     x = data.draw(sparse_vectors(alg.dim), label="x")
     y = data.draw(sparse_vectors(alg.dim), label="y")
-    assert alg.bracket(x, y) == dense_bracket(alg, x, y)
-    assert alg.form_value(x, y) == dense_form(alg, x, y)
+    n = alg.dim
+    got = alg.bracket(x, y)
+    assert got == sparse(dense_bracket(alg, dense(x, n), dense(y, n)))
+    assert all(type(c) is Fraction and c for c in got.values())
+    assert alg.form_value(x, y) == dense_form(alg, dense(x, n), dense(y, n))
 
 
 def naive_lin_comb(coeffs, vectors):
@@ -51,7 +54,9 @@ def test_lin_comb_matches_the_naive_sum(data, n, dim):
     vectors = [data.draw(sparse_vectors(dim)) for _ in range(n)]
     coeffs = data.draw(st.lists(st.one_of(st.just(ZERO), FRACTIONS),
                                 min_size=n, max_size=n))
-    assert lin_comb(coeffs, vectors) == naive_lin_comb(coeffs, vectors)
+    out = lin_comb(dict(enumerate(coeffs)), vectors)
+    assert dense(out, dim) == naive_lin_comb(coeffs, [dense(v, dim) for v in vectors])
+    assert all(type(c) is Fraction and c for c in out.values())
 
 
 @pytest.mark.parametrize("coeffs, vectors", [
@@ -60,7 +65,8 @@ def test_lin_comb_matches_the_naive_sum(data, n, dim):
     ([Fraction(5)], [(ZERO, ZERO, ZERO)]),
 ])
 def test_lin_comb_all_zero_results(coeffs, vectors):
-    # zero coefficients, cancelling terms and zero vectors give Fraction zeros
-    out = lin_comb(coeffs, vectors)
-    assert out == naive_lin_comb(coeffs, vectors) == (ZERO,) * len(vectors[0])
-    assert all(type(a) is Fraction for a in out)
+    # zero coefficients, cancelling terms and zero vectors give the empty
+    # vector, with no explicit zero left in it
+    out = lin_comb(dict(enumerate(coeffs)), [sparse(v) for v in vectors])
+    assert out == {}
+    assert naive_lin_comb(coeffs, vectors) == (ZERO,) * len(vectors[0])
