@@ -79,8 +79,9 @@ def _parse_e(text, dim):
     return {i: c for i, c in enumerate(entries) if c}
 
 
-def _setup_from_args(args):
-    alg, family = _load_algebra(args)
+def _setup_from_args(args, loaded=None):
+    """The minimal setup of the loaded (alg, family), or of _load_algebra's."""
+    alg, family = _load_algebra(args) if loaded is None else loaded
     if family is not None:
         alg, e = family_algebra(family, args.m, args.n)
     elif not args.e:
@@ -117,7 +118,7 @@ def cmd_info(args):
         lines = ["%s: dim %d" % (alg.name, alg.dim)] + report.lines()
         _emit(args, lines, obj)
         return EXIT_OK if report.ok else EXIT_FAIL
-    setup = _setup_from_args(args)
+    setup = _setup_from_args(args, (alg, family))
     report = check_algebra(setup.alg)
     summary = setup.summary()
     summary["form_checks"] = {name: ok for name, ok, _ in report.checks}

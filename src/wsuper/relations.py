@@ -808,6 +808,8 @@ def run_suite(setup, which=None, fail_fast=True, corrupt=None, max_deg=4):
             raise InputError("unknown relation id %r" % rel)
     if not selected:
         raise InputError("no relation id selected")
+    if max_deg < 2:
+        raise InputError("max_deg must be >= 2, got %d" % max_deg)
     result = SuiteResult(setup)
     for rel in RELATION_IDS:
         if rel not in selected:

@@ -403,3 +403,64 @@ def dense_form(alg, x, y):
     dense coefficient tuples x and y."""
     return sum((x[i] * alg.form[i][j] * y[j]
                 for i in range(alg.dim) for j in range(alg.dim)), Fraction(0))
+
+
+# ---- the algebra axioms, by dense first-failure scans ----------------------
+
+def dense_axiom_checks(alg):
+    """check_algebra's (axiom, ok, witness) list, each axiom decided by a
+    first-failure scan: the stored pairs for antisymmetry and parity, every
+    basis triple for Jacobi and invariance, every pair for the form."""
+    n, par, form = alg.dim, alg.parity, alg.form
+    zero = Fraction(0)
+
+    def c(i, j):
+        return alg.brackets.get((i, j), {})
+
+    def sign(i, j):
+        return -1 if (par[i] and par[j]) else 1
+
+    def first(candidates, fails):
+        return next((t for t in candidates if fails(t)), None)
+
+    def stored(keys):
+        return [(i, j, k) for (i, j), terms in sorted(alg.brackets.items())
+                for k in sorted(keys(i, j, terms))]
+
+    def nested(out, s, a, b, d):
+        for m, cm in c(b, d).items():
+            for l, cl in c(a, m).items():
+                out[l] = out.get(l, zero) + s * cm * cl
+
+    def jacobi_fails(t):
+        i, j, k = t
+        total = {}
+        nested(total, sign(i, k), i, j, k)
+        nested(total, sign(j, i), j, k, i)
+        nested(total, sign(k, j), k, i, j)
+        return any(total.values())
+
+    def invariance_fails(t):
+        i, j, k = t
+        lhs = sum((cm * form[m][k] for m, cm in c(i, j).items()), zero)
+        rhs = sum((form[i][m] * cm for m, cm in c(j, k).items()), zero)
+        return lhs != rhs
+
+    triples = list(itertools.product(range(n), repeat=3))
+    pairs = list(itertools.product(range(n), repeat=2))
+    witnesses = [
+        first(stored(lambda i, j, terms: set(terms) | set(c(j, i))),
+              lambda t: c(t[0], t[1]).get(t[2], zero)
+              != -sign(t[0], t[1]) * c(t[1], t[0]).get(t[2], zero)),
+        first(stored(lambda i, j, terms: terms),
+              lambda t: c(t[0], t[1])[t[2]] != 0
+              and par[t[2]] != (par[t[0]] + par[t[1]]) & 1),
+        first(triples, jacobi_fails),
+        first(pairs, lambda t: par[t[0]] != par[t[1]] and form[t[0]][t[1]] != 0),
+        first(pairs, lambda t: form[t[0]][t[1]] != sign(*t) * form[t[1]][t[0]]),
+        first(triples, invariance_fails),
+        None if oracle_rank(form) == n else "gram rank < dim",
+    ]
+    names = ("super_antisymmetry", "parity_additivity", "jacobi", "form_even",
+             "form_supersymmetric", "form_invariant", "form_nondegenerate")
+    return [(name, w is None, w) for name, w in zip(names, witnesses)]

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wsuper import catalog, cli
+from wsuper import algebra, catalog, cli
 from wsuper.algebra import build_psl22, export_table
 from wsuper.catalog import family_algebra
 
@@ -112,6 +112,33 @@ def test_explicit_e_builds_the_family_algebra_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_info_on_a_table_imports_and_checks_it_no_more_than_needed(tmp_path, monkeypatch):
+    # one import (which validates the table), then one check of the
+    # normalised algebra for the report
+    alg, e = family_algebra("sl", 2, 1)
+    table = tmp_path / "sl21.json"
+    table.write_text(json.dumps(export_table(alg)))
+    evec = ",".join(str(e.get(i, 0)) for i in range(alg.dim))
+    by_family = _report(tmp_path / "family.json", "info", "--family", "sl",
+                        "--m", "2", "--n", "1", "--e", evec)
+    imports, checks = [], []
+
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(cli, "import_table", counted(imports, cli.import_table))
+    monkeypatch.setattr(cli, "check_algebra", counted(checks, cli.check_algebra))
+    monkeypatch.setattr(algebra, "check_algebra", counted(checks, algebra.check_algebra))
+    by_table = _report(tmp_path / "table.json", "info", "--table", str(table),
+                       "--e", evec)
+    assert len(imports) == 1
+    assert len(checks) <= 2
+    assert by_table == by_family
+    assert by_table[0] == 0
+
+
 def test_verify_subset_passes_and_full_suite_is_honest():
     out = run_cli("verify", "--family", "psl22", "--suite", OK_SUITE)
     assert out.returncode == 0, out.stdout + out.stderr
@@ -136,6 +163,18 @@ def test_verify_suite_selecting_no_known_id_is_input_error(suite):
     assert out.returncode == 2, out.stdout + out.stderr
     assert "all pass" not in out.stdout
     assert any(line.startswith("error:") for line in out.stderr.splitlines())
+
+
+@pytest.mark.parametrize("suite", [("--suite", "c0"), (), ("--suite", "pbw")],
+                         ids=["c0", "default", "pbw"])
+@pytest.mark.parametrize("max_deg", ["-1", "1"])
+def test_verify_max_deg_below_two_is_input_error(suite, max_deg):
+    # rejected before any relation runs, whether or not pbw is selected
+    out = run_cli("verify", "--family", "sl", "--m", "2", "--n", "1",
+                  "--max-deg=" + max_deg, *suite)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stdout == ""
+    assert "max_deg must be >= 2, got %s" % max_deg in out.stderr
 
 
 def test_verify_corrupt_negative_control():
