@@ -503,7 +503,8 @@ def _doc_index(ent, key, dim, where):
 
 
 def import_table(doc):
-    """Parse and fully validate a structure-constant document."""
+    """Parse and fully validate a structure-constant document; the passing
+    AlgebraReport is kept as alg.report."""
     if not isinstance(doc, dict):
         raise TableError("document: expected an object")
     for key in ("name", "dim", "parity", "brackets", "form"):
@@ -539,7 +540,7 @@ def import_table(doc):
     if all(all(x == 0 for x in row) for row in form):
         raise TableError("form: missing or identically zero")
     alg = SuperAlgebra(doc["name"], parity, brackets, form)
-    report = check_algebra(alg)
+    alg.report = report = check_algebra(alg)
     if not report.ok:
         name, witness = report.first_failure()
         raise ValidationError("imported table violates %s at %s" % (name, witness))

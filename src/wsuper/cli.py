@@ -105,9 +105,10 @@ def _emit(args, text_lines, json_obj):
 
 def cmd_info(args):
     alg, family = _load_algebra(args)
+    # import_table has validated a table; rescaling its form keeps the verdict
+    report = alg.report if family is None else None
     if family is None and not args.e:
         # table without a nilpotent: report the validation verdict only
-        report = check_algebra(alg)
         obj = {
             "algebra": alg.name,
             "dim": alg.dim,
@@ -119,7 +120,7 @@ def cmd_info(args):
         _emit(args, lines, obj)
         return EXIT_OK if report.ok else EXIT_FAIL
     setup = _setup_from_args(args, (alg, family))
-    report = check_algebra(setup.alg)
+    report = report or check_algebra(setup.alg)
     summary = setup.summary()
     summary["form_checks"] = {name: ok for name, ok, _ in report.checks}
     lines = ["%s: dim %d" % (setup.alg.name, setup.dim)]

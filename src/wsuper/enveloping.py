@@ -6,17 +6,19 @@ neighbours a.b rewrite to (-1)^{|a||b|} b.a + [a,b]; an odd square x.x
 rewrites to [x,x]/2.  Rewriting scans from the right so the reduction is
 a single right-to-left pass for nearly-sorted products.
 
+Inside a product or a commutator the coefficients are integer numerators
+over each operand's cleared denominators; one Fraction is built per word.
+
 A supercommutator of two normal words is expanded by the superderivation
 rule into words one letter shorter, so the top terms of uv and vu, which
 cancel, are never formed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .linalg import ZERO
-
-HALF = Fraction(1, 2)
 
 
 def straighten(setup, word, coeff, sink):
@@ -32,7 +34,7 @@ def straighten(setup, word, coeff, sink):
                 pos = i
                 break
         if pos is None:
-            prev = sink.get(w, ZERO) + c
+            prev = sink.get(w, 0) + c
             if prev == 0:
                 sink.pop(w, None)
             else:
@@ -42,7 +44,9 @@ def straighten(setup, word, coeff, sink):
         head, tail = w[:pos], w[pos + 2:]
         if a == b:
             for k, ck in setup.letter_bracket(a, a):
-                stack.append((head + (k,) + tail, c * ck * HALF))
+                x = c * ck              # halved exactly: an int stays an int
+                stack.append((head + (k,) + tail, x // 2 if type(x) is int
+                              and not x & 1 else Fraction(x, 2)))
         else:
             stack.append((head + (b, a) + tail, -c if par[a] and par[b] else c))
             for k, ck in setup.letter_bracket(a, b):
@@ -74,14 +78,29 @@ def straighten_commutator(setup, u, v, c, sink):
         tail_par ^= par[a]
 
 
+def _numerators(terms):
+    """(word, numerator) pairs over d, the lcm of the denominators, and d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return [(w, c.numerator * (d // c.denominator)) for w, c in terms.items()], d
+
+
+def _over_word_pairs(setup, terms1, terms2, kernel):
+    """Run kernel(setup, u, v, n1 * n2, sink) over every word pair on integer
+    numerators, and divide once per surviving word."""
+    nums1, d1 = _numerators(terms1)
+    nums2, d2 = _numerators(terms2)
+    sink = {}
+    for u, n1 in nums1:
+        for v, n2 in nums2:
+            kernel(setup, u, v, n1 * n2, sink)
+    d = d1 * d2
+    return {w: Fraction(n, d) for w, n in sink.items()}
+
+
 def commutator_terms(setup, terms1, terms2):
     """Normal form of [x, y] for sparse word maps x and y, word pair by
     word pair, so mixed parity needs no splitting."""
-    out = {}
-    for u, c1 in terms1.items():
-        for v, c2 in terms2.items():
-            straighten_commutator(setup, u, v, c1 * c2, out)
-    return out
+    return _over_word_pairs(setup, terms1, terms2, straighten_commutator)
 
 
 def word_parity(setup, word):
@@ -163,11 +182,9 @@ class EnvElement:
 
     def __mul__(self, other):
         if isinstance(other, EnvElement):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    straighten(self.setup, w1 + w2, c1 * c2, out)
-            return EnvElement(self.setup, out)
+            return EnvElement(self.setup, _over_word_pairs(
+                self.setup, self.terms, other.terms,
+                lambda s, u, v, c, sink: straighten(s, u + v, c, sink)))
         return self.scale(other)
 
     def __rmul__(self, other):

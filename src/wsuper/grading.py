@@ -155,7 +155,8 @@ class MinimalSetup:
         hit = self._lbracket_cache.get(key)
         if hit is None:
             w = self.alg.bracket(self.letters[i], self.letters[j])
-            hit = tuple(sorted(self.to_letters(w).items()))
+            hit = tuple(sorted((k, c.numerator if c.denominator == 1 else c)
+                               for k, c in self.to_letters(w).items()))
             self._lbracket_cache[key] = hit
         return hit
 

@@ -1,12 +1,15 @@
 """Property test: the superderivation kernel for [u, v] equals the product
 definition uv - (-1)^{|u||v|} vu, and the model commutators built on it
-(supercommutator_q, ad_act) equal the projection of the lifted products."""
+(supercommutator_q, ad_act) equal the projection of the lifted products.
+Whatever runs on integer numerators inside, every coefficient these return
+is a nonzero Fraction."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from wsuper.enveloping import EnvElement, straighten_commutator, word_parity
+from wsuper.enveloping import (EnvElement, commutator_terms,
+                               straighten_commutator, word_parity)
 from wsuper.whittaker import (WhittakerElement, ad_act, multiply_q, project,
                               supercommutator_q)
 
@@ -95,3 +98,20 @@ def test_model_commutators_equal_the_projected_products(case):
     sign = -1 if word_parity(setup, u) and word_parity(setup, v) else 1
     assert supercommutator_q(a, b) == \
         multiply_q(a, b) - multiply_q(b, a).scale(sign)
+
+
+def _exact(terms):
+    return all(type(c) is Fraction and c != 0 for c in terms.values())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=cases(model=True))
+def test_every_coefficient_out_of_the_kernel_is_a_nonzero_fraction(case):
+    setup, terms1, terms2 = case
+    q1, q2 = WhittakerElement(setup, terms1), WhittakerElement(setup, terms2)
+    assert _exact((EnvElement(setup, terms1) * EnvElement(setup, terms2)).terms)
+    assert _exact(commutator_terms(setup, terms1, terms2))
+    assert _exact(multiply_q(q1, q2).terms)
+    assert _exact(supercommutator_q(q1, q2).terms)
+    for letter in (setup.z_letter(0), setup.idx_f):
+        assert _exact(ad_act(setup, letter, q2).terms)

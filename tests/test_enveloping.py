@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import naive_reduce
-from wsuper.enveloping import (EnvElement, kazhdan_degree, supercommutator,
-                               weight)
+from wsuper.enveloping import (EnvElement, kazhdan_degree, straighten,
+                               supercommutator, weight)
 from wsuper.errors import InputError
 
 from conftest import get_setup
@@ -31,6 +31,44 @@ def test_odd_square_rewrites_to_half_bracket():
     zz = EnvElement.from_word(so, (so.z_letter(0), so.z_letter(0)))
     # <z,z> = 1, so z^2 = f/2
     assert zz == EnvElement.from_letter(so, so.idx_f).scale(Fraction(1, 2))
+
+
+def test_letter_bracket_is_an_int_exactly_when_integral(catalog_setup):
+    s = catalog_setup
+    for i in range(s.dim):
+        for j in range(s.dim):
+            expanded = s.to_letters(s.alg.bracket(s.letters[i], s.letters[j]))
+            assert dict(s.letter_bracket(i, j)) == expanded
+            for _, c in s.letter_bracket(i, j):
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def test_odd_squares_halve_exactly_on_ints_and_fractions():
+    # osp(3|2): the odd squares have constants 1 and -4, so an integer
+    # coefficient halves by // (even) and by Fraction (odd); constants 1/2
+    # elsewhere keep the Fraction fallback running too
+    s = get_setup("osp(3|2)")
+    odd = [i for i in range(s.dim) if s.letter_parity[i]]
+    square_constants = {ck for a in odd for _, ck in s.letter_bracket(a, a)}
+    assert {1, -4} <= square_constants
+    assert all(type(ck) is int for ck in square_constants)
+    halved = set()
+    for a in odd:
+        for c in (1, 2, 3):
+            sink = {}
+            straighten(s, (a, a), c, sink)
+            assert sink == naive_reduce(s, (a, a), coeff=Fraction(c))
+            for (k,), v in sink.items():
+                ck = dict(s.letter_bracket(a, a))[k]
+                assert type(v) is (int if c * ck % 2 == 0 else Fraction)
+                halved.add(type(v))
+    assert halved == {int, Fraction}
+    x = [EnvElement.from_letter(s, i) for i in range(s.dim)]
+    for a in range(s.dim):
+        for b in odd:
+            prod = (x[a].scale(3) * x[b]).terms
+            assert prod == naive_reduce(s, (a, b), coeff=Fraction(3))
+            assert all(type(c) is Fraction for c in prod.values())
 
 
 def test_random_words_match_naive_rewriter(catalog_setup):
