@@ -287,7 +287,9 @@ def subalgebra(amb, vectors, name, names=None, span=None):
 
     vectors must be parity-homogeneous and linearly independent; the form
     is the restriction of the ambient form.  span is Span(vectors) when
-    the caller has factored it already.
+    the caller has factored it already.  A span that extends vectors by
+    an ideal gives the quotient by it: coordinates on the span vectors at
+    or beyond len(vectors) are dropped.
     """
     dim = len(vectors)
     parity = []
@@ -308,6 +310,7 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             if terms is None:
                 raise ValidationError(
                     "subspace not closed under bracket at pair (%d,%d)" % (i, j))
+            terms = {k: c for k, c in terms.items() if k < dim}
             if terms:
                 brackets[(i, j)] = terms
     form = [[amb.form_value(vectors[i], vectors[j]) for j in range(dim)]
@@ -350,37 +353,15 @@ def build_psl22():
     """sl(2|2)/CI on the complement spanned by h, H1 and the 12 root vectors.
 
     The diagonal of sl(2|2) is 3-dimensional and h + 2*H1 - H2 = I, so one
-    diagonal direction is redundant in the quotient; we keep {h, H1} and
-    reduce every bracket modulo CI.
+    diagonal direction is redundant in the quotient: D[2] = H2 is dropped,
+    and every bracket is reduced modulo CI, the last vector of the span.
+    The supertrace form descends, since I is in its radical on sl(2|2).
     """
-    gl = build_gl(2, 2)
-    diag = [_gl_index(2, 2, a, a) for a in range(4)]
-    h = {diag[0]: ONE, diag[1]: -ONE}
-    h1 = {diag[1]: ONE, diag[2]: ONE}
-    ident = dict.fromkeys(diag, ONE)
-    vectors = [h, h1]
-    names = ["h", "H1"]
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                vectors.append(gl.basis_vector(_gl_index(2, 2, a, b)))
-                names.append("E[%d,%d]" % (a, b))
-    dim = len(vectors)
-    parity = [gl.parity_of(v) for v in vectors]
-    with_ident = Span(vectors + [ident])
-    brackets = {}
-    for i in range(dim):
-        for j in range(dim):
-            coords = with_ident.coords(gl.bracket(vectors[i], vectors[j]))
-            if coords is None:
-                raise ValidationError("sl(2|2) bracket left the expected span")
-            terms = {k: c for k, c in coords.items() if k < dim}
-            if terms:
-                brackets[(i, j)] = terms
-    # supertrace form descends: I is in its radical on sl(2|2)
-    form = [[gl.form_value(vectors[i], vectors[j]) for j in range(dim)]
-            for i in range(dim)]
-    return SuperAlgebra("psl(2|2)", parity, brackets, form, names)
+    gl, vectors, names = _sl_vectors(2, 2)
+    vectors = vectors[:2] + vectors[3:]
+    ident = dict.fromkeys((_gl_index(2, 2, a, a) for a in range(4)), ONE)
+    return subalgebra(gl, vectors, "psl(2|2)", ["h", "H1"] + names[3:],
+                      Span(vectors + [ident]))
 
 
 def _osp_form_matrix(m, n):

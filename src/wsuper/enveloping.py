@@ -193,9 +193,6 @@ class EnvElement:
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def is_zero(self):
         return not self.terms
 

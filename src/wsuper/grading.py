@@ -11,6 +11,7 @@ normal monomials.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import normalized_form
 from .errors import DegeneracyError, InputError, NotMinimalError
 from .linalg import ONE, ZERO, Span, lin_comb, nullspace, solve, transpose, vec_scale
 
@@ -178,83 +179,39 @@ class MinimalSetup:
         }
 
 
-def _paired_even_basis(setup_pairing, vectors):
-    """Darboux pairs for the alternating pairing on g(-1)_even.
-
-    Returns u_1..u_s with <u_i, u_j> = i* delta_{i+j,s+1}, i* = -1 for
-    i <= s/2 and +1 above.  Pivot: lowest remaining index first.
+def _hyperbolic_basis(setup_pairing, vectors):
+    """Hyperbolic basis u_1..u_n for a pairing that is alternating (g(-1)
+    even) or symmetric (g(-1) odd): <u_i, u_j> = 0 unless i + j = n + 1,
+    and <u_{n+1-i}, u_i> = 1 for i <= n/2, so <u_i, u_{n+1-i}> is -1 when
+    alternating.  When n is odd the self-paired middle vector keeps its
+    self-pairing, which is nonzero: it is left over only when no isotropic
+    pivot remains.  Pivot: the lowest-index isotropic vector.
     """
     rem = list(vectors)
     left, right = [], []
+    middle = []
     while rem:
-        a = rem.pop(0)
-        jb = None
-        for j, cand in enumerate(rem):
-            if setup_pairing(a, cand) != 0:
-                jb = j
-                break
-        if jb is None:
-            raise DegeneracyError("even pairing on g(-1) is degenerate")
-        b = rem.pop(jb)
-        b = vec_scale(Fraction(-1) / setup_pairing(a, b), b)   # <a,b> = -1
-        reduced = []
-        for x in rem:
-            x = lin_comb({0: ONE, 1: setup_pairing(x, b)}, (x, a))
-            x = lin_comb({0: ONE, 1: -setup_pairing(x, a)}, (x, b))
-            reduced.append(x)
-        rem = reduced
-        left.append(a)
-        right.append(b)
-    return left + list(reversed(right))
-
-
-def _paired_odd_basis(setup_pairing, vectors):
-    """Hyperbolic basis for the symmetric pairing on g(-1)_odd.
-
-    v_i with <v_i, v_j> = delta_{i+j,r+1}, except that when r is odd the
-    self-paired middle vector keeps its self-pairing, which is nonzero: it
-    is left over only when no isotropic pivot remains.
-    """
-    rem = list(vectors)
-    left, right = [], []
-    middle = None
-    while rem:
-        ia = None
-        for i, cand in enumerate(rem):
-            if setup_pairing(cand, cand) == 0:
-                ia = i
-                break
+        ia = next((i for i, x in enumerate(rem) if setup_pairing(x, x) == 0), None)
         if ia is None:
             if len(rem) == 1:
-                middle = rem.pop()
+                middle = [rem.pop()]
                 break
             raise DegeneracyError(
-                "odd pairing: no isotropic pivot among %d remaining vectors"
+                "pairing on g(-1): no isotropic pivot among %d remaining vectors"
                 % len(rem))
         a = rem.pop(ia)
-        jb = None
-        for j, cand in enumerate(rem):
-            if setup_pairing(a, cand) != 0:
-                jb = j
-                break
+        jb = next((j for j, x in enumerate(rem) if setup_pairing(a, x) != 0), None)
         if jb is None:
-            raise DegeneracyError("odd pairing on g(-1) is degenerate")
+            raise DegeneracyError("pairing on g(-1) is degenerate")
         b = rem.pop(jb)
-        b = vec_scale(ONE / setup_pairing(a, b), b)
+        b = vec_scale(ONE / setup_pairing(b, a), b)                   # <b,a> = 1
         b = lin_comb({0: ONE, 1: -setup_pairing(b, b) / 2}, (b, a))   # make b isotropic
-        reduced = []
-        for x in rem:
-            x = lin_comb({0: ONE, 1: -setup_pairing(x, b)}, (x, a))
-            x = lin_comb({0: ONE, 1: -setup_pairing(x, a)}, (x, b))
-            reduced.append(x)
-        rem = reduced
+        ab = setup_pairing(a, b)
+        rem = [lin_comb({0: ONE, 1: -setup_pairing(x, b) / ab, 2: -setup_pairing(x, a)},
+                        (x, a, b)) for x in rem]
         left.append(a)
         right.append(b)
-    out = list(left)
-    if middle is not None:
-        out.append(middle)
-    out.extend(reversed(right))
-    return out
+    return left + middle + right[::-1]
 
 
 def _zdual(setup_pairing, zbasis, s, r):
@@ -279,7 +236,7 @@ def _paired_neg1(alg, e, even, odd):
     def pairing(x, y):
         return alg.form_value(e, alg.bracket(x, y))
 
-    return pairing, _paired_even_basis(pairing, even) + _paired_odd_basis(pairing, odd)
+    return pairing, _hyperbolic_basis(pairing, even) + _hyperbolic_basis(pairing, odd)
 
 
 def build_minimal_setup(alg, e):
@@ -292,7 +249,9 @@ def build_minimal_setup(alg, e):
     """
     e = {k: Fraction(c) for k, c in e.items() if c}
     triple = find_sl2_triple(alg, e)
-    alg = normalized(alg, triple)
+    alg = normalized_form(alg, triple.e, triple.f)
+    if alg.form_value(triple.h, triple.h) != 2:
+        raise DegeneracyError("(h,h) != 2 after normalization")
 
     ad_h = _ad_columns(alg, triple.h)
     even_idx = [i for i in range(alg.dim) if alg.parity[i] == 0]
@@ -383,14 +342,6 @@ def build_minimal_setup(alg, e):
                          dual_a, dual_b, letters, lpar, lgrade, lnames)
     _post_checks(setup)
     return setup
-
-
-def normalized(alg, triple):
-    from .algebra import normalized_form
-    alg = normalized_form(alg, triple.e, triple.f)
-    if alg.form_value(triple.h, triple.h) != 2:
-        raise DegeneracyError("(h,h) != 2 after normalization")
-    return alg
 
 
 def _post_checks(setup):

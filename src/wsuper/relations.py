@@ -11,6 +11,7 @@ from fractions import Fraction
 from .enveloping import EnvElement, kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
+from .grading import kw_numbers
 from .linalg import ONE, ZERO, Echelon, Span, lin_comb
 from .whittaker import (WhittakerElement, is_w_element, multiply_q, project,
                         sigma, supercommutator_q)
@@ -24,7 +25,7 @@ class RelationReport:
 
     def __init__(self, rel_id):
         self.rel_id = rel_id
-        self.failures = []       # list of (witness_label, residue_or_None)
+        self.failures = []       # (witness_label, WhittakerElement or None)
         self.detail = {}
 
     @property
@@ -39,8 +40,7 @@ class RelationReport:
         if self.failures:
             out["residue"] = [{
                 "witness": w,
-                "terms": r.as_json() if isinstance(r, WhittakerElement) else
-                         (str(r) if r is not None else None),
+                "terms": None if r is None else r.as_json(),
             } for w, r in self.failures]
         if self.detail:
             out["detail"] = self.detail
@@ -55,8 +55,7 @@ class RelationReport:
         for w, r in self.failures:
             out.append("    at %s" % w)
             if r is not None:
-                rendered = r.render() if isinstance(r, WhittakerElement) else str(r)
-                out.append("    residue: %s" % rendered)
+                out.append("    residue: %s" % r.render())
         return out
 
 
@@ -834,7 +833,6 @@ class SuiteResult:
         return all(r.ok for r in self.reports)
 
     def as_json(self):
-        from .grading import kw_numbers
         d0, d1, _, _ = kw_numbers(self.setup)
         out = {
             "algebra": self.setup.alg.name,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,15 @@ from wsuper.catalog import family_algebra
 OK_SUITE = "identities,generators,deg0,deg01,central,c0,b_invariance,pbw,one_dim"
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "wsuper.cli", *args],
+# the child imports wsuper from the same source tree as this process,
+# whether or not PYTHONPATH names it
+SRC = str(Path(algebra.__file__).resolve().parents[1])
+
+
+def run_cli(*args, env=None, **kwargs):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "wsuper.cli", *args], env=env,
                           capture_output=True, text=True, timeout=600, **kwargs)
 
 

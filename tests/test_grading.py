@@ -6,7 +6,7 @@ from oracles import dense, oracle_nullity, oracle_rank
 from wsuper import grading
 from wsuper.algebra import build_gl, build_sl
 from wsuper.catalog import _unit_by_name, family_algebra
-from wsuper.errors import InputError, NotMinimalError
+from wsuper.errors import DegeneracyError, InputError, NotMinimalError
 from wsuper.grading import (build_minimal_setup, find_sl2_triple, kw_dimensions,
                             kw_numbers)
 from wsuper.linalg import vec_scale
@@ -222,3 +222,39 @@ def test_middle_rescale_in_place_equals_the_rebuild(monkeypatch, m, n):
                  "dual_b", "letters", "letter_parity", "letter_grade",
                  "letter_names"):
         assert getattr(again, name) == getattr(s, name), name
+
+
+def _gram_pairing(gram):
+    # <x, y> = sum x_i gram[i][j] y_j on dict vectors
+    return lambda x, y: sum((c * gram[i][j] * d for i, c in x.items()
+                             for j, d in y.items()), Fraction(0))
+
+
+_UNITS = [{i: Fraction(1)} for i in range(4)]
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["alternating", "symmetric"])
+def test_one_hyperbolic_pass_serves_both_parities(sign):
+    # x0 pairs with x2 and x1 with x3; when symmetric, x0 is not isotropic,
+    # so the first pivot is x1 and x0 must be made isotropic against x2
+    gram = [[0, 0, 1, 0], [0, 0, 0, 1], [sign, 0, 0, 0], [0, sign, 0, 0]]
+    if sign == 1:
+        gram[0][0] = 2
+    pairing = _gram_pairing(gram)
+    u = grading._hyperbolic_basis(pairing, _UNITS)
+    for i in range(4):
+        for j in range(4):
+            want = 0 if i + j != 3 else (1 if i >= 2 or sign == 1 else -1)
+            assert pairing(u[i], u[j]) == want, (i, j)
+
+
+def test_hyperbolic_pass_refuses_a_zero_pairing():
+    with pytest.raises(DegeneracyError, match="degenerate"):
+        grading._hyperbolic_basis(lambda x, y: Fraction(0), _UNITS[:2])
+
+
+def test_hyperbolic_pass_refuses_a_pairing_without_isotropic_vectors():
+    # <x,x> = <y,y> = 1, <x,y> = 0: x^2 + y^2 = 0 has no rational solution
+    pairing = _gram_pairing([[1, 0], [0, 1]])
+    with pytest.raises(DegeneracyError, match="no isotropic pivot"):
+        grading._hyperbolic_basis(pairing, _UNITS[:2])
