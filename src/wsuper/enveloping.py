@@ -6,8 +6,9 @@ neighbours a.b rewrite to (-1)^{|a||b|} b.a + [a,b]; an odd square x.x
 rewrites to [x,x]/2.  Rewriting scans from the right so the reduction is
 a single right-to-left pass for nearly-sorted products.
 
-Inside a product or a commutator the coefficients are integer numerators
-over each operand's cleared denominators; one Fraction is built per word.
+A product, a commutator or a list of terms is straightened on integer
+numerators over one cleared denominator into an integer sink; the caller
+divides once per output word, the Whittaker model after dropping f-suffixes.
 
 A supercommutator of two normal words is expanded by the superderivation
 rule into words one letter shorter, so the top terms of uv and vu, which
@@ -78,29 +79,50 @@ def straighten_commutator(setup, u, v, c, sink):
         tail_par ^= par[a]
 
 
-def _numerators(terms):
+def _numerators(pairs):
     """(word, numerator) pairs over d, the lcm of the denominators, and d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return [(w, c.numerator * (d // c.denominator)) for w, c in terms.items()], d
+    d = lcm(*(c.denominator for _, c in pairs))
+    return [(w, c.numerator * (d // c.denominator)) for w, c in pairs], d
 
 
-def _over_word_pairs(setup, terms1, terms2, kernel):
+def straighten_product(setup, u, v, c, sink):
+    """Accumulate c * uv of two normal words into the sink dict."""
+    straighten(setup, u + v, c, sink)
+
+
+def over_word_pairs(setup, terms1, terms2, kernel):
     """Run kernel(setup, u, v, n1 * n2, sink) over every word pair on integer
-    numerators, and divide once per surviving word."""
-    nums1, d1 = _numerators(terms1)
-    nums2, d2 = _numerators(terms2)
+    numerators; the integer sink and its one denominator."""
+    nums1, d1 = _numerators(terms1.items())
+    nums2, d2 = _numerators(terms2.items())
     sink = {}
     for u, n1 in nums1:
         for v, n2 in nums2:
             kernel(setup, u, v, n1 * n2, sink)
-    d = d1 * d2
+    return sink, d1 * d2
+
+
+def straighten_terms(setup, pairs):
+    """sum c * word over (word, c) pairs straightened, the denominators
+    cleared over the list first: the integer sink and its one denominator."""
+    nums, d = _numerators(pairs)
+    sink = {}
+    for w, n in nums:
+        if len(w) > 1:
+            straighten(setup, w, n, sink)
+        else:                       # 1 or a letter is normal; zeros may stay
+            sink[w] = sink.get(w, 0) + n
+    return sink, d
+
+
+def _divided(sink, d):
     return {w: Fraction(n, d) for w, n in sink.items()}
 
 
 def commutator_terms(setup, terms1, terms2):
     """Normal form of [x, y] for sparse word maps x and y, word pair by
     word pair, so mixed parity needs no splitting."""
-    return _over_word_pairs(setup, terms1, terms2, straighten_commutator)
+    return _divided(*over_word_pairs(setup, terms1, terms2, straighten_commutator))
 
 
 def word_parity(setup, word):
@@ -182,9 +204,8 @@ class EnvElement:
 
     def __mul__(self, other):
         if isinstance(other, EnvElement):
-            return EnvElement(self.setup, _over_word_pairs(
-                self.setup, self.terms, other.terms,
-                lambda s, u, v, c, sink: straighten(s, u + v, c, sink)))
+            return EnvElement(self.setup, _divided(*over_word_pairs(
+                self.setup, self.terms, other.terms, straighten_product)))
         return self.scale(other)
 
     def __rmul__(self, other):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .enveloping import EnvElement
 from .errors import InputError
-from .whittaker import WhittakerElement, env_from_zvector, is_w_element, project
+from .whittaker import WhittakerElement, is_w_element, project, project_terms
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -42,17 +42,25 @@ def _check_leading(setup, value, source_env, label):
                          % (label, lead.render(), want.render()))
 
 
+def _terms(c, *factors):
+    """c times the product of factors, each a {letter: coefficient} map, as
+    (word, coefficient) pairs; the words are straightened together later."""
+    out = [((), Fraction(c))] if c else []
+    for f in factors:
+        out = [(w + (i,), x * y) for w, x in out for i, y in f.items()]
+    return out
+
+
 def theta_v(setup, v, check=True):
     """(v - 1/2 sum_a z_a [z*_a, v]) in the model, for v in g^e(0)."""
     if not (setup.in_grade(v, 0) and setup.in_centralizer(v)):
         raise InputError("theta_v expects a vector in g^e(0)")
-    expr = EnvElement.from_vector(setup, v)
+    terms = _terms(1, setup.to_letters(v))
     for alpha in range(len(setup.zbasis)):
-        br = setup.alg.bracket(setup.zdual[alpha], v)
+        br = setup.alg.bracket(setup.zdual[alpha], v)     # in g(-1)
         if br:
-            za = EnvElement.from_letter(setup, setup.z_letter(alpha))
-            expr = expr - (za * env_from_zvector(setup, br)).scale(HALF)
-    value = project(expr)
+            terms += _terms(-HALF, {setup.z_letter(alpha): 1}, setup.to_letters(br))
+    value = project_terms(setup, terms)
     gen = WGenerator("Theta[%s]" % _vec_label(setup, v), v, value, 2,
                      setup.alg.parity_of(v))
     if check:
@@ -63,68 +71,57 @@ def theta_v(setup, v, check=True):
 
 def _zz_third(setup, w):
     """D/3 with D = sum_{a,b} z_a z_b [z*_b, [z*_a, w]] in U(g), the part
-    both closed forms share."""
-    alg = setup.alg
+    both closed forms share, as terms."""
+    alg, z = setup.alg, setup.z_letter
     n = len(setup.zbasis)
-    out = EnvElement(setup)
+    terms = []
     for alpha in range(n):
         inner = alg.bracket(setup.zdual[alpha], w)        # in g(0)
         if not inner:
             continue
-        za = EnvElement.from_letter(setup, setup.z_letter(alpha))
         for beta in range(n):
             br2 = alg.bracket(setup.zdual[beta], inner)   # in g(-1)
             if br2:
-                zb = EnvElement.from_letter(setup, setup.z_letter(beta))
-                out = out + za * zb * env_from_zvector(setup, br2)
-    return out.scale(THIRD)
+                terms += _terms(THIRD, {z(alpha): 1}, {z(beta): 1},
+                                setup.to_letters(br2))
+    return terms
 
 
 def _theta_w_rests(setup, w):
-    """Both closed forms of Theta_w without their shared D/3: the correction
-    form w - sum z_a[z*_a,w] - 2/3 [w,f] and the reordered form
+    """Both closed forms of Theta_w without their shared D/3, as terms: the
+    correction form w - sum z_a[z*_a,w] - 2/3 [w,f] and the reordered form
     w + sum (-1)^{|a|}[w,z*_a] z_a - (3(s-r)+4)/6 [w,f]."""
-    alg = setup.alg
-    corr = reord = EnvElement.from_vector(setup, w)
+    alg, letters = setup.alg, setup.to_letters
+    corr = _terms(1, letters(w))
+    reord = list(corr)
     for alpha, zd in enumerate(setup.zdual):
-        za = EnvElement.from_letter(setup, setup.z_letter(alpha))
+        za = {setup.z_letter(alpha): 1}
         br = alg.bracket(zd, w)                           # in g(0)
         if br:
-            corr = corr - za * EnvElement.from_vector(setup, br)
+            corr += _terms(-1, za, letters(br))
         br = alg.bracket(w, zd)
         if br:
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
-            reord = reord + (EnvElement.from_vector(setup, br) * za).scale(sign)
-    wf = env_from_zvector(setup, alg.bracket(w, setup.triple.f))   # in g(-1)
+            reord += _terms(sign, letters(br), za)
+    wf = letters(alg.bracket(w, setup.triple.f))          # in g(-1)
     coeff = Fraction(3 * (setup.sdim - setup.rdim) + 4, 6)
-    return corr - wf.scale(2 * THIRD), reord - wf.scale(coeff)
-
-
-def theta_w_correction_form(setup, w):
-    """Correction form: w - sum z[z*,w] + (sum zz[z*,[z*,w]] - 2[w,f])/3."""
-    return project(_theta_w_rests(setup, w)[0] + _zz_third(setup, w))
-
-
-def theta_w_phi_form(setup, w):
-    """Reordered form: w + sum (-1)^{|a|}[w,z*_a] z_a + phi_w, with
-    phi_w = (sum zz[z*,[z*,w]] - (3(s-r)+4)/2 [w,f]) / 3."""
-    return project(_theta_w_rests(setup, w)[1] + _zz_third(setup, w))
+    return corr + _terms(-2 * THIRD, wf), reord + _terms(-coeff, wf)
 
 
 def theta_w(setup, w, check=True):
     """Degree-1 generator; both closed forms are computed and must agree.
 
     They share D/3 and project is linear, so they agree exactly when the
-    rest of each does, and D/3 is built once."""
+    rest of each does, and D/3 is straightened once."""
     if not (setup.in_grade(w, 1) and setup.in_centralizer(w)):
         raise InputError("theta_w expects a vector in g^e(1)")
-    rest, other = _theta_w_rests(setup, w)
-    third = _zz_third(setup, w)
-    value = project(rest + third)
-    if project(rest) != project(other):
+    rest, other = (project_terms(setup, t) for t in _theta_w_rests(setup, w))
+    third = project_terms(setup, _zz_third(setup, w))
+    value = rest + third
+    if rest != other:
         raise InputError("the two generator formulas for %s disagree: %s vs %s"
                          % (_vec_label(setup, w), value.render(),
-                            project(other + third).render()))
+                            (other + third).render()))
     gen = WGenerator("Theta[%s]" % _vec_label(setup, w), w, value, 3,
                      setup.alg.parity_of(w))
     if check:
@@ -136,22 +133,18 @@ def theta_w(setup, w, check=True):
 def casimir(setup):
     """2e + h^2/2 - (1+(s-r)/2) h + sum (-1)^|i| a_i b_i
     + 2 sum (-1)^|a| [e,z*_a] z_a, as a model element."""
-    alg, t = setup.alg, setup.triple
-    h = EnvElement.from_vector(setup, t.h)
-    expr = EnvElement.from_vector(setup, t.e).scale(2)
-    expr = expr + (h * h).scale(HALF)
-    expr = expr - h.scale(1 + Fraction(setup.sdim - setup.rdim, 2))
+    alg, t, letters = setup.alg, setup.triple, setup.to_letters
+    h = letters(t.h)
+    terms = _terms(2, letters(t.e)) + _terms(HALF, h, h)
+    terms += _terms(-1 - Fraction(setup.sdim - setup.rdim, 2), h)
     for a, b in zip(setup.dual_a, setup.dual_b):
-        sign = -1 if alg.parity_of(a) else 1
-        expr = expr + (EnvElement.from_vector(setup, a)
-                       * EnvElement.from_vector(setup, b)).scale(sign)
+        terms += _terms(-1 if alg.parity_of(a) else 1, letters(a), letters(b))
     for alpha in range(len(setup.zbasis)):
         ez = alg.bracket(t.e, setup.zdual[alpha])         # in g(1)
         if ez:
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
-            za = EnvElement.from_letter(setup, setup.z_letter(alpha))
-            expr = expr + (EnvElement.from_vector(setup, ez) * za).scale(2 * sign)
-    value = project(expr)
+            terms += _terms(2 * sign, letters(ez), {setup.z_letter(alpha): 1})
+    value = project_terms(setup, terms)
     gen = WGenerator("C", t.e, value, 4, 0)
     _check_membership(setup, "C", value)
     return gen

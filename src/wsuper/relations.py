@@ -7,6 +7,7 @@ cross-checked against the closed double-sum formula.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .enveloping import EnvElement, kazhdan_degree
 from .errors import InputError
@@ -146,10 +147,9 @@ class SuiteContext:
         g^e(0) dual bases; a_i is cent[0][i], so Theta_{a_i} is cached."""
         if self._tcas is None:
             setup = self.setup
-            value = WhittakerElement(setup)
-            for ta, b in zip(self.thetas0, setup.dual_b):
-                sign = -1 if ta.parity else 1
-                value = value + multiply_q(ta.value, self.theta(b)).scale(sign)
+            value = _combine(setup, [(-1 if ta.parity else 1,
+                                      multiply_q(ta.value, self.theta(b)))
+                                     for ta, b in zip(self.thetas0, setup.dual_b)])
             self._tcas = WGenerator("ThetaCas", setup.triple.e, value, 4, 0)
         return self._tcas
 
@@ -173,10 +173,8 @@ class SuiteContext:
 
     def theta(self, x):
         """Theta_x by linearity over the cached basis generators."""
-        out = WhittakerElement(self.setup)
-        for k, c in self.coords(x).items():
-            out = out + self.basis_theta(k).scale(c)
-        return out
+        return _combine(self.setup, [(c, self.basis_theta(k))
+                                     for k, c in self.coords(x).items()])
 
     def product(self, k, l):
         """basis_theta(k) * basis_theta(l) in the model; memoised."""
@@ -232,9 +230,7 @@ class SuiteContext:
                 row = []
                 for j, w2 in enumerate(basis):
                     sign = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
-                    out = dict(self.commutator(n0 + i, n0 + j).terms)
                     pair = self.pair_value(w1, w2)
-                    _add_scaled(out, Fraction(-pair, 2), c_minus_tcas)
                     m = {}
                     for x, y, c in ((left[i], right[j], Fraction(1, 2)),
                                     (left[j], right[i], Fraction(-sign, 2))):
@@ -242,9 +238,10 @@ class SuiteContext:
                             for k, xk in xa.items():
                                 for l, yl in ya.items():
                                     m[(k, l)] = m.get((k, l), ZERO) + c * xk * yl
-                    for (k, l), c in m.items():
-                        _add_scaled(out, c, self.product(k, l))
-                    row.append((WhittakerElement(setup, out), pair))
+                    terms = [(ONE, self.commutator(n0 + i, n0 + j)),
+                             (Fraction(-pair, 2), c_minus_tcas)]
+                    terms += [(c, self.product(k, l)) for (k, l), c in m.items()]
+                    row.append((_combine(setup, terms), pair))
                 table.append(row)
             self._b_table = table
         return self._b_table
@@ -463,10 +460,13 @@ def verify_centrality(setup, ctx=None):
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("central")
     c = ctx.cas.value
-    probes = [(g.label, g.value) for g in ctx.thetas0 + ctx.thetas1]
-    probes.append(("ThetaCas", ctx.tcas.value))
-    probes.append(("C", c))
-    for label, q in probes:
+    # [C, Theta_k] from the memo, whose C entry is Theta(c*e) = c*C/2
+    k_c, norm = len(ctx.basis) - 1, _e_norm(setup)
+    for k, g in enumerate(ctx.thetas0 + ctx.thetas1):
+        res = ctx.commutator(k_c, k).scale(1 / norm)
+        if not res.is_zero():
+            rep.fail("[C, %s]" % g.label, res)
+    for label, q in (("ThetaCas", ctx.tcas.value), ("C", c)):
         res = supercommutator_q(c, q)
         if not res.is_zero():
             rep.fail("[C, %s]" % label, res)
@@ -478,16 +478,18 @@ def verify_centrality(setup, ctx=None):
     return rep
 
 
-def _add_scaled(terms, c, q):
-    """terms += c * q, in place on a word -> coefficient dict."""
-    if c == 0:
-        return
-    for w, v in q.terms.items():
-        x = terms.get(w, ZERO) + c * v
-        if x == 0:
-            terms.pop(w, None)
-        else:
-            terms[w] = x
+def _combine(setup, terms):
+    """sum c * q over (c, q) pairs on integer numerators over one denominator,
+    the lcm of c.denominator * lcm(q's denominators) over the pairs."""
+    scaled = [(c, q.terms, lcm(*(v.denominator for v in q.terms.values())))
+              for c, q in terms if c]
+    d = lcm(*(c.denominator * dq for c, _, dq in scaled))
+    acc = {}
+    for c, q, dq in scaled:
+        f = c.numerator * (d // (c.denominator * dq))
+        for w, v in q.items():
+            acc[w] = acc.get(w, 0) + f * v.numerator * (dq // v.denominator)
+    return WhittakerElement(setup, {w: Fraction(n, d) for w, n in acc.items() if n})
 
 
 def _nested_brackets(setup, side, w):

@@ -10,11 +10,17 @@ multiplying, and projecting back, which on ad-n invariants is exactly the
 model's associative product.  Commutators, ad-n included, project the
 supercommutator of the lifts, expanded letter by letter by the
 superderivation rule, without forming either product.
+
+Products, commutators and term lists are projected on the kernel's integer
+sink, so a model element gets one Fraction per output word.
 """
 
 from bisect import bisect_left
+from fractions import Fraction
 
-from .enveloping import EnvElement, commutator_terms, kazhdan_degree, weight
+from .enveloping import (EnvElement, kazhdan_degree, over_word_pairs,
+                         straighten_commutator, straighten_product,
+                         straighten_terms, weight)
 from .errors import InputError
 from .linalg import ZERO
 
@@ -67,19 +73,27 @@ class WhittakerElement(EnvElement):
         return out
 
 
-def project(env):
-    """Image in the model: f is the last letter, so the f-run of a normal
-    word is a suffix; dropping it evaluates it at chi(f) = 1."""
-    idx_f = env.setup.idx_f
+def _project(setup, sink, d):
+    """Image in the model of sink / d: f is the last letter, so the f-run of
+    a normal word is a suffix; dropping it evaluates it at chi(f) = 1."""
+    idx_f = setup.idx_f
     out = {}
-    for word, c in env.terms.items():
-        key = word[:bisect_left(word, idx_f)]
-        v = out.get(key, ZERO) + c
-        if v == 0:
-            out.pop(key, None)
-        else:
-            out[key] = v
-    return WhittakerElement(env.setup, out)
+    for word, n in sink.items():
+        if word and word[-1] == idx_f:
+            word = word[:bisect_left(word, idx_f)]
+        out[word] = out.get(word, 0) + n
+    return WhittakerElement(setup, {w: Fraction(n, d) for w, n in out.items() if n})
+
+
+def project(env):
+    """Image of a U(g) element in the model (its Fractions over d = 1)."""
+    return _project(env.setup, env.terms, 1)
+
+
+def project_terms(setup, pairs):
+    """Image in the model of sum c * word over (word, c) pairs, each word
+    straightened once on integer numerators."""
+    return _project(setup, *straighten_terms(setup, pairs))
 
 
 def lift(q):
@@ -88,25 +102,28 @@ def lift(q):
 
 
 def multiply_q(q1, q2):
-    """Model product: lift, multiply in U(g), project.
+    """Model product: multiply the lifts in U(g), project.
 
     Associative on ad-n invariants (and whenever the right factors are
     invariants); that is the only regime the verification suite uses.
     """
-    return project(lift(q1) * lift(q2))
+    return _project(q1.setup, *over_word_pairs(q1.setup, q1.terms, q2.terms,
+                                               straighten_product))
 
 
 def supercommutator_q(q1, q2):
     """[q1, q2]: the projection of the supercommutator of the lifts,
     extended additively over parity components."""
-    return project(EnvElement(q1.setup, commutator_terms(q1.setup, q1.terms, q2.terms)))
+    return _project(q1.setup, *over_word_pairs(q1.setup, q1.terms, q2.terms,
+                                               straighten_commutator))
 
 
 def ad_act(setup, x_letter, q):
     """Adjoint action of a basis letter of n = g(-1) + Cf on the model."""
     if setup.letter_grade[x_letter] >= 0:
         raise InputError("ad_act expects a letter of n = g(-1) + g(-2)")
-    return project(EnvElement(setup, commutator_terms(setup, {(x_letter,): 1}, q.terms)))
+    return _project(setup, *over_word_pairs(setup, {(x_letter,): 1}, q.terms,
+                                            straighten_commutator))
 
 
 def is_w_element(q):
@@ -131,12 +148,3 @@ def sigma(q):
     setup = q.setup
     return WhittakerElement(setup, {w: -c if kazhdan_degree(setup, w) % 2 else c
                                     for w, c in q.terms.items()})
-
-
-def env_from_zvector(setup, vec):
-    """A g(-1) vector as a z-letter combination (degree-1 EnvElement)."""
-    coords = setup.to_letters(vec)
-    bad = [i for i in coords if setup.letter_grade[i] != -1]
-    if bad:
-        raise InputError("vector is not in g(-1)")
-    return EnvElement(setup, {(i,): c for i, c in coords.items()})

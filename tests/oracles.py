@@ -6,7 +6,11 @@ routine uses plain forward elimination without normalization, the
 matrix helpers do integer supermatrix arithmetic directly, a Weyl
 algebra carries the oscillator realisations of sp(2k) and osp(1|2k), on
 which the Casimir's scalar pins c0 without the package's enveloping layer,
-and bw_element forms B(w1, w2) pair by pair from its definition.
+bw_element forms B(w1, w2) pair by pair from its definition, and the
+Fraction routes (the closed forms of Theta_w built from EnvElement products,
+the b_table assembly summed with Fraction arithmetic, and the model
+operations as projections of U(g) elements) pin the integer-numerator
+paths of the package.
 """
 
 import itertools
@@ -14,7 +18,8 @@ import math
 from fractions import Fraction
 
 from wsuper.algebra import osp_realization
-from wsuper.whittaker import multiply_q, supercommutator_q
+from wsuper.enveloping import EnvElement, commutator_terms
+from wsuper.whittaker import WhittakerElement, multiply_q, project, supercommutator_q
 
 
 def dense(v, n):
@@ -383,6 +388,109 @@ def bw_element(setup, ctx, w1, w2):
             out = out - multiply_q(ctx.theta(setup.sharp(x2)),
                                    ctx.theta(setup.sharp(y1))).scale(Fraction(sign, 2))
     return out, pair
+
+
+def b_table_by_fractions(ctx):
+    """ctx.b_table assembled as before the integer path: each entry is a
+    copy of the memoised commutator with -pair/2 (C - ThetaCas) and each
+    M_ij[k,l] product(k, l) added term by term on Fractions."""
+    setup = ctx.setup
+    alg, basis, n0 = setup.alg, setup.cent[1], len(setup.cent[0])
+
+    def add_scaled(terms, c, q):
+        for w, v in q.terms.items():
+            x = terms.get(w, Fraction(0)) + c * v
+            if x == 0:
+                terms.pop(w, None)
+            else:
+                terms[w] = x
+
+    def sharp_coords(x):
+        return ctx.coords(setup.sharp(x)) if x else {}
+
+    left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis] for w in basis]
+    right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual] for w in basis]
+    c_minus_tcas = ctx.cas.value - ctx.tcas.value
+    table = []
+    for i, w1 in enumerate(basis):
+        row = []
+        for j, w2 in enumerate(basis):
+            sign = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
+            out = dict(ctx.commutator(n0 + i, n0 + j).terms)
+            pair = ctx.pair_value(w1, w2)
+            add_scaled(out, Fraction(-pair, 2), c_minus_tcas)
+            for x, y, c in ((left[i], right[j], Fraction(1, 2)),
+                            (left[j], right[i], Fraction(-sign, 2))):
+                for xa, ya in zip(x, y):
+                    for k, xk in xa.items():
+                        for l, yl in ya.items():
+                            add_scaled(out, c * xk * yl, ctx.product(k, l))
+            row.append((WhittakerElement(setup, out), pair))
+        table.append(row)
+    return table
+
+
+# ---- the closed forms of Theta_w from EnvElement products -------------------
+
+def _theta_w_parts(setup, w):
+    """(correction rest, reordered rest, D/3) of Theta_w in U(g), each
+    summed from EnvElement products."""
+    alg = setup.alg
+
+    def z(alpha):
+        return EnvElement.from_letter(setup, setup.z_letter(alpha))
+
+    def vec(v):
+        return EnvElement.from_vector(setup, v)
+
+    corr = reord = vec(w)
+    third = EnvElement(setup)
+    for alpha, zd in enumerate(setup.zdual):
+        br = alg.bracket(zd, w)
+        if br:
+            corr = corr - z(alpha) * vec(br)
+            for beta, zd2 in enumerate(setup.zdual):
+                br2 = alg.bracket(zd2, br)
+                if br2:
+                    third = third + (z(alpha) * z(beta) * vec(br2)).scale(Fraction(1, 3))
+        br = alg.bracket(w, zd)
+        if br:
+            sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
+            reord = reord + (vec(br) * z(alpha)).scale(sign)
+    wf = vec(alg.bracket(w, setup.triple.f))
+    coeff = Fraction(3 * (setup.sdim - setup.rdim) + 4, 6)
+    return corr - wf.scale(Fraction(2, 3)), reord - wf.scale(coeff), third
+
+
+def theta_w_correction_form(setup, w):
+    """Correction form: w - sum z[z*,w] + (sum zz[z*,[z*,w]] - 2[w,f])/3."""
+    corr, _, third = _theta_w_parts(setup, w)
+    return project(corr + third)
+
+
+def theta_w_phi_form(setup, w):
+    """Reordered form: w + sum (-1)^{|a|}[w,z*_a] z_a + phi_w, with
+    phi_w = (sum zz[z*,[z*,w]] - (3(s-r)+4)/2 [w,f]) / 3."""
+    _, reord, third = _theta_w_parts(setup, w)
+    return project(reord + third)
+
+
+# ---- the model operations as projections of U(g) elements -------------------
+
+def multiply_by_projection(q1, q2):
+    """q1 q2 in the model: the product of the lifts in U(g), projected."""
+    return project(EnvElement(q1.setup, dict(q1.terms)) * EnvElement(q2.setup, dict(q2.terms)))
+
+
+def commutator_by_projection(q1, q2):
+    """[q1, q2] in the model: the U(g) commutator of the lifts, projected."""
+    return project(EnvElement(q1.setup, commutator_terms(q1.setup, q1.terms, q2.terms)))
+
+
+def ad_by_projection(setup, letter, q):
+    """ad of a letter of n on the model: the U(g) commutator, projected."""
+    return project(EnvElement(setup, commutator_terms(
+        setup, {(letter,): Fraction(1)}, q.terms)))
 
 
 # ---- the structure-constant kernel, by the naive double loop ---------------

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import ad_by_projection, commutator_by_projection, multiply_by_projection
 from wsuper.enveloping import (EnvElement, commutator_terms,
                                straighten_commutator, word_parity)
 from wsuper.whittaker import (WhittakerElement, ad_act, multiply_q, project,
-                              supercommutator_q)
+                              project_terms, supercommutator_q)
 
 from conftest import get_setup
 
@@ -98,6 +99,49 @@ def test_model_commutators_equal_the_projected_products(case):
     sign = -1 if word_parity(setup, u) and word_parity(setup, v) else 1
     assert supercommutator_q(a, b) == \
         multiply_q(a, b) - multiply_q(b, a).scale(sign)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=cases())
+def test_model_operations_equal_the_projected_fraction_route(case):
+    # words with f-suffixes in and out: the f-runs are dropped on the
+    # integer sink, the oracles project EnvElements of Fractions
+    setup, terms1, terms2 = case
+    q1, q2 = WhittakerElement(setup, terms1), WhittakerElement(setup, terms2)
+    assert multiply_q(q1, q2) == multiply_by_projection(q1, q2)
+    assert supercommutator_q(q1, q2) == commutator_by_projection(q1, q2)
+    for letter in (setup.z_letter(0), setup.idx_f):
+        assert ad_act(setup, letter, q2) == ad_by_projection(setup, letter, q2)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=cases())
+def test_a_straightened_list_of_terms_equals_the_sum_of_its_words(case):
+    # unsorted words, one-letter words and repeats, each term straightened
+    # on the list's integer numerators, against a sum of Fraction words
+    setup, terms1, terms2 = case
+    pairs = [(u[::-1] + v, c1 * c2) for u, c1 in terms1.items()
+             for v, c2 in terms2.items()]
+    pairs += [(w[:1], -c) for w, c in terms1.items()] * 2
+    want = EnvElement(setup)
+    for w, c in pairs:
+        want = want + EnvElement.from_word(setup, w, c)
+    assert project_terms(setup, pairs) == project(want)
+
+
+def test_model_operations_cancel_to_zero_across_the_f_suffix():
+    # x f/2 - x/2 projects to 0: the two words meet only after the f-run
+    # is dropped, and a zero numerator must leave no term behind
+    setup = get_setup("psl22")
+    x, f = setup.z_letter(0), setup.idx_f
+    q = WhittakerElement(setup, {(x, f): Fraction(1, 2), (x,): Fraction(-1, 2)})
+    one = WhittakerElement.unit(setup)
+    assert multiply_q(one, q).terms == {} == multiply_by_projection(one, q).terms
+    y = WhittakerElement(setup, {(setup.idx_e,): Fraction(1, 3), (x,): Fraction(2)})
+    assert multiply_q(q, y) == multiply_by_projection(q, y)
+    assert supercommutator_q(y, q) == commutator_by_projection(y, q)
+    assert ad_act(setup, x, q) == ad_by_projection(setup, x, q)
+    assert project_terms(setup, [((x,), Fraction(1, 2)), ((x, f), Fraction(-1, 2))]).terms == {}
 
 
 def _exact(terms):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import theta_w_correction_form, theta_w_phi_form
+from wsuper import generators
 from wsuper.algebra import build_gl
 from wsuper.catalog import _unit_by_name
 from wsuper.enveloping import EnvElement
@@ -9,7 +11,8 @@ from wsuper.errors import InputError
 from wsuper.generators import casimir, standard_generators, theta_v, theta_w
 from wsuper.grading import build_minimal_setup
 from wsuper.linalg import lin_comb
-from wsuper.whittaker import is_w_element, project, supercommutator_q
+from wsuper.whittaker import (WhittakerElement, is_w_element, project,
+                              supercommutator_q)
 
 from conftest import get_ctx
 
@@ -101,11 +104,34 @@ def test_generator_degree_bounds(catalog_setup):
 
 def test_theta_w_both_closed_forms_agree(catalog_setup):
     # theta_w asserts internal agreement of the two forms; reaching
-    # here without InputError is the check, do it explicitly once more
-    from wsuper.generators import theta_w_correction_form, theta_w_phi_form
+    # here without InputError is the check, do it explicitly once more on
+    # the EnvElement-product route, which theta_w's value must equal too
     s = catalog_setup
     for w in s.cent[1]:
         assert theta_w_correction_form(s, w) == theta_w_phi_form(s, w)
+        assert theta_w(s, w).value == theta_w_correction_form(s, w)
+
+
+def test_theta_w_refuses_when_the_two_forms_disagree(psl22, monkeypatch):
+    # one extra z-term on the reordered form: the forms now differ, and the
+    # refusal renders the value and the other form's value
+    s = psl22
+    w = s.cent[1][0]
+    value = theta_w(s, w).value
+    extra = (s.z_letter(0),)
+    rests = generators._theta_w_rests
+
+    def perturbed(setup, w):
+        corr, reord = rests(setup, w)
+        return corr, reord + [(extra, F(1))]
+    monkeypatch.setattr(generators, "_theta_w_rests", perturbed)
+    other = value + WhittakerElement(s, {extra: F(1)})
+    with pytest.raises(InputError) as err:
+        theta_w(s, w)
+    assert str(err.value) == \
+        "the two generator formulas for %s disagree: %s vs %s" % (
+            generators._vec_label(s, w), value.render(), other.render())
+    assert value.render() != other.render()
 
 
 def test_casimir_commutes_with_everything(catalog_setup):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bw_element
+from oracles import b_table_by_fractions, bw_element
 from wsuper import linalg, relations, whittaker
 from wsuper.algebra import SuperAlgebra
 from wsuper.catalog import family_setup
@@ -314,6 +314,15 @@ def test_b_table_equals_the_definition(name, corrupt):
             assert table[i][j] == bw_element(setup, fresh, w1, w2), (i, j)
 
 
+@pytest.mark.parametrize("selection", [("osp", 1, 2), ("osp", 3, 2), ("sl", 3, 1),
+                                       ("psl22",), ("gl", 2, 2)])
+def test_b_table_equals_its_fraction_assembly(selection):
+    # one denominator per entry against the Fraction sum term by term; the
+    # selections have odd-odd pairs and zero-pairing pairs
+    ctx = SuiteContext(family_setup(*selection))
+    assert ctx.b_table == b_table_by_fractions(ctx)
+
+
 def _warmed_osp52():
     setup = family_setup("osp", 5, 2)
     ctx = SuiteContext(setup)
@@ -391,6 +400,10 @@ def test_warmed_context_computes_each_commutator_pair_once(monkeypatch):
     assert verify_deg0(setup, ctx).ok and verify_deg01(setup, ctx).ok
     assert w_pbw_check(setup, 4, ctx).ok
     assert len(commutators) == n * (n + 1) // 2
+    # [C, Theta] comes from the memo too; only [C, ThetaCas], [C, C] and
+    # [ThetaCas, Theta_v] are formed outside it
+    assert verify_centrality(setup, ctx).ok
+    assert len(commutators) == n * (n + 1) // 2 + 2 + len(setup.cent[0])
 
 
 def test_centrality_and_membership_make_no_model_product(monkeypatch):
