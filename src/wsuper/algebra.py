@@ -21,10 +21,11 @@ EVEN, ODD = 0, 1
 class SuperAlgebra:
     """Z2-graded Lie algebra given by structure constants over Q.
 
-    brackets stores every nonzero pair: brackets[(i,j)] = {k: c_ij^k}.
-    form is a dense dim x dim matrix of Fractions.  A vector is a dict
-    {basis index: nonzero coefficient}.  Instances are immutable after
-    construction and safe to share.
+    brackets stores every nonzero pair: brackets[(i,j)] = {k: c_ij^k}, and
+    form stores every nonzero Gram entry the same way: form[(i,j)] =
+    (x_i, x_j), a zero entry given to the constructor being dropped.  A
+    vector is a dict {basis index: nonzero coefficient}.  Instances are
+    immutable after construction and safe to share.
     """
 
     def __init__(self, name, parity, brackets, form, basis_names=None):
@@ -36,14 +37,16 @@ class SuperAlgebra:
         for (i, j), terms in self.brackets.items():
             self._rows.setdefault(i, {})[j] = terms
         self._indices = frozenset(range(self.dim))
-        self._set_form(tuple(tuple(Fraction(x) for x in row) for row in form))
+        self._set_form(form)
         if basis_names is None:
             basis_names = tuple("x%d" % i for i in range(self.dim))
         self.basis_names = tuple(basis_names)
 
     def _set_form(self, form):
-        self.form = form
-        self._gram = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in form)
+        self.form = {k: Fraction(g) for k, g in sorted(form.items()) if g}
+        self._gram = {}                   # i -> [(j, form[(i, j)])]
+        for (i, j), g in self.form.items():
+            self._gram.setdefault(i, []).append((j, g))
 
     def basis_vector(self, i):
         return {i: ONE}
@@ -77,7 +80,9 @@ class SuperAlgebra:
         self._check(x, y)
         acc = ZERO
         for i, xi in x.items():
-            acc += xi * sum((y[j] * g for j, g in self._gram[i] if j in y), ZERO)
+            for j, g in self._gram.get(i, ()):
+                if j in y:
+                    acc += xi * g * y[j]
         return acc
 
     def parity_of(self, x):
@@ -90,7 +95,7 @@ class SuperAlgebra:
         """The same algebra with its form scaled by c; the brackets are shared."""
         c = Fraction(c)
         out = copy(self)
-        out._set_form(tuple(tuple(c * v for v in row) for row in self.form))
+        out._set_form({k: c * g for k, g in self.form.items()})
         return out
 
     def __repr__(self):
@@ -142,10 +147,7 @@ class AlgebraReport:
 
 def _first_failure(candidates, fails):
     """The first candidate for which fails(candidate) holds, or None."""
-    for cand in candidates:
-        if fails(cand):
-            return cand
-    return None
+    return next((cand for cand in candidates if fails(cand)), None)
 
 
 def check_algebra(alg):
@@ -199,14 +201,13 @@ def check_algebra(alg):
         # ([x_i, x_j], x_k) - (x_i, [x_j, x_k]): the first term from the
         # stored pairs (i,j) and the Gram rows, the second from the stored
         # pairs (j,k) and the Gram columns
-        columns = {}                      # m -> [(i, form[i][m])]
-        for i, row in enumerate(gram):
-            for m, g in row:
-                columns.setdefault(m, []).append((i, g))
+        columns = {}                      # m -> [(i, form[(i, m)])]
+        for (i, m), g in form.items():
+            columns.setdefault(m, []).append((i, g))
         totals = {}
         for (i, j), terms in alg.brackets.items():
             for m, cm in terms.items():
-                for k, g in gram[m]:
+                for k, g in gram.get(m, ()):
                     t, v = (i, j, k), cm * g
                     totals[t] = totals[t] + v if t in totals else v
         for (j, k), terms in alg.brackets.items():
@@ -217,18 +218,17 @@ def check_algebra(alg):
         return min((t for t, v in totals.items() if v), default=None)
 
     # a pair with both Gram entries zero satisfies both form scans
-    nonzero = [(i, j) for i, row in enumerate(gram) for j, _ in row]
-    mirrored = sorted(set(nonzero) | {(j, i) for i, j in nonzero})
+    mirrored = sorted(form.keys() | {(j, i) for i, j in form})
     witnesses = (
         _first_failure(stored(lambda i, j, terms: set(terms) | set(c(j, i))),
                        antisymmetry_fails),
         _first_failure(stored(lambda i, j, terms: terms), parity_fails),
         jacobi_witness(),
-        _first_failure(nonzero, lambda t: par[t[0]] != par[t[1]]),
-        _first_failure(mirrored,
-                       lambda t: form[t[0]][t[1]] != sign(*t) * form[t[1]][t[0]]),
+        _first_failure(form, lambda t: par[t[0]] != par[t[1]]),
+        _first_failure(mirrored, lambda t: form.get(t, ZERO)
+                       != sign(*t) * form.get((t[1], t[0]), ZERO)),
         invariance_witness(),
-        None if rank(map(dict, gram)) == n else "gram rank < dim",
+        None if rank(map(dict, gram.values())) == n else "gram rank < dim",
     )
     return AlgebraReport([(name, witness is None, witness)
                           for name, witness in zip(AlgebraReport.AXIOMS, witnesses)])
@@ -241,10 +241,16 @@ def _gl_index(m, n, a, b):
     return a * (m + n) + b
 
 
+def _check_size(family, m, n, least=1):
+    if m < 0 or n < 0:
+        raise InputError("%s(m|n) needs m, n >= 0" % family)
+    if m + n < least:
+        raise InputError("%s(m|n) needs m+n >= %d" % (family, least))
+
+
 def build_gl(m, n):
     """gl(m|n) on elementary matrices E[a,b]; form = supertrace."""
-    if m < 0 or n < 0 or m + n == 0:
-        raise InputError("gl(m|n) needs m+n >= 1")
+    _check_size("gl", m, n)
     N = m + n
     pidx = [EVEN] * m + [ODD] * n
     parity = []
@@ -253,7 +259,6 @@ def build_gl(m, n):
         for b in range(N):
             parity.append((pidx[a] + pidx[b]) & 1)
             names.append("E[%d,%d]" % (a, b))
-    dim = N * N
     brackets = {}
     for a in range(N):
         for b in range(N):
@@ -273,12 +278,8 @@ def build_gl(m, n):
                     if terms:
                         brackets[(i, j)] = terms
     # str(E[a,b] E[c,d]) = delta_bc delta_ad (-1)^{p(a)}
-    form = [[ZERO] * dim for _ in range(dim)]
-    for a in range(N):
-        for b in range(N):
-            i = _gl_index(m, n, a, b)
-            j = _gl_index(m, n, b, a)
-            form[i][j] = Fraction(1 if pidx[a] == EVEN else -1)
+    form = {(_gl_index(m, n, a, b), _gl_index(m, n, b, a)):
+            1 if pidx[a] == EVEN else -1 for a in range(N) for b in range(N)}
     return SuperAlgebra("gl(%d|%d)" % (m, n), parity, brackets, form, names)
 
 
@@ -313,8 +314,12 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             terms = {k: c for k, c in terms.items() if k < dim}
             if terms:
                 brackets[(i, j)] = terms
-    form = [[amb.form_value(vectors[i], vectors[j]) for j in range(dim)]
-            for i in range(dim)]
+    form = {}
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            g = amb.form_value(u, v)
+            if g:
+                form[i, j] = g
     return SuperAlgebra(name, parity, brackets, form, names)
 
 
@@ -341,10 +346,9 @@ def _sl_vectors(m, n):
 
 def build_sl(m, n):
     """sl(m|n), m != n (at m = n the supertrace form degenerates)."""
+    _check_size("sl", m, n, 2)
     if m == n:
         raise InputError("sl(m|n) requires m != n; use psl22 for sl(2|2)/CI")
-    if m + n < 2:
-        raise InputError("sl(m|n) needs m+n >= 2")
     gl, vectors, names = _sl_vectors(m, n)
     return subalgebra(gl, vectors, "sl(%d|%d)" % (m, n), names)
 
@@ -380,10 +384,9 @@ def _osp_form_matrix(m, n):
 
 def osp_realization(m, n):
     """(gl(m|n), list of matrices spanning osp(m|n)) for even n."""
+    _check_size("osp", m, n)
     if n % 2 != 0:
         raise InputError("osp(m|n) requires even n")
-    if m < 0 or n < 0 or m + n == 0:
-        raise InputError("osp(m|n) needs m+n >= 1")
     N = m + n
     gl = build_gl(m, n)
     B = _osp_form_matrix(m, n)
@@ -454,10 +457,8 @@ def export_table(alg):
             "i": i, "j": j,
             "terms": [dict(k=k, **_frac_to_doc(terms[k])) for k in sorted(terms)],
         })
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if alg.form[i][j] != 0:
-                doc["form"].append(dict(i=i, j=j, **_frac_to_doc(alg.form[i][j])))
+    for (i, j), g in alg.form.items():
+        doc["form"].append(dict(i=i, j=j, **_frac_to_doc(g)))
     return doc
 
 
@@ -513,12 +514,12 @@ def import_table(doc):
                 terms[k] = val
         if terms:
             brackets[(i, j)] = terms
-    form = [[ZERO] * dim for _ in range(dim)]
+    form = {}
     for pos, ent in enumerate(_doc_list(doc["form"], "form", dict)):
         where = "form[%d]" % pos
         i, j = _doc_index(ent, "i", dim, where), _doc_index(ent, "j", dim, where)
-        form[i][j] = _frac_from_doc(ent, where)
-    if all(all(x == 0 for x in row) for row in form):
+        form[i, j] = _frac_from_doc(ent, where)
+    if not any(form.values()):
         raise TableError("form: missing or identically zero")
     alg = SuperAlgebra(doc["name"], parity, brackets, form)
     alg.report = report = check_algebra(alg)

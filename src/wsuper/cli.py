@@ -58,7 +58,10 @@ def _load_algebra(args):
         raise InputError("give either --family or --table, not both")
     if args.table:
         with open(args.table) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise InputError("--table: JSON nested too deeply") from None
         return import_table(doc), None
     if not args.family:
         raise InputError("one algebra source required: --family or --table")

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .enveloping import EnvElement
 from .errors import InputError
-from .whittaker import WhittakerElement, is_w_element, project, project_terms
+from .whittaker import (WhittakerElement, is_w_element, product_terms, project,
+                        project_terms)
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -27,46 +28,39 @@ class WGenerator:
     parity: int
 
 
-def _check_membership(setup, label, value):
+def _check_membership(label, value):
     ok, witness = is_w_element(value)
     if not ok:
         raise InputError("%s is not ad-n invariant; ad %s gives %s"
                          % (label, witness[0], witness[1].render()))
 
 
-def _check_leading(setup, value, source_env, label):
-    lead = value.leading()
-    want = project(source_env)
-    if lead != want:
-        raise InputError("%s leading term is %s, expected %s"
-                         % (label, lead.render(), want.render()))
-
-
-def _terms(c, *factors):
-    """c times the product of factors, each a {letter: coefficient} map, as
-    (word, coefficient) pairs; the words are straightened together later."""
-    out = [((), Fraction(c))] if c else []
-    for f in factors:
-        out = [(w + (i,), x * y) for w, x in out for i, y in f.items()]
-    return out
+def _generator(setup, source, value, degree, check):
+    """Theta of source as a WGenerator; check asks for its model membership
+    and for its leading term to be source itself."""
+    gen = WGenerator("Theta[%s]" % _vec_label(setup, source), source, value,
+                     degree, setup.alg.parity_of(source))
+    if check:
+        _check_membership(gen.label, value)
+        lead = value.leading()
+        want = project(EnvElement.from_vector(setup, source))
+        if lead != want:
+            raise InputError("%s leading term is %s, expected %s"
+                             % (gen.label, lead.render(), want.render()))
+    return gen
 
 
 def theta_v(setup, v, check=True):
     """(v - 1/2 sum_a z_a [z*_a, v]) in the model, for v in g^e(0)."""
     if not (setup.in_grade(v, 0) and setup.in_centralizer(v)):
         raise InputError("theta_v expects a vector in g^e(0)")
-    terms = _terms(1, setup.to_letters(v))
+    terms = product_terms(1, setup.to_letters(v))
     for alpha in range(len(setup.zbasis)):
         br = setup.alg.bracket(setup.zdual[alpha], v)     # in g(-1)
         if br:
-            terms += _terms(-HALF, {setup.z_letter(alpha): 1}, setup.to_letters(br))
-    value = project_terms(setup, terms)
-    gen = WGenerator("Theta[%s]" % _vec_label(setup, v), v, value, 2,
-                     setup.alg.parity_of(v))
-    if check:
-        _check_membership(setup, gen.label, value)
-        _check_leading(setup, value, EnvElement.from_vector(setup, v), gen.label)
-    return gen
+            terms += product_terms(-HALF, {setup.z_letter(alpha): 1},
+                                   setup.to_letters(br))
+    return _generator(setup, v, project_terms(setup, terms), 2, check)
 
 
 def _zz_third(setup, w):
@@ -82,8 +76,8 @@ def _zz_third(setup, w):
         for beta in range(n):
             br2 = alg.bracket(setup.zdual[beta], inner)   # in g(-1)
             if br2:
-                terms += _terms(THIRD, {z(alpha): 1}, {z(beta): 1},
-                                setup.to_letters(br2))
+                terms += product_terms(THIRD, {z(alpha): 1}, {z(beta): 1},
+                                       setup.to_letters(br2))
     return terms
 
 
@@ -92,20 +86,20 @@ def _theta_w_rests(setup, w):
     correction form w - sum z_a[z*_a,w] - 2/3 [w,f] and the reordered form
     w + sum (-1)^{|a|}[w,z*_a] z_a - (3(s-r)+4)/6 [w,f]."""
     alg, letters = setup.alg, setup.to_letters
-    corr = _terms(1, letters(w))
+    corr = product_terms(1, letters(w))
     reord = list(corr)
     for alpha, zd in enumerate(setup.zdual):
         za = {setup.z_letter(alpha): 1}
         br = alg.bracket(zd, w)                           # in g(0)
         if br:
-            corr += _terms(-1, za, letters(br))
+            corr += product_terms(-1, za, letters(br))
         br = alg.bracket(w, zd)
         if br:
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
-            reord += _terms(sign, letters(br), za)
+            reord += product_terms(sign, letters(br), za)
     wf = letters(alg.bracket(w, setup.triple.f))          # in g(-1)
     coeff = Fraction(3 * (setup.sdim - setup.rdim) + 4, 6)
-    return corr + _terms(-2 * THIRD, wf), reord + _terms(-coeff, wf)
+    return corr + product_terms(-2 * THIRD, wf), reord + product_terms(-coeff, wf)
 
 
 def theta_w(setup, w, check=True):
@@ -122,12 +116,7 @@ def theta_w(setup, w, check=True):
         raise InputError("the two generator formulas for %s disagree: %s vs %s"
                          % (_vec_label(setup, w), value.render(),
                             (other + third).render()))
-    gen = WGenerator("Theta[%s]" % _vec_label(setup, w), w, value, 3,
-                     setup.alg.parity_of(w))
-    if check:
-        _check_membership(setup, gen.label, value)
-        _check_leading(setup, value, EnvElement.from_vector(setup, w), gen.label)
-    return gen
+    return _generator(setup, w, value, 3, check)
 
 
 def casimir(setup):
@@ -135,19 +124,18 @@ def casimir(setup):
     + 2 sum (-1)^|a| [e,z*_a] z_a, as a model element."""
     alg, t, letters = setup.alg, setup.triple, setup.to_letters
     h = letters(t.h)
-    terms = _terms(2, letters(t.e)) + _terms(HALF, h, h)
-    terms += _terms(-1 - Fraction(setup.sdim - setup.rdim, 2), h)
+    terms = product_terms(2, letters(t.e)) + product_terms(HALF, h, h)
+    terms += product_terms(-1 - Fraction(setup.sdim - setup.rdim, 2), h)
     for a, b in zip(setup.dual_a, setup.dual_b):
-        terms += _terms(-1 if alg.parity_of(a) else 1, letters(a), letters(b))
+        terms += product_terms(-1 if alg.parity_of(a) else 1, letters(a), letters(b))
     for alpha in range(len(setup.zbasis)):
         ez = alg.bracket(t.e, setup.zdual[alpha])         # in g(1)
         if ez:
             sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
-            terms += _terms(2 * sign, letters(ez), {setup.z_letter(alpha): 1})
+            terms += product_terms(2 * sign, letters(ez), {setup.z_letter(alpha): 1})
     value = project_terms(setup, terms)
-    gen = WGenerator("C", t.e, value, 4, 0)
-    _check_membership(setup, "C", value)
-    return gen
+    _check_membership("C", value)
+    return WGenerator("C", t.e, value, 4, 0)
 
 
 def _vec_label(setup, v):

@@ -7,6 +7,7 @@ cross-checked against the closed double-sum formula.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .enveloping import EnvElement, kazhdan_degree
@@ -14,8 +15,8 @@ from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
 from .grading import kw_numbers
 from .linalg import ONE, ZERO, Echelon, Span, lin_comb
-from .whittaker import (WhittakerElement, is_w_element, multiply_q, project,
-                        sigma, supercommutator_q)
+from .whittaker import (WhittakerElement, is_w_element, multiply_q, product_terms,
+                        project, project_terms, sigma, supercommutator_q)
 
 RELATION_IDS = ("identities", "generators", "deg0", "deg01", "central",
                 "c0", "scalar_reduction", "b_invariance", "pbw", "one_dim")
@@ -35,6 +36,11 @@ class RelationReport:
 
     def fail(self, witness, residue=None):
         self.failures.append((witness, residue))
+
+    def check(self, witness, residue):
+        """Fail at witness unless the model element residue is zero."""
+        if not residue.is_zero():
+            self.fail(witness, residue)
 
     def as_json(self):
         out = {"id": self.rel_id, "status": "pass" if self.ok else "fail"}
@@ -107,56 +113,45 @@ class SuiteContext:
         self.setup = setup
         self.corrupt = corrupt
         self.basis = setup.cent[0] + setup.cent[1] + setup.cent[2]
-        self._t0 = None
-        self._t1 = None
-        self._cas = None
-        self._tcas = None
-        self._span = None
         self._products = {}
         self._commutators = {}
-        self._b_table = None
         self._nested = {}
         self._monomials = {}
 
-    @property
+    @cached_property
     def thetas0(self):
-        if self._t0 is None:
-            self._t0 = [theta_v(self.setup, v) for v in self.setup.cent[0]]
-            if self.corrupt == "theta-v-sign":
-                # negative control: flip the sign of every z-correction term
-                for k, v in enumerate(self.setup.cent[0]):
-                    plain = project(EnvElement.from_vector(self.setup, v))
-                    self._t0[k].value = plain + (plain - self._t0[k].value)
-        return self._t0
+        thetas = [theta_v(self.setup, v) for v in self.setup.cent[0]]
+        if self.corrupt == "theta-v-sign":
+            # negative control: flip the sign of every z-correction term
+            for gen, v in zip(thetas, self.setup.cent[0]):
+                plain = project(EnvElement.from_vector(self.setup, v))
+                gen.value = plain + (plain - gen.value)
+        return thetas
 
-    @property
+    @cached_property
     def thetas1(self):
-        if self._t1 is None:
-            self._t1 = [theta_w(self.setup, w) for w in self.setup.cent[1]]
-        return self._t1
+        return [theta_w(self.setup, w) for w in self.setup.cent[1]]
 
-    @property
+    @cached_property
     def cas(self):
-        if self._cas is None:
-            self._cas = casimir(self.setup)
-        return self._cas
+        return casimir(self.setup)
 
-    @property
+    @cached_property
     def tcas(self):
         """ThetaCas = sum_i (-1)^{|a_i|} Theta_{a_i} Theta_{b_i} over the
         g^e(0) dual bases; a_i is cent[0][i], so Theta_{a_i} is cached."""
-        if self._tcas is None:
-            setup = self.setup
-            value = _combine(setup, [(-1 if ta.parity else 1,
-                                      multiply_q(ta.value, self.theta(b)))
-                                     for ta, b in zip(self.thetas0, setup.dual_b)])
-            self._tcas = WGenerator("ThetaCas", setup.triple.e, value, 4, 0)
-        return self._tcas
+        setup = self.setup
+        value = _combine(setup, [(-1 if ta.parity else 1,
+                                  multiply_q(ta.value, self.theta(b)))
+                                 for ta, b in zip(self.thetas0, setup.dual_b)])
+        return WGenerator("ThetaCas", setup.triple.e, value, 4, 0)
+
+    @cached_property
+    def _span(self):
+        return Span(self.basis)
 
     def coords(self, x):
         """Coordinates of x over basis = cent[0] + cent[1] + cent[2]."""
-        if self._span is None:
-            self._span = Span(self.basis)
         coords = self._span.coords(x)
         if coords is None:
             raise InputError("vector is not in g^e(0) + g^e(1) + g^e(2)")
@@ -199,7 +194,7 @@ class SuiteContext:
             return -out
         return out
 
-    @property
+    @cached_property
     def b_table(self):
         """b_table[i][j] = (B(w_i, w_j), ([w_i, w_j], f)) on the g^e(1)
         basis; B is the degree-1 commutator minus its structural terms.
@@ -211,40 +206,38 @@ class SuiteContext:
         where L[i][a] and R[j][a] are the g^e(0) coordinates of
         [w_i, z_a]# and [z*_a, w_j]#, each computed once.
         """
-        if self._b_table is None:
-            setup = self.setup
-            alg = setup.alg
-            basis = setup.cent[1]
-            n0 = len(setup.cent[0])
+        setup = self.setup
+        alg = setup.alg
+        basis = setup.cent[1]
+        n0 = len(setup.cent[0])
 
-            def sharp_coords(x):
-                return self.coords(setup.sharp(x)) if x else {}
+        def sharp_coords(x):
+            return self.coords(setup.sharp(x)) if x else {}
 
-            left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis]
-                    for w in basis]
-            right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual]
-                     for w in basis]
-            c_minus_tcas = self.cas.value - self.tcas.value
-            table = []
-            for i, w1 in enumerate(basis):
-                row = []
-                for j, w2 in enumerate(basis):
-                    sign = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
-                    pair = self.pair_value(w1, w2)
-                    m = {}
-                    for x, y, c in ((left[i], right[j], Fraction(1, 2)),
-                                    (left[j], right[i], Fraction(-sign, 2))):
-                        for xa, ya in zip(x, y):
-                            for k, xk in xa.items():
-                                for l, yl in ya.items():
-                                    m[(k, l)] = m.get((k, l), ZERO) + c * xk * yl
-                    terms = [(ONE, self.commutator(n0 + i, n0 + j)),
-                             (Fraction(-pair, 2), c_minus_tcas)]
-                    terms += [(c, self.product(k, l)) for (k, l), c in m.items()]
-                    row.append((_combine(setup, terms), pair))
-                table.append(row)
-            self._b_table = table
-        return self._b_table
+        left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis]
+                for w in basis]
+        right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual]
+                 for w in basis]
+        c_minus_tcas = self.cas.value - self.tcas.value
+        table = []
+        for i, w1 in enumerate(basis):
+            row = []
+            for j, w2 in enumerate(basis):
+                sign = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
+                pair = self.pair_value(w1, w2)
+                m = {}
+                for x, y, c in ((left[i], right[j], Fraction(1, 2)),
+                                (left[j], right[i], Fraction(-sign, 2))):
+                    for xa, ya in zip(x, y):
+                        for k, xk in xa.items():
+                            for l, yl in ya.items():
+                                m[(k, l)] = m.get((k, l), ZERO) + c * xk * yl
+                terms = [(ONE, self.commutator(n0 + i, n0 + j)),
+                         (Fraction(-pair, 2), c_minus_tcas)]
+                terms += [(c, self.product(k, l)) for (k, l), c in m.items()]
+                row.append((_combine(setup, terms), pair))
+            table.append(row)
+        return table
 
     def nested(self, side, w):
         """_nested_brackets(setup, side, w), memoised per (side, w)."""
@@ -311,85 +304,75 @@ class SuiteContext:
 
 def identities_suite(setup):
     rep = RelationReport("identities")
-    alg = setup.alg
+    alg, letters = setup.alg, setup.to_letters
     n = len(setup.zbasis)
     s, r = setup.sdim, setup.rdim
+    zmaps = [{setup.z_letter(a): 1} for a in range(n)]
+    odd = [alg.parity_of(z) for z in setup.zbasis]
 
-    even_sum = EnvElement(setup)
-    odd_sum = EnvElement(setup)
+    sums = ([], [])                     # z z* over the even, the odd z's
     for a in range(n):
-        za = EnvElement.from_letter(setup, setup.z_letter(a))
-        zs = EnvElement.from_vector(setup, setup.zdual[a])
-        if alg.parity_of(setup.zbasis[a]) == 0:
-            even_sum = even_sum + za * zs
-        else:
-            odd_sum = odd_sum + za * zs
-    res = project(even_sum) - WhittakerElement.unit(setup, Fraction(-s, 2))
-    if not res.is_zero():
-        rep.fail("sum_even z z* = -s/2", res)
-    res = project(odd_sum) - WhittakerElement.unit(setup, Fraction(r, 2))
-    if not res.is_zero():
-        rep.fail("sum_odd z z* = r/2", res)
+        sums[odd[a]].extend(product_terms(1, zmaps[a], letters(setup.zdual[a])))
+    for terms, value, label in ((sums[0], Fraction(-s, 2), "sum_even z z* = -s/2"),
+                                (sums[1], Fraction(r, 2), "sum_odd z z* = r/2")):
+        rep.check(label, project_terms(setup, terms)
+                  - WhittakerElement.unit(setup, value))
 
     # u = sum [z*_a, u] z_a = -sum (-1)^{|a|} [z_a, u] z*_a, in the model
-    for b in range(n):
-        u = setup.zbasis[b]
-        lhs1 = EnvElement(setup)
-        lhs2 = EnvElement(setup)
+    for b, u in enumerate(setup.zbasis):
+        lhs1, lhs2 = [], []
         for a in range(n):
-            za = EnvElement.from_letter(setup, setup.z_letter(a))
             br1 = alg.bracket(setup.zdual[a], u)      # in g(-2)
             if br1:
-                lhs1 = lhs1 + EnvElement.from_vector(setup, br1) * za
+                lhs1 += product_terms(1, letters(br1), zmaps[a])
             br2 = alg.bracket(setup.zbasis[a], u)
             if br2:
-                sign = -1 if alg.parity_of(setup.zbasis[a]) else 1
-                zs = EnvElement.from_vector(setup, setup.zdual[a])
-                lhs2 = lhs2 - (EnvElement.from_vector(setup, br2) * zs).scale(sign)
-        target = project(EnvElement.from_letter(setup, setup.z_letter(b)))
+                lhs2 += product_terms(1 if odd[a] else -1, letters(br2),
+                                      letters(setup.zdual[a]))
+        target = project_terms(setup, product_terms(1, zmaps[b]))
         for tag, lhs in (("dual-expansion", lhs1), ("signed-expansion", lhs2)):
-            res = project(lhs) - target
-            if not res.is_zero():
-                rep.fail("u=z%d %s" % (b + 1, tag), res)
+            rep.check("u=z%d %s" % (b + 1, tag), project_terms(setup, lhs) - target)
 
     # sum [z_a, [z*_a, w]] = (s-r)/2 [w, f] for w in g^e(1), and
     # sum [z_a, [e, z*_a]] = (r-s)/2 h; each residue is one lin_comb
-    ones = dict.fromkeys(range(n), ONE)
+    def residue(inner, c, x):
+        """sum_a [z_a, inner(z*_a)] + c x, in the model."""
+        vectors = [alg.bracket(za, inner(zs))
+                   for za, zs in zip(setup.zbasis, setup.zdual)] + [x]
+        coeffs = {**dict.fromkeys(range(n), ONE), n: c}
+        return project(EnvElement.from_vector(setup, lin_comb(coeffs, vectors)))
     for k, w in enumerate(setup.cent[1]):
-        res = lin_comb({**ones, n: Fraction(r - s, 2)},
-                       [alg.bracket(za, alg.bracket(zs, w))
-                        for za, zs in zip(setup.zbasis, setup.zdual)]
-                       + [alg.bracket(w, setup.triple.f)])
-        if res:
-            rep.fail("sum[z,[z*,w]] for w#%d" % k,
-                     project(EnvElement.from_vector(setup, res)))
-    res = lin_comb({**ones, n: Fraction(s - r, 2)},
-                   [alg.bracket(za, alg.bracket(setup.triple.e, zs))
-                    for za, zs in zip(setup.zbasis, setup.zdual)]
-                   + [setup.triple.h])
-    if res:
-        rep.fail("sum[z,[e,z*]] = (r-s)/2 h",
-                 project(EnvElement.from_vector(setup, res)))
+        rep.check("sum[z,[z*,w]] for w#%d" % k,
+                  residue(lambda zs: alg.bracket(zs, w), Fraction(r - s, 2),
+                          alg.bracket(w, setup.triple.f)))
+    rep.check("sum[z,[e,z*]] = (r-s)/2 h",
+              residue(lambda zs: alg.bracket(setup.triple.e, zs), Fraction(s - r, 2),
+                      setup.triple.h))
 
-    # <[z_a, v], z_b> = <z_a, [v, z_b]> for even v in g^e(0), read off the
-    # Gram matrix G of the pairing and the z-coordinates X[a], Y[b] of
-    # [z_a, v], [v, z_b]: sum_c X[a][c] G[c][b] = sum_c G[a][c] Y[b][c]
+    # <[z_a, v], z_b> = <z_a, [v, z_b]> for even v in g^e(0)
     gram = [[setup.pairing(za, zb) for zb in setup.zbasis] for za in setup.zbasis]
 
     def zcoords(x):
-        return {k - setup.z_start: c for k, c in setup.to_letters(x).items()}
+        return {k - setup.z_start: c for k, c in letters(x).items()}
     for k, v in enumerate(setup.cent[0]):
-        if alg.parity_of(v) != 0:
-            continue
-        left = [zcoords(alg.bracket(za, v)) for za in setup.zbasis]
-        right = [zcoords(alg.bracket(v, zb)) for zb in setup.zbasis]
-        for a in range(n):
-            for b in range(n):
-                lhs = sum((c * gram[l][b] for l, c in left[a].items()), ZERO)
-                rhs = sum((c * gram[a][l] for l, c in right[b].items()), ZERO)
-                if lhs != rhs:
-                    rep.fail("pairing invariance v#%d (%d,%d)" % (k, a, b))
+        if alg.parity_of(v) == 0:
+            for a, b, _, _ in _invariance_failures(alg, gram, setup.zbasis, v, zcoords):
+                rep.fail("pairing invariance v#%d (%d,%d)" % (k, a, b))
     return rep
+
+
+def _invariance_failures(alg, gram, basis, v, coords):
+    """(i, j, lhs, rhs) wherever G([x_i, v], x_j) = lhs != rhs = G(x_i, [v, x_j]),
+    in order, for the Gram matrix G on basis x; coords gives a vector's
+    coordinates over x."""
+    left = [coords(alg.bracket(x, v)) for x in basis]     # [x_i, v]
+    right = [coords(alg.bracket(v, x)) for x in basis]    # [v, x_j]
+    for i, li in enumerate(left):
+        for j, rj in enumerate(right):
+            lhs = sum((c * gram[m][j] for m, c in li.items()), ZERO)
+            rhs = sum((c * gram[i][m] for m, c in rj.items()), ZERO)
+            if lhs != rhs:
+                yield i, j, lhs, rhs
 
 
 def generator_checks(setup, ctx):
@@ -398,17 +381,15 @@ def generator_checks(setup, ctx):
     for gens, sign, verb, bound in ((ctx.thetas0, 1, "fixes", 2),
                                     (ctx.thetas1, -1, "negates", 3)):
         for gen in gens:
-            if sigma(gen.value) != gen.value.scale(sign):
-                rep.fail("sigma %s %s" % (verb, gen.label),
-                         sigma(gen.value) - gen.value.scale(sign))
+            rep.check("sigma %s %s" % (verb, gen.label),
+                      sigma(gen.value) - gen.value.scale(sign))
             if gen.value.max_kazhdan_degree() > bound:
                 rep.fail("degree of %s > %d" % (gen.label, bound), gen.value)
             ok, witness = is_w_element(gen.value)
             if not ok:
                 rep.fail("membership %s at ad %s" % (gen.label, witness[0]), witness[1])
     cas = ctx.cas
-    if sigma(cas.value) != cas.value:
-        rep.fail("sigma fixes C", sigma(cas.value) - cas.value)
+    rep.check("sigma fixes C", sigma(cas.value) - cas.value)
     if cas.value.max_kazhdan_degree() > 4:
         rep.fail("degree of C > 4", cas.value)
     # the suite takes Theta by linearity; one direct evaluation per grade,
@@ -417,9 +398,8 @@ def generator_checks(setup, ctx):
         if setup.cent[grade]:
             x = lin_comb(dict.fromkeys(range(len(setup.cent[grade])), ONE),
                          setup.cent[grade])
-            res = direct(setup, x, check=False).value - ctx.theta(x)
-            if not res.is_zero():
-                rep.fail("linearity of Theta on g^e(%d)" % grade, res)
+            rep.check("linearity of Theta on g^e(%d)" % grade,
+                      direct(setup, x, check=False).value - ctx.theta(x))
     rep.detail["generators"] = [
         {"label": g.label, "kazhdan_degree": g.kazhdan_degree,
          "value": g.value.render()}
@@ -435,8 +415,7 @@ def _theta_brackets(setup, ctx, rel_id, left, lname, right, rname):
     for i, k in enumerate(left):
         for j, l in enumerate(right):
             res = ctx.commutator(k, l) - ctx.theta(setup.alg.bracket(basis[k], basis[l]))
-            if not res.is_zero():
-                rep.fail("(%s%d,%s%d)" % (lname, i, rname, j), res)
+            rep.check("(%s%d,%s%d)" % (lname, i, rname, j), res)
     rep.detail["pairs"] = len(left) * len(right)
     return rep
 
@@ -463,18 +442,13 @@ def verify_centrality(setup, ctx=None):
     # [C, Theta_k] from the memo, whose C entry is Theta(c*e) = c*C/2
     k_c, norm = len(ctx.basis) - 1, _e_norm(setup)
     for k, g in enumerate(ctx.thetas0 + ctx.thetas1):
-        res = ctx.commutator(k_c, k).scale(1 / norm)
-        if not res.is_zero():
-            rep.fail("[C, %s]" % g.label, res)
+        rep.check("[C, %s]" % g.label, ctx.commutator(k_c, k).scale(1 / norm))
     for label, q in (("ThetaCas", ctx.tcas.value), ("C", c)):
-        res = supercommutator_q(c, q)
-        if not res.is_zero():
-            rep.fail("[C, %s]" % label, res)
+        rep.check("[C, %s]" % label, supercommutator_q(c, q))
     # Theta_Cas commutes with the degree-0 generators
     for g in ctx.thetas0:
-        res = supercommutator_q(ctx.tcas.value, g.value)
-        if not res.is_zero():
-            rep.fail("[ThetaCas, %s]" % g.label, res)
+        rep.check("[ThetaCas, %s]" % g.label,
+                  supercommutator_q(ctx.tcas.value, g.value))
     return rep
 
 
@@ -525,13 +499,18 @@ def c0_formula(setup, w1, w2, ctx=None):
     chi([X(w1),X(w2)]) / (4 ([w1,w2],f)), X(w) = sum_a [z_a,[z*_a,w]]
     = (s-r)/2 [w,f], that is minus (s-r)^2/16.
     """
-    pair = setup.form(setup.alg.bracket(w1, w2), setup.triple.f)
+    ctx = ctx or SuiteContext(setup)
+    pair = ctx.pair_value(w1, w2)
     if pair == 0:
         raise InputError("c0_formula needs a pair with ([w1,w2],f) != 0")
+    return _published_scalar(setup, w1, w2, pair, ctx) / Fraction(-pair, 2)
+
+
+def _published_scalar(setup, w1, w2, pair, ctx):
+    """The scalar the closed formula gives B(w1, w2), pair = ([w1,w2],f):
+    -c0_formula * pair/2 = ((3(s-r)+4) pair - double sum) / 24."""
     ds = c0_double_sum(setup, w1, w2, ctx)
-    s, r = setup.sdim, setup.rdim
-    return (Fraction(1, 12) * ds
-            - Fraction(3 * (s - r) + 4, 12) * pair) / pair
+    return (Fraction(3 * (setup.sdim - setup.rdim) + 4) * pair - ds) / 24
 
 
 def extract_c0(setup, ctx=None):
@@ -549,28 +528,24 @@ def extract_c0(setup, ctx=None):
     if not basis:
         rep.detail["note"] = "g^e(1) = 0; nothing to extract"
         return rep, result
-    values = []
     for i, w1 in enumerate(basis):
         for j, w2 in enumerate(basis):
             label = "(w%d,w%d)" % (i, j)
             B, pair = ctx.b_table[i][j]
-            scalar = B.scalar_part()
+            scalar, c0 = B.scalar_part(), None
             if scalar is None:
                 rep.fail("non-scalar residue at %s" % label, B)
-                result.pairs.append((label, pair, None))
-                continue
-            if pair == 0:
+            elif pair == 0:
                 if scalar != 0:
                     rep.fail("zero-pairing pair %s has residue" % label, B)
-                result.pairs.append((label, pair, None))
             else:
                 c0 = scalar / Fraction(-pair, 2)
-                values.append((label, c0))
-                result.pairs.append((label, pair, c0))
                 formula = c0_formula(setup, w1, w2, ctx)
                 result.formula_values.append((label, formula))
                 if formula != c0:
                     result.matches_formula = False
+            result.pairs.append((label, pair, c0))
+    values = [(label, c0) for label, _, c0 in result.pairs if c0 is not None]
     if values:
         first = values[0][1]
         for label, c0 in values[1:]:
@@ -583,7 +558,7 @@ def extract_c0(setup, ctx=None):
         if result.formula_values:
             rep.detail["c0_formula"] = str(result.formula_values[0][1])
             rep.detail["matches_formula"] = result.matches_formula
-    elif basis:
+    else:
         rep.detail["note"] = "all pairings vanish; c0 not determined"
     return rep, result
 
@@ -601,15 +576,11 @@ def verify_scalar_reduction(setup, ctx=None):
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("scalar_reduction")
     basis = setup.cent[1]
-    s, r = setup.sdim, setup.rdim
     for i, w1 in enumerate(basis):
         for j, w2 in enumerate(basis):
             lhs, pair = ctx.b_table[i][j]
-            rhs = (Fraction(-1, 24) * c0_double_sum(setup, w1, w2, ctx)
-                   + Fraction(3 * (s - r) + 4, 24) * pair)
-            res = lhs - WhittakerElement.unit(setup, rhs)
-            if not res.is_zero():
-                rep.fail("(w%d,w%d)" % (i, j), res)
+            rhs = _published_scalar(setup, w1, w2, pair, ctx)
+            rep.check("(w%d,w%d)" % (i, j), lhs - WhittakerElement.unit(setup, rhs))
     rep.detail["pairs"] = len(basis) ** 2
     return rep
 
@@ -620,7 +591,7 @@ def verify_b_invariance(setup, ctx=None):
 
     B is bilinear, so everything is read off the basis-pair table.
     Invariance is the matrix identity b([w_i,v], w_j) = b(w_i, [v,w_j]),
-    with [w_i,v] and [v,w_j] in coordinates over the g^e(1) basis.
+    the one the pairing on g(-1) satisfies in identities_suite.
     """
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("b_invariance")
@@ -644,17 +615,13 @@ def verify_b_invariance(setup, ctx=None):
         rep.fail("b not proportional to ([.,.],f): ratios %s"
                  % sorted(set(str(x) for x in ratios)))
     n0 = len(setup.cent[0])
+
+    def wcoords(x):
+        return {m - n0: c for m, c in ctx.coords(x).items()}
     evens = [v for v in setup.cent[0] if alg.parity_of(v) == 0]
     for k, v in enumerate(evens):
-        right = [ctx.coords(alg.bracket(w, v)) for w in basis]    # [w_i, v]
-        left = [ctx.coords(alg.bracket(v, w)) for w in basis]     # [v, w_j]
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                lhs = sum((c * b[m - n0][j] for m, c in right[i].items()), ZERO)
-                rhs = sum((c * b[i][m - n0] for m, c in left[j].items()), ZERO)
-                if lhs != rhs:
-                    rep.fail("invariance at v%d,(w%d,w%d): %s != %s"
-                             % (k, i, j, lhs, rhs))
+        for failure in _invariance_failures(alg, b, basis, v, wcoords):
+            rep.fail("invariance at v%d,(w%d,w%d): %s != %s" % ((k,) + failure))
     return rep
 
 

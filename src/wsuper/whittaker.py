@@ -90,6 +90,15 @@ def project(env):
     return _project(env.setup, env.terms, 1)
 
 
+def product_terms(c, *factors):
+    """c times the product of factors, each a {letter: coefficient} map, as
+    (word, coefficient) pairs; the words are straightened together later."""
+    out = [((), Fraction(c))] if c else []
+    for f in factors:
+        out = [(w + (i,), x * y) for w, x in out for i, y in f.items()]
+    return out
+
+
 def project_terms(setup, pairs):
     """Image in the model of sum c * word over (word, c) pairs, each word
     straightened once on integer numerators."""
@@ -132,14 +141,10 @@ def is_w_element(q):
     Returns (True, None) or (False, (letter_name, residue)).
     """
     setup = q.setup
-    for alpha in range(len(setup.zbasis)):
-        letter = setup.z_letter(alpha)
+    for letter in (*map(setup.z_letter, range(len(setup.zbasis))), setup.idx_f):
         res = ad_act(setup, letter, q)
         if not res.is_zero():
             return False, (setup.letter_names[letter], res)
-    res = ad_act(setup, setup.idx_f, q)
-    if not res.is_zero():
-        return False, (setup.letter_names[setup.idx_f], res)
     return True, None
 
 

@@ -316,8 +316,7 @@ def realisation_failures(alg, images):
 
 def dual_basis(alg):
     """b^i with (b_j, b^i) = delta_ij under alg.form, as coefficient vectors."""
-    inv = oracle_inverse([[alg.form[j][i] for j in range(alg.dim)]
-                          for i in range(alg.dim)])
+    inv = oracle_inverse([list(col) for col in zip(*dense_form(alg))])
     if inv is None:
         raise ValueError("form is degenerate")
     return [sparse(row) for row in inv]
@@ -506,10 +505,18 @@ def dense_bracket(alg, x, y):
     return tuple(out)
 
 
-def dense_form(alg, x, y):
-    """(x, y) summed over every entry of the Gram matrix alg.form, for
-    dense coefficient tuples x and y."""
-    return sum((x[i] * alg.form[i][j] * y[j]
+def dense_form(alg):
+    """The Gram matrix of alg as dim rows of dim Fractions, zeros included;
+    alg.form keeps only its nonzero entries."""
+    return [[alg.form.get((i, j), Fraction(0)) for j in range(alg.dim)]
+            for i in range(alg.dim)]
+
+
+def dense_form_value(alg, x, y):
+    """(x, y) summed over every entry of the dense Gram matrix, for dense
+    coefficient tuples x and y."""
+    form = dense_form(alg)
+    return sum((x[i] * form[i][j] * y[j]
                 for i in range(alg.dim) for j in range(alg.dim)), Fraction(0))
 
 
@@ -519,7 +526,7 @@ def dense_axiom_checks(alg):
     """check_algebra's (axiom, ok, witness) list, each axiom decided by a
     first-failure scan: the stored pairs for antisymmetry and parity, every
     basis triple for Jacobi and invariance, every pair for the form."""
-    n, par, form = alg.dim, alg.parity, alg.form
+    n, par, form = alg.dim, alg.parity, dense_form(alg)
     zero = Fraction(0)
 
     def c(i, j):

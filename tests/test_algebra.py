@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (dense, gl_vector_to_matrix, mat_parity, oracle_rank,
-                     super_bracket, supertrace, munit)
+from oracles import (dense, dense_form, gl_vector_to_matrix, mat_parity,
+                     oracle_rank, super_bracket, supertrace, munit)
 from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
                             check_algebra, normalized_form, osp_realization,
                             subalgebra)
@@ -111,7 +111,7 @@ def test_form_value_dimension_mismatch(short):
     # it or an IndexError
     alg = build_gl(1, 1)
     x = y = alg.basis_vector(0)
-    assert alg.form_value(x, y) == alg.form[0][0] != 0
+    assert alg.form_value(x, y) == dense_form(alg)[0][0] != 0
     if short == "x":
         x = {**x, alg.dim: Fraction(1)}
     else:
@@ -144,19 +144,19 @@ def _break_jacobi(br, form):
 
 
 def _break_form_even(br, form):
-    form[0][1] = form[1][0] = Fraction(1)       # pairs even E00 with odd E01
+    form[0, 1] = form[1, 0] = Fraction(1)       # pairs even E00 with odd E01
 
 
 def _break_form_supersymmetry(br, form):
-    form[0][3] = Fraction(2)                    # (E00, E11) != (E11, E00)
+    form[0, 3] = Fraction(2)                    # (E00, E11) != (E11, E00)
 
 
 def _break_form_invariance(br, form):
-    form[0][0] = Fraction(2)                    # still even and symmetric
+    form[0, 0] = Fraction(2)                    # still even and symmetric
 
 
 def _break_form_nondegeneracy(br, form):
-    form[3][3] = Fraction(0)
+    form[3, 3] = Fraction(0)
 
 
 # witnesses recorded from the dense check over basis vectors that the
@@ -181,7 +181,7 @@ def test_check_algebra_flags_violation_with_witness(edit, failed):
     from wsuper.algebra import SuperAlgebra
     alg = build_gl(1, 1)
     bad = {k: dict(v) for k, v in alg.brackets.items()}
-    form = [list(row) for row in alg.form]
+    form = dict(alg.form)
     edit(bad, form)
     report = check_algebra(SuperAlgebra("broken", alg.parity, bad, form))
     assert not report.ok
@@ -214,17 +214,18 @@ def test_normalized_form_conditions():
     scaled = normalized_form(alg, e, f)
     assert scaled.form_value(e, f) == 1
     assert scaled.form_value(h, h) == 2
+    form = dense_form(scaled)
     for i in range(alg.dim):
         for j in range(alg.dim):
             if alg.parity[i] != alg.parity[j]:
-                assert scaled.form[i][j] == 0
+                assert form[i][j] == 0
     with pytest.raises(DegeneracyError):
         normalized_form(alg, e, e)
 
 
 def test_psl22_gram_determinant_nonzero_by_oracle():
     alg = build_psl22()
-    assert oracle_rank([list(r) for r in alg.form]) == alg.dim
+    assert oracle_rank(dense_form(alg)) == alg.dim
 
 
 def test_supertrace_oracle_agrees_on_gl():

@@ -279,17 +279,35 @@ def test_json_report_is_independent_of_hash_seed():
     ("1/0,0,1,0,0,0,0,0", None),             # zero denominator in --e
     (None, ("parity", 5)),                   # parity not a list
     (None, ("form", "x")),                   # form not a list of entries
-], ids=["e-zero-denominator", "parity-not-a-list", "form-not-a-list"])
+    (None, "[" * 200000 + "]" * 200000),     # too deep for the JSON parser
+], ids=["e-zero-denominator", "parity-not-a-list", "form-not-a-list",
+        "nested-200000-deep"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, e, table_patch):
     if table_patch is None:
         args = ("c0", "--family", "sl", "--m", "2", "--n", "1", "--e", e)
     else:
-        doc = export_table(build_psl22())
-        doc[table_patch[0]] = table_patch[1]
+        if isinstance(table_patch, str):
+            text = table_patch
+        else:
+            doc = export_table(build_psl22())
+            doc[table_patch[0]] = table_patch[1]
+            text = json.dumps(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(text)
         args = ("verify", "--table", str(bad), "--e", ",".join(["0"] * 14))
     out = run_cli(*args)
     assert out.returncode == 2, out.stderr
     assert any(line.startswith("error:") for line in out.stderr.splitlines())
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("family, m, n, message", [
+    ("osp", -1, 2, "osp(m|n) needs m, n >= 0"),
+    ("sl", -1, 3, "sl(m|n) needs m, n >= 0"),
+    ("gl", 2, -1, "gl(m|n) needs m, n >= 0"),
+    ("gl", 0, 0, "gl(m|n) needs m+n >= 1"),
+    ("sl", 1, 0, "sl(m|n) needs m+n >= 2"),
+], ids=["osp-negative-m", "sl-negative-m", "gl-negative-n", "gl-empty", "sl-too-small"])
+def test_size_error_names_the_violated_condition(capsys, family, m, n, message):
+    assert cli.main(["info", "--family", family, "--m", str(m), "--n", str(n)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message

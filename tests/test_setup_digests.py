@@ -1,8 +1,10 @@
 """The setup layer is part of the contract: the paired basis z_alpha of
 g(-1), its dual z*_alpha and the nilpotent e actually used (rescaled when
-r is odd) must not move, and neither may the psl(2|2) table.  The digests
-were taken before the even and odd pairing passes were merged into one and
-before psl(2|2) was built through `subalgebra`."""
+r is odd) must not move, and neither may the structure-constant tables.
+The digests were taken before the even and odd pairing passes were merged
+into one and before psl(2|2) was built through `subalgebra`; those of the
+sl(2|1), osp(3|2) and gl(2|2) tables before the form was stored as its
+nonzero entries."""
 
 import hashlib
 import json
@@ -43,8 +45,14 @@ SETUP_DIGESTS = {
     ("psl22",): "56c39bea09c8ef8a668fe605574013faa7c74badd67a91ec4e198798ee5f4c3a",
 }
 
-# sha256 of [export_table(build_psl22()), basis_names]
-PSL22_TABLE_DIGEST = "29c366ab4ff95aba34414277249a226126305bac4f88c55fe765450333d17c92"
+# sha256 of [export_table(alg), basis_names]: psl(2|2) as built, and the
+# other three with the form normalized by their setup, as `export` writes them
+TABLE_DIGESTS = {
+    ("psl22",): "29c366ab4ff95aba34414277249a226126305bac4f88c55fe765450333d17c92",
+    ("sl", 2, 1): "8dc5362c398a4c9229a707bbe8faa621ffa9f9b7d12a0f2f4a8c84c52b7e14e5",
+    ("osp", 3, 2): "6b2654c9196a24d8db75bb276307521bc7622662f22c39ec94a2c177f0293db5",
+    ("gl", 2, 2): "644868b20f22af9668e65515755f83744a6e6b7d38f2feca00c65b5fb55c0bbf",
+}
 
 
 def _sha(obj):
@@ -64,6 +72,8 @@ def test_paired_basis_dual_and_e_are_pinned(selection):
     assert _sha(doc) == SETUP_DIGESTS[selection]
 
 
-def test_psl22_table_and_names_are_pinned():
-    alg = build_psl22()
-    assert _sha([export_table(alg), list(alg.basis_names)]) == PSL22_TABLE_DIGEST
+@pytest.mark.parametrize("selection", sorted(TABLE_DIGESTS),
+                         ids=lambda sel: "".join(map(str, sel)))
+def test_table_and_names_are_pinned(selection):
+    alg = build_psl22() if selection == ("psl22",) else family_setup(*selection).alg
+    assert _sha([export_table(alg), list(alg.basis_names)]) == TABLE_DIGESTS[selection]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense, dense_bracket, dense_form, sparse
+from oracles import dense, dense_bracket, dense_form_value, sparse
 from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
                             export_table, import_table)
 from wsuper.linalg import ZERO, lin_comb
@@ -40,7 +40,7 @@ def test_bracket_and_form_value_match_the_dense_oracle(data, name):
     got = alg.bracket(x, y)
     assert got == sparse(dense_bracket(alg, dense(x, n), dense(y, n)))
     assert all(type(c) is Fraction and c for c in got.values())
-    assert alg.form_value(x, y) == dense_form(alg, dense(x, n), dense(y, n))
+    assert alg.form_value(x, y) == dense_form_value(alg, dense(x, n), dense(y, n))
 
 
 def naive_lin_comb(coeffs, vectors):

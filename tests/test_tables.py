@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -133,3 +134,20 @@ def test_arbitrary_precision_integers_survive():
                    for e in doc["form"]]
     back = import_table(doc)
     assert back.form == alg.form
+
+
+def test_import_cost_follows_the_nonzero_entries():
+    # a diagonal abelian table of dim 1000 has 1000 form entries and no
+    # bracket: a dense 10^6-entry Gram matrix would not fit under the bound
+    dim = 1000
+    doc = {"name": "diag", "dim": dim, "parity": [0] * dim, "brackets": [],
+           "form": [{"i": i, "j": i, "num": "1", "den": "1"} for i in range(dim)]}
+    tracemalloc.start()
+    try:
+        alg = import_table(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert alg.form == {(i, i): 1 for i in range(dim)}
+    assert alg.report.ok
