@@ -13,7 +13,7 @@ from copy import copy
 from fractions import Fraction
 
 from .errors import DegeneracyError, InputError, TableError, ValidationError
-from .linalg import ONE, ZERO, Span, nullspace, rank
+from .linalg import ONE, ZERO, Span, nullspace, rank, transpose
 
 EVEN, ODD = 0, 1
 
@@ -314,12 +314,15 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             terms = {k: c for k, c in terms.items() if k < dim}
             if terms:
                 brackets[(i, j)] = terms
+    # (u_i, v_j) from the ambient Gram rows of u_i's nonzeros, met by an
+    # index of where each ambient coordinate is nonzero among the vectors
+    holders = transpose(vectors)          # b -> {j: vectors[j][b]}
     form = {}
     for i, u in enumerate(vectors):
-        for j, v in enumerate(vectors):
-            g = amb.form_value(u, v)
-            if g:
-                form[i, j] = g
+        for a, ua in u.items():
+            for b, g in amb._gram.get(a, ()):
+                for j, vb in holders.get(b, {}).items():
+                    form[i, j] = form.get((i, j), ZERO) + ua * g * vb
     return SuperAlgebra(name, parity, brackets, form, names)
 
 

@@ -24,7 +24,7 @@ from .linalg import ZERO
 
 def straighten(setup, word, coeff, sink):
     """Reduce one word to normal form, accumulating into the sink dict."""
-    par = setup.letter_parity
+    par, rows = setup.letter_parity, setup.bracket_rows
     stack = [(tuple(word), coeff)]
     while stack:
         w, c = stack.pop()
@@ -44,13 +44,13 @@ def straighten(setup, word, coeff, sink):
         a, b = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
         if a == b:
-            for k, ck in setup.letter_bracket(a, a):
+            for k, ck in rows[a][a]:
                 x = c * ck              # halved exactly: an int stays an int
                 stack.append((head + (k,) + tail, x // 2 if type(x) is int
                               and not x & 1 else Fraction(x, 2)))
         else:
             stack.append((head + (b, a) + tail, -c if par[a] and par[b] else c))
-            for k, ck in setup.letter_bracket(a, b):
+            for k, ck in rows[a][b]:
                 stack.append((head + (k,) + tail, c * ck))
 
 
@@ -61,15 +61,16 @@ def straighten_commutator(setup, u, v, c, sink):
     [u, v] = sum_{i,j} (-1)^{|v||u_>i| + |u_i||v_<j|} u_<i v_<j [u_i, v_j] v_>j u_>i,
     and each term is straightened on its own.
     """
-    par, letter_bracket = setup.letter_parity, setup.letter_bracket
+    par, rows = setup.letter_parity, setup.bracket_rows
     pv = sum(par[b] for b in v) & 1
     tail_par = 0                        # |u_>i|, walking i from the right
     for i in range(len(u) - 1, -1, -1):
         a = u[i]
         head, tail = u[:i], u[i + 1:]
         sign = pv & tail_par
+        row = rows[a]
         for j, b in enumerate(v):
-            bracket = letter_bracket(a, b)
+            bracket = row[b]
             if bracket:
                 cij = -c if sign else c
                 left, right = head + v[:j], v[j + 1:] + tail

@@ -10,6 +10,7 @@ normal monomials.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import normalized_form
 from .errors import DegeneracyError, InputError, NotMinimalError
@@ -80,10 +81,18 @@ def _assert_triple(alg, t):
         raise NotMinimalError("triple identity [h,f]=-2f failed")
 
 
+def _add_scaled(acc, c, vec):
+    """acc += c * vec in place; zeros may stay."""
+    for k, a in vec.items():
+        x = a if c == 1 else c * a
+        acc[k] = acc[k] + x if k in acc else x
+
+
 class MinimalSetup:
     """Everything derived from (g, e) for a minimal nilpotent e.
 
-    Immutable after construction; all methods are pure.
+    Immutable after construction; all methods are pure.  The letter tables
+    (`_basis_letters`, `bracket_rows`) are built on first use.
     """
 
     def __init__(self, alg, triple, grading, zbasis, zdual, cent,
@@ -113,7 +122,6 @@ class MinimalSetup:
             self._letter_span = Span(letters)
         except ValueError:
             raise DegeneracyError("letter system is not a basis") from None
-        self._lbracket_cache = {}
         chi = ((i, alg.form_value(triple.e, {i: ONE})) for i in range(alg.dim))
         self._chi = {i: c for i, c in chi if c}
 
@@ -146,20 +154,47 @@ class MinimalSetup:
 
     # -- letters ---------------------------------------------------------
 
+    @cached_property
+    def _basis_letters(self):
+        """Row i: the letter coordinates of the i-th basis vector of g."""
+        return [self._letter_span.coords({i: ONE}) for i in range(self.dim)]
+
+    @cached_property
+    def bracket_rows(self):
+        """rows[i][j] = [letter_i, letter_j] in letters, as a sorted tuple of
+        (k, c) with c an int when integral, () when zero.
+
+        The bracket is bilinear: each stored product [x_a, x_b] is expanded
+        in letters once and added to every letter pair (i, j) whose vectors
+        hold x_a and x_b, so the table costs the nonzeros, not dim^2 brackets.
+        The letters are a basis, so every x_a is held by some letter.
+        """
+        holders = transpose(self.letters)  # a -> {letter i: its coefficient on x_a}
+        sums = {}                         # (i, j) -> {k: coefficient}
+        for (a, b), terms in self.alg.brackets.items():
+            image = self.to_letters(terms)
+            for i, ca in holders[a].items():
+                for j, cb in holders[b].items():
+                    _add_scaled(sums.setdefault((i, j), {}), ca * cb, image)
+        rows = [[()] * self.dim for _ in range(self.dim)]
+        for (i, j), acc in sums.items():
+            rows[i][j] = tuple(sorted((k, c.numerator if c.denominator == 1 else c)
+                                      for k, c in acc.items() if c))
+        return rows
+
     def to_letters(self, vec):
-        """Coordinates of an algebra vector in the letter basis."""
-        return self._letter_span.coords(vec)
+        """Coordinates of an algebra vector in the letter basis, as a sorted
+        dict of nonzero Fractions."""
+        self.alg._check(vec)
+        rows = self._basis_letters
+        out = {}
+        for i, c in vec.items():
+            _add_scaled(out, c, rows[i])
+        return {k: c for k, c in sorted(out.items()) if c}
 
     def letter_bracket(self, i, j):
-        """[letter_i, letter_j] expanded in letters; cached."""
-        key = (i, j)
-        hit = self._lbracket_cache.get(key)
-        if hit is None:
-            w = self.alg.bracket(self.letters[i], self.letters[j])
-            hit = tuple(sorted((k, c.numerator if c.denominator == 1 else c)
-                               for k, c in self.to_letters(w).items()))
-            self._lbracket_cache[key] = hit
-        return hit
+        """[letter_i, letter_j] expanded in letters."""
+        return self.bracket_rows[i][j]
 
     def z_letter(self, alpha):
         """Letter index of z_alpha (alpha is 0-based here)."""

@@ -5,16 +5,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from wsuper.catalog import CATALOG_NAMES, minimal_setup
+from wsuper.catalog import CATALOG_NAMES, _unit_by_name, family_algebra, minimal_setup
+from wsuper.grading import build_minimal_setup
 from wsuper.relations import SuiteContext
+
+# sl(3|1) at e = E[0,1] + E[0,2]: 8 of its 15 letters are not unit vectors
+NONUNIT = "sl(3|1) e=E[0,1]+E[0,2]"
 
 _setups = {}
 _contexts = {}
 
 
+def _nonunit_setup():
+    alg, _ = family_algebra("sl", 3, 1)
+    e = {**_unit_by_name(alg, "E[0,1]"), **_unit_by_name(alg, "E[0,2]")}
+    return build_minimal_setup(alg, e)
+
+
 def get_setup(name):
     if name not in _setups:
-        _setups[name] = minimal_setup(name)
+        _setups[name] = _nonunit_setup() if name == NONUNIT else minimal_setup(name)
     return _setups[name]
 
 

@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
-Deliberately separate implementations from the package: the naive rewriter
-recurses on the leftmost violation with no term-map plumbing, the rank
-routine uses plain forward elimination without normalization, the
-matrix helpers do integer supermatrix arithmetic directly, a Weyl
-algebra carries the oscillator realisations of sp(2k) and osp(1|2k), on
+Deliberately separate implementations from the package: letter coordinates
+come from one elimination over the letters, not from the setup's tables, the
+naive rewriter recurses on the leftmost violation with no term-map plumbing,
+the rank routine uses plain forward elimination without normalization, the
+matrix helpers do integer supermatrix arithmetic directly, a Weyl algebra
+carries the oscillator realisations of sp(2k) and osp(1|2k), on
 which the Casimir's scalar pins c0 without the package's enveloping layer,
 bw_element forms B(w1, w2) pair by pair from its definition, and the
 Fraction routes (the closed forms of Theta_w built from EnvElement products,
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from wsuper.algebra import osp_realization
 from wsuper.enveloping import EnvElement, commutator_terms
+from wsuper.linalg import Span
 from wsuper.whittaker import WhittakerElement, multiply_q, project, supercommutator_q
 
 
@@ -30,6 +32,12 @@ def dense(v, n):
 def sparse(seq):
     """The sequence seq as a dict vector {index: nonzero entry}."""
     return {i: Fraction(c) for i, c in enumerate(seq) if c}
+
+
+def letter_coords(setup):
+    """The letter coordinates of algebra vectors, by elimination over the
+    letters: the route the setup's coordinate and bracket rows replace."""
+    return Span(setup.letters).coords
 
 
 def naive_reduce(setup, word, out=None, coeff=Fraction(1)):

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_reduce
+from oracles import letter_coords, naive_reduce
+from wsuper.algebra import SuperAlgebra
+from wsuper.catalog import CATALOG_NAMES
 from wsuper.enveloping import (EnvElement, kazhdan_degree, straighten,
                                supercommutator, weight)
 from wsuper.errors import InputError
+from wsuper.generators import theta_w
+from wsuper.linalg import Echelon
+from wsuper.whittaker import supercommutator_q
 
-from conftest import get_setup
+from conftest import NONUNIT, get_setup
 
 
 def letters_by_name(setup):
@@ -33,14 +38,57 @@ def test_odd_square_rewrites_to_half_bracket():
     assert zz == EnvElement.from_letter(so, so.idx_f).scale(Fraction(1, 2))
 
 
-def test_letter_bracket_is_an_int_exactly_when_integral(catalog_setup):
-    s = catalog_setup
+@pytest.mark.parametrize("name", CATALOG_NAMES + (NONUNIT,))
+def test_letter_bracket_is_an_int_exactly_when_integral(name):
+    s = get_setup(name)
+    coords = letter_coords(s)
     for i in range(s.dim):
         for j in range(s.dim):
-            expanded = s.to_letters(s.alg.bracket(s.letters[i], s.letters[j]))
+            expanded = coords(s.alg.bracket(s.letters[i], s.letters[j]))
             assert dict(s.letter_bracket(i, j)) == expanded
             for _, c in s.letter_bracket(i, j):
                 assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + (NONUNIT,))
+def test_to_letters_equals_the_elimination_route(name):
+    s = get_setup(name)
+    coords = letter_coords(s)
+    rng = random.Random(7)
+    vectors = [{i: Fraction(1)} for i in range(s.dim)] + s.letters
+    vectors += [{i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for i in rng.sample(range(s.dim), 3)} for _ in range(20)]
+    for vec in vectors:
+        got = s.to_letters(vec)
+        assert got == coords(vec)
+        assert list(got) == sorted(got)
+        assert all(type(c) is Fraction and c for c in got.values())
+
+
+def test_to_letters_rejects_an_index_outside_the_algebra():
+    s = get_setup("sl(2|1)")
+    for bad in ({s.dim: Fraction(1)}, {-1: Fraction(1)}, {0: Fraction(1), 99: Fraction(2)}):
+        with pytest.raises(InputError, match="outside range"):
+            s.to_letters(bad)
+
+
+@pytest.mark.parametrize("name", ("osp(3|2)", "psl22", NONUNIT))
+def test_a_commutator_reads_the_tables_without_bracketing(name, monkeypatch):
+    # once the tables exist, the kernel neither brackets in g nor eliminates
+    s = get_setup(name)
+    thetas = [theta_w(s, w).value for w in s.cent[1][:3]]
+    calls = {"bracket": 0, "reduce": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(SuperAlgebra, "bracket", counted("bracket", SuperAlgebra.bracket))
+    monkeypatch.setattr(Echelon, "reduce", counted("reduce", Echelon.reduce))
+    values = [supercommutator_q(x, y) for x in thetas for y in thetas]
+    assert calls == {"bracket": 0, "reduce": 0}
+    assert any(not v.is_zero() for v in values)
 
 
 def test_odd_squares_halve_exactly_on_ints_and_fractions():

@@ -12,7 +12,10 @@ import pytest
 from wsuper.catalog import family_setup
 from wsuper.relations import run_suite
 
-# name -> (family selection, {corrupt: (json sha256, text sha256)})
+from conftest import NONUNIT, get_setup
+
+# name -> (family selection, or None for a name get_setup builds,
+#          {corrupt: (json sha256, text sha256)})
 DIGESTS = {
     "sl(2|1)": (("sl", 2, 1), {
         None: ("87ad7b00bb0cd021e049771e9383dfd963d482fcfd95629f5e1afd9030f66363",
@@ -56,6 +59,14 @@ DIGESTS = {
         "theta-v-sign": (
             "2b1470ca5c46101a74fc4e32acc48a7f3d6b5f14325ab1bb7b30527262615d81",
             "ab7db6e0b913285ddc90a62608ac4fc513f27ba8bb31ac2d5201e76925249b86")}),
+    # a setup whose letters are mostly not unit vectors; taken before the
+    # letter brackets were tabulated from the stored structure constants
+    NONUNIT: (None, {
+        None: ("b7b548db947115830a0ff869d2be3a960c93e500dc9ff614cca77077276e4320",
+               "9e13be8cf670ea2556d5547b38492c99eaee94304def1c340c7eb984d0f4591b"),
+        "theta-v-sign": (
+            "97e7f0e90aea1b05bfb0ecb507c62ce049974b45246c530efb8de1d4b3a86649",
+            "882968bd147e2ca63a7f6a712badd9e95324e487021cd4e7317837a94f372142")}),
 }
 
 
@@ -66,7 +77,7 @@ def _sha(text):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_full_suite_reports_are_byte_identical(name):
     selection, pins = DIGESTS[name]
-    setup = family_setup(*selection)
+    setup = get_setup(name) if selection is None else family_setup(*selection)
     for corrupt, (want_json, want_text) in pins.items():
         result = run_suite(setup, fail_fast=False, corrupt=corrupt)
         assert _sha(json.dumps(result.as_json(), indent=2)) == want_json, corrupt
