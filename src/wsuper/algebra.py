@@ -314,8 +314,14 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             terms = {k: c for k, c in terms.items() if k < dim}
             if terms:
                 brackets[(i, j)] = terms
-    # (u_i, v_j) from the ambient Gram rows of u_i's nonzeros, met by an
-    # index of where each ambient coordinate is nonzero among the vectors
+    return SuperAlgebra(name, parity, brackets, restricted_form(amb, vectors), names)
+
+
+def restricted_form(amb, vectors):
+    """The Gram matrix of amb's form on the vectors, {(i, j): (v_i, v_j)}
+    over its nonzero entries in sorted order.  The ambient Gram rows of
+    each v_i's nonzeros meet an index of where each ambient coordinate is
+    nonzero among the vectors, so the cost follows the nonzeros."""
     holders = transpose(vectors)          # b -> {j: vectors[j][b]}
     form = {}
     for i, u in enumerate(vectors):
@@ -323,7 +329,7 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             for b, g in amb._gram.get(a, ()):
                 for j, vb in holders.get(b, {}).items():
                     form[i, j] = form.get((i, j), ZERO) + ua * g * vb
-    return SuperAlgebra(name, parity, brackets, form, names)
+    return {k: g for k, g in sorted(form.items()) if g}
 
 
 def _sl_vectors(m, n):

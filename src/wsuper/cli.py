@@ -16,7 +16,7 @@ from . import __version__
 from .algebra import check_algebra, export_table, import_table
 from .catalog import family_algebra, family_setup
 from .errors import InputError
-from .grading import build_minimal_setup, kw_dimensions, kw_numbers
+from .grading import build_minimal_setup, kw_dimensions
 from .relations import RELATION_IDS, extract_c0, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -131,9 +131,10 @@ def cmd_info(args):
     lines.append("grading dims: " + " ".join(
         "g(%s)=%d" % (i, len(setup.grading[i])) for i in sorted(setup.grading)))
     lines.append("s=%d r=%d" % (setup.sdim, setup.rdim))
-    d0, d1, ep, e2 = kw_numbers(setup)
-    lines.append("d0=%d d1=%d" % (d0, d1))
-    lines.append("bound exponents: p^%s * 2^%d (ceiling convention)" % (ep, e2))
+    bound = summary["bound_exponents"]
+    lines.append("d0=%d d1=%d" % (summary["d0"], summary["d1"]))
+    lines.append("bound exponents: p^%s * 2^%d (ceiling convention)"
+                 % (bound["p"], bound["two"]))
     _emit(args, lines, summary)
     return EXIT_OK
 
@@ -180,14 +181,7 @@ def cmd_kw(args):
         _check_prime(args.prime)
     setup = _setup_from_args(args)
     data = kw_dimensions(setup)
-    obj = {
-        "algebra": setup.alg.name,
-        "d0": data["d0"],
-        "d1": data["d1"],
-        "exponent_p": str(data["exponent_p"]),
-        "exponent_two": data["exponent_two"],
-        "parity_r": data["parity_r"],
-    }
+    obj = {"algebra": setup.alg.name, **data, "exponent_p": str(data["exponent_p"])}
     lines = ["%s: d0=%d d1=%d" % (setup.alg.name, data["d0"], data["d1"]),
              "bound = p^%s * 2^%d (ceiling convention for the power of two)"
              % (data["exponent_p"], data["exponent_two"])]

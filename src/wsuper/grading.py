@@ -11,8 +11,9 @@ normal monomials.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 
-from .algebra import normalized_form
+from .algebra import normalized_form, restricted_form
 from .errors import DegeneracyError, InputError, NotMinimalError
 from .linalg import ONE, ZERO, Span, lin_comb, nullspace, solve, transpose, vec_scale
 
@@ -34,12 +35,11 @@ def _shifted_columns(cols, shift, indices):
     return [lin_comb({0: ONE, 1: -shift}, (cols[j], {j: ONE})) for j in indices]
 
 
-def _restricted_kernel(ad_cols, shift, indices):
-    """Kernel of (ad - shift) on the span of the given basis indices, from
-    the columns of ad."""
-    rows = transpose(_shifted_columns(ad_cols, shift, indices))
-    return [{indices[p]: c for p, c in small.items()}
-            for small in nullspace(rows.values(), len(indices))]
+def _kernel(vectors, images):
+    """Basis of the kernel of the linear map sending vectors[j] to
+    images[j], as combinations of the vectors (nullspace order)."""
+    rows = transpose(images)
+    return [lin_comb(sol, vectors) for sol in nullspace(rows.values(), len(vectors))]
 
 
 def find_sl2_triple(alg, e):
@@ -91,13 +91,12 @@ def _add_scaled(acc, c, vec):
 class MinimalSetup:
     """Everything derived from (g, e) for a minimal nilpotent e.
 
-    Immutable after construction; all methods are pure.  The letter tables
+    Immutable after construction; all methods are pure.  The setup fixes
+    the PBW letter order g(0), g(1), e, z_1..z_{s+r}, f; the letter tables
     (`_basis_letters`, `bracket_rows`) are built on first use.
     """
 
-    def __init__(self, alg, triple, grading, zbasis, zdual, cent,
-                 dual_a, dual_b, letters, letter_parity, letter_grade,
-                 letter_names):
+    def __init__(self, alg, triple, grading, zbasis, zdual, cent, dual_a, dual_b):
         self.alg = alg                    # form already normalized: (e,f)=1
         self.triple = triple
         self.grading = grading            # dict i -> list of vectors
@@ -106,20 +105,26 @@ class MinimalSetup:
         self.cent = cent                  # dict i -> basis of g^e(i), i=0,1,2
         self.dual_a = list(dual_a)        # dual bases of g^e(0): (a_i, b_j) = delta
         self.dual_b = list(dual_b)
-        self.letters = list(letters)
-        self.letter_parity = tuple(letter_parity)
-        self.letter_grade = tuple(letter_grade)
-        self.letter_names = tuple(letter_names)
+        blocks = ((0, grading[0]), (1, grading[1]), (2, [triple.e]),
+                  (-1, self.zbasis), (-2, [triple.f]))
+        self.letters = [v for _, vs in blocks for v in vs]
+        self.letter_parity = tuple(alg.parity_of(v) for v in self.letters)
+        self.letter_grade = tuple(i for i, vs in blocks for _ in vs)
         self.dim = alg.dim
-        self.sdim = len([v for v in zbasis if alg.parity_of(v) == 0])
-        self.rdim = len(zbasis) - self.sdim
-        # letter layout bookkeeping
-        self.n_p = sum(1 for g in letter_grade if g >= 0)
-        self.idx_e = self.n_p - 1
-        self.idx_f = len(letters) - 1
-        self.z_start = self.n_p
+        # letter layout: g(>= 0) is letters[:n_p], with e last, then z, then f
+        self.idx_e = len(grading[0]) + len(grading[1])
+        self.n_p = self.z_start = self.idx_e + 1
+        self.idx_f = len(self.letters) - 1
+        self.sdim = self.letter_parity[self.z_start:self.idx_f].count(0)
+        self.rdim = len(self.zbasis) - self.sdim
+        # g(0) and g(1) letters are x1, x2, ... when even, y1, y2, ... when odd
+        counters = (count(1), count(1))
+        names = ["%s%d" % ("xy"[p], next(counters[p]))
+                 for p in self.letter_parity[:self.idx_e]]
+        names += ["e"] + ["z%d" % a for a in range(1, len(self.zbasis) + 1)] + ["f"]
+        self.letter_names = tuple(names)
         try:
-            self._letter_span = Span(letters)
+            self._letter_span = Span(self.letters)
         except ValueError:
             raise DegeneracyError("letter system is not a basis") from None
         chi = ((i, alg.form_value(triple.e, {i: ONE})) for i in range(alg.dim))
@@ -289,15 +294,14 @@ def build_minimal_setup(alg, e):
         raise DegeneracyError("(h,h) != 2 after normalization")
 
     ad_h = _ad_columns(alg, triple.h)
-    even_idx = [i for i in range(alg.dim) if alg.parity[i] == 0]
-    odd_idx = [i for i in range(alg.dim) if alg.parity[i] == 1]
-    grading = {}
-    total = 0
-    for i in range(-2, 3):
-        pieces = (_restricted_kernel(ad_h, Fraction(i), even_idx)
-                  + _restricted_kernel(ad_h, Fraction(i), odd_idx))
-        grading[i] = pieces
-        total += len(pieces)
+    pieces = {}                           # (i, parity) -> basis of that part of g(i)
+    for par in (0, 1):
+        idx = [j for j in range(alg.dim) if alg.parity[j] == par]
+        units = [{j: ONE} for j in idx]
+        for i in range(-2, 3):
+            pieces[i, par] = _kernel(units, _shifted_columns(ad_h, Fraction(i), idx))
+    grading = {i: pieces[i, 0] + pieces[i, 1] for i in range(-2, 3)}
+    total = sum(map(len, grading.values()))
     if total != alg.dim:
         raise NotMinimalError(
             "ad h is not diagonalizable with eigenvalues in -2..2 "
@@ -307,9 +311,7 @@ def build_minimal_setup(alg, e):
     if len(grading[-2]) != 1:
         raise NotMinimalError("dim g(-2) = %d != 1" % len(grading[-2]))
 
-    neg1 = grading[-1]
-    neg1_even = [v for v in neg1 if alg.parity_of(v) == 0]
-    neg1_odd = [v for v in neg1 if alg.parity_of(v) == 1]
+    neg1_even, neg1_odd = pieces[-1, 0], pieces[-1, 1]
     s, r = len(neg1_even), len(neg1_odd)
     if s % 2 != 0:
         raise NotMinimalError("dim g(-1)_even must be even, got %d" % s)
@@ -326,55 +328,27 @@ def build_minimal_setup(alg, e):
 
     cent = {}
     for i in (0, 1, 2):
-        found = []
+        cent[i] = []
         for par in (0, 1):
-            piece = [v for v in grading[i] if alg.parity_of(v) == par]
-            if not piece:
-                continue
-            rows = transpose([alg.bracket(triple.e, v) for v in piece])
-            found.extend(lin_comb(sol, piece)
-                         for sol in nullspace(rows.values(), len(piece)))
-        cent[i] = found
+            piece = pieces[i, par]
+            cent[i] += _kernel(piece, [alg.bracket(triple.e, v) for v in piece])
     if len(cent[2]) != 1:
         raise NotMinimalError("g^e(2) is not one-dimensional")
 
     # b_j = sum_k M[k][j] a_k with gram . M = I: column j of M is the
-    # coordinate vector of the j-th unit vector over the gram columns
+    # coordinate vector of the j-th unit vector over the gram columns,
+    # column j of the gram being {k: (a_k, a_j)}
     dual_a = list(cent[0])
-    pairs = [[(k, alg.form_value(a, b)) for k, a in enumerate(dual_a)] for b in dual_a]
+    columns = [{} for _ in dual_a]
+    for (k, j), g in restricted_form(alg, dual_a).items():
+        columns[j][k] = g
     try:
-        gram = Span([{k: c for k, c in col if c} for col in pairs])
+        gram = Span(columns)
     except ValueError:
         raise DegeneracyError("form degenerate on g^e(0)") from None
     dual_b = [lin_comb(gram.coords({j: ONE}), dual_a) for j in range(len(dual_a))]
 
-    letters, lpar, lgrade, lnames = [], [], [], []
-    counters = {"x": 0, "y": 0}
-    for i in (0, 1):
-        for v in grading[i]:
-            p = alg.parity_of(v)
-            letters.append(v)
-            lpar.append(p)
-            lgrade.append(i)
-            tag = "x" if p == 0 else "y"
-            counters[tag] += 1
-            lnames.append("%s%d" % (tag, counters[tag]))
-    letters.append(triple.e)
-    lpar.append(0)
-    lgrade.append(2)
-    lnames.append("e")
-    for a, z in enumerate(zbasis):
-        letters.append(z)
-        lpar.append(alg.parity_of(z))
-        lgrade.append(-1)
-        lnames.append("z%d" % (a + 1))
-    letters.append(triple.f)
-    lpar.append(0)
-    lgrade.append(-2)
-    lnames.append("f")
-
-    setup = MinimalSetup(alg, triple, grading, zbasis, zdual, cent,
-                         dual_a, dual_b, letters, lpar, lgrade, lnames)
+    setup = MinimalSetup(alg, triple, grading, zbasis, zdual, cent, dual_a, dual_b)
     _post_checks(setup)
     return setup
 

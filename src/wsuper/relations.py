@@ -257,10 +257,8 @@ class SuiteContext:
         if max_deg in self._monomials:
             return self._monomials[max_deg]
         setup = self.setup
-        parity = setup.alg.parity_of
-        gens = [(g.value, 2, parity(v)) for g, v in zip(self.thetas0, setup.cent[0])]
-        gens += [(g.value, 3, parity(w)) for g, w in zip(self.thetas1, setup.cent[1])]
-        gens.append((self.cas.value, 4, 0))
+        gens = [(g.value, g.kazhdan_degree, g.parity)
+                for g in self.thetas0 + self.thetas1 + [self.cas]]
 
         def extend(idxs, q, g):
             """The monomial idxs times generator g; a product of two basis

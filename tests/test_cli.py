@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -311,3 +312,59 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, e, table_patch):
 def test_size_error_names_the_violated_condition(capsys, family, m, n, message):
     assert cli.main(["info", "--family", family, "--m", str(m), "--n", str(n)]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+_PIN_FAMILIES = {
+    "psl22": ["--family", "psl22"],
+    "osp32": ["--family", "osp", "--m", "3", "--n", "2"],
+    "osp14": ["--family", "osp", "--m", "1", "--n", "4"],
+    "sl21": ["--family", "sl", "--m", "2", "--n", "1"],
+    "sl41": ["--family", "sl", "--m", "4", "--n", "1"],
+}
+
+# (command, family, format, --prime) -> sha256 of "exit code, stdout,
+# stderr"; p = 2 on sl(2|1) and p = 3 on sl(4|1) break the family
+# restriction and carry its warning
+INFO_KW_DIGESTS = {
+    ("info", "psl22", "text", None): "40353c694277eae2900b44c8b1b715224f1af81f90c8c8648c1367a55b45e8ab",
+    ("kw", "psl22", "text", None): "5bcc20803e9ffebd94d34e97c08fa50e7c9dd2d0432eb5103023201db442c280",
+    ("kw", "psl22", "text", 7): "f9c5dfaf0ac87412f757b0c833f35aca60f8aa310c6b62085d5c932f9d15c0a0",
+    ("info", "psl22", "json", None): "7c7b02a237fe6cc05ccb0d71ee1b060ff7cb6fb4b7ff581fb488aa881cf05c66",
+    ("kw", "psl22", "json", None): "41663c83986f6daaa8dc2788c79c00daaec56052ca63c43443c2132e097aecc8",
+    ("kw", "psl22", "json", 7): "1123c1c05a70c80f8073b8b8584d56ccc069f05ba85b69c3459fcae7750a55cd",
+    ("info", "osp32", "text", None): "aeee70a9082757dd0beaeb9d0ef3f808c8190e8cd6b432bfcdf04003b23903b4",
+    ("kw", "osp32", "text", None): "b6b8c358d2d23197d43deec0f7c54ab367109b3e34a4036c5f4fe6d59ea138cf",
+    ("kw", "osp32", "text", 7): "212d793c0e9a9f80af614c67c87130f8d7c224a0e7f0f51d2ef6466c50172115",
+    ("info", "osp32", "json", None): "45205f7600ac9d0b714b2557a90a9aa61ffa20fab7c0ace4176619d3fbe1f381",
+    ("kw", "osp32", "json", None): "8ae986c9bce78e01fb2c759e777857d89b12876ff1ba845766452b0c6777cc1d",
+    ("kw", "osp32", "json", 7): "ccedeff7ae7a4d1c335df513831b8822a83c538ea014ea7c8a87ae7b4fa60ca5",
+    ("info", "sl21", "text", None): "0bb8d5a591785bc001a056196a1ecb56a842d8cc0ddfc668419ff4db32db94c1",
+    ("kw", "sl21", "text", None): "2fd3c38e521b76c3288dee4a1a5cc3ede94d3facd2c109effaaf7fc75e67283e",
+    ("kw", "sl21", "text", 7): "fc860b9ac37ea2dd431b15f000ed69657999ccd0d152d1f324b0299f5e116fe6",
+    ("info", "sl21", "json", None): "4492a6fc36fbaa0810f8fe529fc8856d2b12a8bbe51ea54b9fcb10e54a74e0d4",
+    ("kw", "sl21", "json", None): "8b6cab6e780c367c0e8609cb483b43519396c18d267cd40a4a0c9d1cdfbe8ea2",
+    ("kw", "sl21", "json", 7): "444483c8ffea4344de869f1e88629c281298063fec9edd5c7b2f07acca136f23",
+    ("info", "osp14", "text", None): "d6bf93cfe34548884f449641b6416eb7132b96c2ee5dd5afaa36f96efee468ae",
+    ("kw", "osp14", "text", None): "69bec56e80d89e0b3913ab45ad283fe5d8ec1e0d0c17f5fea512ef76a88265be",
+    ("kw", "osp14", "text", 7): "8427d552c0846a7fd3cd5eebfab82f6bf4916c5e49ee2037ccb3f5e35a44c464",
+    ("info", "osp14", "json", None): "cb0869c415fbfbb7a8e6f5755e2239e2cf9ea133322246d45fd57a6e072053fe",
+    ("kw", "osp14", "json", None): "974b66763f19c80ee4a01c2128ac16f2d95f93356a1c8ebff8d3475d6e335ef3",
+    ("kw", "osp14", "json", 7): "e5e388ba72fb4d2f19439a3714afafa2d60168741316c36ec153da64432e3246",
+    ("kw", "sl21", "text", 2): "35afbb5a897b358ab370a8bcf7e9097a515da83f28d0716a8bd31326b4091fa4",
+    ("kw", "sl41", "text", 3): "87bf24f59c22f97d2d12b504ec33c4f107e680884f5e9b0279309f0194f3fe51",
+    ("kw", "sl21", "json", 2): "bfb88967cd25309c685b49a8ff6ea380843dda5c7ad39c89709113eadea47f38",
+    ("kw", "sl41", "json", 3): "89a48c42114d5335ea8b3f3a7ed8f66f1cae20a6fcbe9b279066cde978e47663",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFO_KW_DIGESTS, key=str),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_info_and_kw_outputs_are_pinned(capsys, case):
+    command, family, fmt, prime = case
+    argv = [command, *_PIN_FAMILIES[family], "--format", fmt]
+    if prime is not None:
+        argv += ["--prime", str(prime)]
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    text = "%d\n%s\n%s" % (code, out.out, out.err)
+    assert hashlib.sha256(text.encode()).hexdigest() == INFO_KW_DIGESTS[case]

@@ -11,8 +11,12 @@ import json
 
 import pytest
 
+from wsuper import algebra
 from wsuper.algebra import build_psl22, export_table
-from wsuper.catalog import family_setup
+from wsuper.catalog import family_algebra, family_setup
+from wsuper.grading import build_minimal_setup
+
+from conftest import NONUNIT, get_setup
 
 # family selection -> sha256 of (zbasis, zdual, triple.e).  The sweep has
 # s = 0 and r = 0 as well as both nonzero, and every odd r (all osp(m|n)
@@ -43,6 +47,39 @@ SETUP_DIGESTS = {
     ("osp", 2, 4): "f7bd72506c90b89018d4cf18229c3fbdfe453ee523671f6f961ffd272ca6fcbd",
     ("osp", 0, 4): "c770d753c2ebd734c1b3a7c39083f832dde4bfb97ff2f510f46366a490de5e1a",
     ("psl22",): "56c39bea09c8ef8a668fe605574013faa7c74badd67a91ec4e198798ee5f4c3a",
+}
+
+# selection (or a name get_setup builds) -> sha256 of the rest of the
+# setup: the grading and g^e(0..2) per grade, in order, the dual bases of
+# g^e(0), the letters with their names, grades and parities, s and r.
+# Taken before the letter system moved into MinimalSetup.
+REST_DIGESTS = {
+    ("gl", 2, 1): "de660046c79bc506e63ea935738497556f1f3f754a619f55f142c630088844a9",
+    ("gl", 2, 2): "d709d4cedb1d7d0133541b1e7e4b76ba15c77b0117f1f1a259515cacb2988bc2",
+    ("gl", 3, 1): "e8fba8a983ac35438eb44e72527b27eb962f1442db083fe5ff6583406c8dd868",
+    ("gl", 4, 2): "99c4c4df1f6c2332d37a463cf12b0dd0adfd1cfc7259757163d2e2ba833c0d79",
+    ("osp", 0, 4): "0a27e6f19ebfbe3da7256e3b0272f260cf9f053d8316c0431c2f7f922705f3a2",
+    ("osp", 1, 2): "9a98282ccf9e8bca890014da6e15f3f22ca5d577b7f0ab4e8cde49743443cf69",
+    ("osp", 1, 4): "c5473487194eb16575a0c8151a98321a1e15e84124c0cd2e028826e0d48e3efe",
+    ("osp", 1, 6): "72e6d0c4a77cc3b6850ba3bbf8d615e9392c403fde885c2c4ecfeca2128d744c",
+    ("osp", 2, 2): "76fb597a85f102fb057c20d46c1895313ec5b516cae94a585e445d4726da5258",
+    ("osp", 2, 4): "302282b3ec3c57779df2c76f6711b2cd21c97ad766488d297f8d3c49454e7dfb",
+    ("osp", 3, 2): "3f3ea212e75cade935e227cec8ed3bda7417f66dc195ded9b360725f03c0fbde",
+    ("osp", 3, 4): "b440117e7fc8e55c7f8a84c1d533a3ef752655ac1dd4acbfa3638748be2a776a",
+    ("osp", 4, 2): "9234bc9704af0c8b0b0510148d7f9ea6fae61630fff03df5b9c5bb08241304d9",
+    ("osp", 5, 2): "d92f7d2334b660eda562c0931de85901051a96c1d2d0c36c3f0c5aba1b48d800",
+    ("osp", 5, 4): "6b10ea024cad74bd2a79541281ece925bab6d5880ea261b14dd1f744bd6a6cf3",
+    ("osp", 7, 2): "5640399219057952cf3cb09eab1ffad5f5b2ab4d1039e19baf0b0049a706d6cd",
+    ("psl22",): "1ca39884569090d5a1d4d7f8b06b737d4d026a21bfb57e8088aaa65a186eaa6b",
+    ("sl", 2, 1): "6718eb2c7a95813e3a4ec2d86ebbabc6148e7348ccc1d9d5e1dcfaa739f7bc26",
+    ("sl", 2, 3): "af9eda79d86ed5972908fc53c22054842485452ad09f2c988645e2569bb299c9",
+    ("sl", 3, 1): "b8f936adf59740e82079037d6596d93ee1da79dbfde096e5ff7fc91b09463818",
+    ("sl", 3, 2): "1615c07899cb3cfa5abc1ecc5d81a18ab67ab3edfa0e450e6c1f5d2d2152c593",
+    ("sl", 4, 1): "3794fab6627676a3725b56d23399c34d9f064517db807465f47af6ea28ee883c",
+    ("sl", 4, 2): "c9e14b130b472d5db55b54fd7d93a79c70a11e0e434cb98d71125b374a84c954",
+    ("sl", 5, 1): "3a7cfceacc2de47d66d6f6cb56fbcf9bfe7abdb20616f6c3fc2dd977d92d3060",
+    ("sl", 5, 3): "e74a3313b87ea368cf646f3250fc4485688d31be41b8221daef88842f0258f76",
+    NONUNIT: "29aa455fcb13bf218ef7fce760e0a6794d7c069553c3e6740f878c7381e51af6",
 }
 
 # sha256 of [export_table(alg), basis_names]: psl(2|2) as built, and the
@@ -77,3 +114,37 @@ def test_paired_basis_dual_and_e_are_pinned(selection):
 def test_table_and_names_are_pinned(selection):
     alg = build_psl22() if selection == ("psl22",) else family_setup(*selection).alg
     assert _sha([export_table(alg), list(alg.basis_names)]) == TABLE_DIGESTS[selection]
+
+
+def _blocks(blocks):
+    return [[i, [_vec(v) for v in blocks[i]]] for i in sorted(blocks)]
+
+
+@pytest.mark.parametrize("selection", sorted(REST_DIGESTS, key=str),
+                         ids=lambda sel: "".join(map(str, sel)) if sel != NONUNIT else "nonunit")
+def test_grading_centralizer_and_letters_are_pinned(selection):
+    setup = get_setup(selection) if selection == NONUNIT else family_setup(*selection)
+    doc = [_blocks(setup.grading), _blocks(setup.cent),
+           [_vec(v) for v in setup.dual_a], [_vec(v) for v in setup.dual_b],
+           [_vec(v) for v in setup.letters], list(setup.letter_names),
+           list(setup.letter_grade), list(setup.letter_parity),
+           setup.sdim, setup.rdim]
+    assert _sha(doc) == REST_DIGESTS[selection]
+
+
+def test_setup_restricts_the_form_to_the_centralizer(monkeypatch):
+    # the Gram of g^e(0) comes from the stored form entries; only the
+    # independent check of (a_i, b_j) = delta pays n0^2 form_value calls
+    alg, e = family_algebra("sl", 5, 3)
+    calls = []
+    form_value = algebra.SuperAlgebra.form_value
+
+    def counted(self, x, y):
+        calls.append(1)
+        return form_value(self, x, y)
+
+    monkeypatch.setattr(algebra.SuperAlgebra, "form_value", counted)
+    setup = build_minimal_setup(alg, e)
+    n0 = len(setup.cent[0])
+    assert n0 == 36
+    assert len(calls) < 2 * n0 ** 2
