@@ -16,6 +16,7 @@ from .errors import DegeneracyError, InputError, TableError, ValidationError
 from .linalg import ONE, ZERO, Span, nullspace, rank, transpose
 
 EVEN, ODD = 0, 1
+MINUS_ONE = -ONE
 
 
 class SuperAlgebra:
@@ -259,24 +260,20 @@ def build_gl(m, n):
         for b in range(N):
             parity.append((pidx[a] + pidx[b]) & 1)
             names.append("E[%d,%d]" % (a, b))
+    # [E[a,b], E[c,d]] = delta_bc E[a,d] - (-1)^{|i||j|} delta_da E[c,b] is
+    # nonzero only for c = b or d = a: 2N^3 pairs, visited in sorted order
     brackets = {}
-    for a in range(N):
-        for b in range(N):
-            i = _gl_index(m, n, a, b)
-            for c in range(N):
-                for d in range(N):
-                    j = _gl_index(m, n, c, d)
-                    terms = {}
-                    if b == c:
-                        k = _gl_index(m, n, a, d)
-                        terms[k] = terms.get(k, ZERO) + 1
-                    sign = -1 if (parity[i] and parity[j]) else 1
-                    if d == a:
-                        k = _gl_index(m, n, c, b)
-                        terms[k] = terms.get(k, ZERO) - Fraction(sign)
-                    terms = {k: Fraction(v) for k, v in terms.items() if v != 0}
-                    if terms:
-                        brackets[(i, j)] = terms
+    for i in range(N * N):
+        a, b = divmod(i, N)
+        for j in sorted({b * N + d for d in range(N)} | {c * N + a for c in range(N)}):
+            c, d = divmod(j, N)
+            terms = {a * N + d: ONE} if b == c else {}
+            if d == a:
+                k = c * N + b
+                if k in terms:            # i = j = E[a,a]: the terms cancel
+                    continue
+                terms[k] = ONE if parity[i] and parity[j] else MINUS_ONE
+            brackets[(i, j)] = terms
     # str(E[a,b] E[c,d]) = delta_bc delta_ad (-1)^{p(a)}
     form = {(_gl_index(m, n, a, b), _gl_index(m, n, b, a)):
             1 if pidx[a] == EVEN else -1 for a in range(N) for b in range(N)}
@@ -304,10 +301,24 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             span = Span(vectors)
         except ValueError:
             raise ValidationError("subalgebra basis vectors are linearly dependent") from None
+    # [v_i, v_j] = sum of v_i[a] v_j[b] [x_a, x_b] over the stored ambient
+    # pairs (a, b), each b meeting the v_j that hold it through an index;
+    # only the nonzero products are expanded on the span, in sorted order
+    holders = transpose(vectors)          # b -> {j: vectors[j][b]}
     brackets = {}
-    for i in range(dim):
-        for j in range(dim):
-            terms = span.coords(amb.bracket(vectors[i], vectors[j]))
+    for i, u in enumerate(vectors):
+        row = {}                          # j -> [v_i, v_j] in amb
+        for a, ua in u.items():
+            for b, ab in amb._rows.get(a, {}).items():
+                for j, vb in holders.get(b, {}).items():
+                    c, out = ua * vb, row.setdefault(j, {})
+                    for k, ck in ab.items():
+                        out[k] = out.get(k, ZERO) + c * ck
+        for j in sorted(row):
+            product = {k: c for k, c in row[j].items() if c}
+            if not product:
+                continue
+            terms = span.coords(product)
             if terms is None:
                 raise ValidationError(
                     "subspace not closed under bracket at pair (%d,%d)" % (i, j))
@@ -377,18 +388,12 @@ def build_psl22():
                       Span(vectors + [ident]))
 
 
-def _osp_form_matrix(m, n):
-    """Gram matrix of the defining split form on C^(m|n): symmetric
-    anti-diagonal on the even part, symplectic anti-diagonal on the odd."""
-    N = m + n
-    B = [[ZERO] * N for _ in range(N)]
-    for i in range(m):
-        B[i][m - 1 - i] = ONE
-    half = n // 2
-    for i in range(n):
-        j = n - 1 - i
-        B[m + i][m + j] = ONE if i < half else -ONE
-    return B
+def _osp_form(m, n):
+    """The defining split form B on C^(m|n), by the one nonzero of each
+    row: row u holds B[u][u'] at u', and u'' = u.  Symmetric anti-diagonal
+    on the even part, symplectic anti-diagonal on the odd."""
+    return ([(m - 1 - u, ONE) for u in range(m)]
+            + [(m + n - 1 - i, ONE if i < n // 2 else -ONE) for i in range(n)])
 
 
 def osp_realization(m, n):
@@ -398,26 +403,26 @@ def osp_realization(m, n):
         raise InputError("osp(m|n) requires even n")
     N = m + n
     gl = build_gl(m, n)
-    B = _osp_form_matrix(m, n)
+    form = _osp_form(m, n)                # u -> (u', B[u][u'])
     pidx = [EVEN] * m + [ODD] * n
     vectors = []
     for apar in (EVEN, ODD):
         # unknown entries of a parity-homogeneous matrix
         slots = [(a, b) for a in range(N) for b in range(N)
                  if ((pidx[a] + pidx[b]) & 1) == apar]
+        index = {ab: idx for idx, ab in enumerate(slots)}
         rows = []
         for v in range(N):
             for w in range(N):
-                row = {}
-                for idx, (a, b) in enumerate(slots):
-                    # (A^T B)_{vw} = sum_u A_{uv} B_{uw}
-                    x = B[a][w] if b == v else ZERO
-                    # (-1)^{|A| p(v)} (B A)_{vw} = sum_u B_{vu} A_{uw}
-                    if b == w:
-                        x += -B[v][a] if (apar and pidx[v]) else B[v][a]
-                    if x:
-                        row[idx] = x
-                rows.append(row)
+                (pv, bv), pw, row = form[v], form[w][0], {}
+                # (A^T B)_{vw} = sum_u A_{uv} B_{uw} = A_{w'v} B_{w'w}
+                if (pw, v) in index:
+                    row[index[pw, v]] = form[pw][1]
+                # (-1)^{|A| p(v)} (B A)_{vw} = sum_u B_{vu} A_{uw} = B_{vv'} A_{v'w}
+                if (pv, w) in index:
+                    idx = index[pv, w]
+                    row[idx] = row.get(idx, ZERO) + (-bv if apar and pidx[v] else bv)
+                rows.append({idx: x for idx, x in sorted(row.items()) if x})
         for sol in nullspace(rows, len(slots)):
             vectors.append({_gl_index(m, n, *slots[idx]): c
                             for idx, c in sorted(sol.items())})

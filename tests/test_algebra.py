@@ -5,8 +5,8 @@ import pytest
 from oracles import (dense, dense_form, gl_vector_to_matrix, mat_parity,
                      oracle_rank, super_bracket, supertrace, munit)
 from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
-                            check_algebra, normalized_form, osp_realization,
-                            subalgebra)
+                            _sl_vectors, check_algebra, normalized_form,
+                            osp_realization, subalgebra)
 from wsuper.catalog import family_algebra
 from wsuper.errors import DegeneracyError, InputError, ValidationError
 
@@ -95,6 +95,19 @@ def test_gl22_odd_anticommutator_matches_matrix_oracle():
                                for j in range(4)) for i in range(4))
 
 
+@pytest.mark.parametrize("m,n", [(2, 1), (1, 2), (2, 2), (3, 0), (0, 2)])
+def test_gl_brackets_match_the_matrix_supercommutator(m, n):
+    # every ordered pair of elementary matrices, zero products included
+    alg = build_gl(m, n)
+    N = m + n
+    for i in range(alg.dim):
+        a, b = divmod(i, N)
+        for j in range(alg.dim):
+            c, d = divmod(j, N)
+            got = gl_vector_to_matrix(alg, alg.bracket_basis(i, j), m, n)
+            assert got == super_bracket(munit(N, a, b), munit(N, c, d), m), (i, j)
+
+
 def test_bracket_dimension_mismatch():
     # a vector index outside range(dim) is an input error on either side
     alg = build_gl(1, 1)
@@ -127,6 +140,57 @@ def test_subalgebra_rejects_dependent_vectors():
     d0, d1 = gl.basis_vector(0), gl.basis_vector(3)
     with pytest.raises(ValidationError, match="dependent"):
         subalgebra(gl, [d0, d1, {**d0, **d1}], "diag")
+
+
+def test_subalgebra_names_the_first_pair_that_leaves_the_span():
+    # [E01, E01] = 0 lies in the span, [E01, E10] = E00 - E11 does not
+    gl = build_gl(2, 0)
+    with pytest.raises(ValidationError, match=r"not closed under bracket at pair \(0,1\)"):
+        subalgebra(gl, [gl.basis_vector(1), gl.basis_vector(2)], "open")
+
+
+def test_subalgebra_rejects_an_index_outside_the_ambient():
+    gl = build_gl(2, 0)
+    with pytest.raises(InputError):
+        subalgebra(gl, [gl.basis_vector(0), {gl.dim: Fraction(1)}], "outside")
+
+
+def _ambient_products(selection):
+    """(ambient, vectors) that family_algebra hands to subalgebra."""
+    if selection[0] == "osp":
+        return osp_realization(*selection[1:])
+    if selection[0] == "psl22":
+        gl, vectors, _ = _sl_vectors(2, 2)
+        return gl, vectors[:2] + vectors[3:]
+    gl, vectors, _ = _sl_vectors(*selection[1:])
+    return gl, vectors
+
+
+@pytest.mark.parametrize("selection,extra", [(("osp", 7, 2), 1), (("sl", 4, 2), 0),
+                                             (("psl22",), 0)],
+                         ids=["osp72", "sl42", "psl22"])
+def test_construction_costs_the_nonzero_products(monkeypatch, selection, extra):
+    # no SuperAlgebra.bracket call, and one Span.coords call per basis pair
+    # whose ambient product is nonzero (plus the one that finds e in osp)
+    from wsuper.algebra import SuperAlgebra
+    from wsuper.linalg import Span
+    calls = {"bracket": 0, "coords": 0}
+    bracket, coords = SuperAlgebra.bracket, Span.coords
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(SuperAlgebra, "bracket", counted("bracket", bracket))
+    monkeypatch.setattr(Span, "coords", counted("coords", coords))
+    alg, _ = family_algebra(*selection)
+    monkeypatch.undo()
+    amb, vectors = _ambient_products(selection)
+    assert len(vectors) == alg.dim
+    nonzero = sum(1 for u in vectors for v in vectors if amb.bracket(u, v))
+    assert nonzero < alg.dim ** 2
+    assert calls == {"bracket": 0, "coords": nonzero + extra}
 
 
 def _break_antisymmetry(br, form):

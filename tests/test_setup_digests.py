@@ -12,7 +12,7 @@ import json
 import pytest
 
 from wsuper import algebra
-from wsuper.algebra import build_psl22, export_table
+from wsuper.algebra import build_gl, build_psl22, export_table
 from wsuper.catalog import family_algebra, family_setup
 from wsuper.grading import build_minimal_setup
 
@@ -82,13 +82,49 @@ REST_DIGESTS = {
     NONUNIT: "29aa455fcb13bf218ef7fce760e0a6794d7c069553c3e6740f878c7381e51af6",
 }
 
-# sha256 of [export_table(alg), basis_names]: psl(2|2) as built, and the
-# other three with the form normalized by their setup, as `export` writes them
+# sha256 of [export_table(alg), basis_names] for every SETUP_DIGESTS
+# selection: psl(2|2) as built, the others with the form normalized by their
+# setup, as `export` writes them.  Those of psl(2|2), sl(2|1), osp(3|2) and
+# gl(2|2) were taken before the form was stored as its nonzero entries, the
+# rest before construction summed the subalgebra constants over the stored
+# brackets.
 TABLE_DIGESTS = {
+    ("gl", 2, 1): "2dea0a923ba4c3bbc18c0607f4f09361f70a8b05be0fc765cdf7da997a89373d",
+    ("gl", 2, 2): "644868b20f22af9668e65515755f83744a6e6b7d38f2feca00c65b5fb55c0bbf",
+    ("gl", 3, 1): "0286ac4cf7e7f80997c5dee603663b2a2e8916a40b350f17a96ab83e92abed33",
+    ("gl", 4, 2): "adb0b86712f246e722caa374fc6265eb202ab47f67aaa5fa5967d7ff84330558",
+    ("osp", 0, 4): "6d81cbb20024f089a20cb1789082faab5a8f5625943e7011f0c7402318214ba5",
+    ("osp", 1, 2): "14175df32e0ea2019a68999d34c96ec1e2550b4b64c81095acac13c59a74712e",
+    ("osp", 1, 4): "0ee9548778139fad445242e11e50bebe956ddf32eb88da19c6ced37be9f72d2f",
+    ("osp", 1, 6): "4fcf983978baa7d572335659a642b51326176b5f582560880d6218a116a6e47f",
+    ("osp", 2, 2): "37b4357cac677143197546efc747dd3189cff28a598885e71a1e61cb5bdb6671",
+    ("osp", 2, 4): "c2c66d940e733913e9fdfcb6304b191547c205a6c0ca99d581389e9ba084dfce",
+    ("osp", 3, 2): "6b2654c9196a24d8db75bb276307521bc7622662f22c39ec94a2c177f0293db5",
+    ("osp", 3, 4): "a1ed2441118674d199f610cc0f4c66e4b55d9e28a2edf2de98bf2bf8b1955ad6",
+    ("osp", 4, 2): "270be8628e0069f5f7ed1c068024a6b6b1642b53a4bf37ade738b9afcc63801b",
+    ("osp", 5, 2): "06d1e7ecf8bccc63961f64ca6dccef0504229da8dd8599bb70b24d9c6fbfe7e7",
+    ("osp", 5, 4): "80459e781fca32d0cfce4b31835a23934b53ad156dc66e7e551f5dbc0dc43a1a",
+    ("osp", 7, 2): "92845cc6b9bf65f6f0c15a3cfbc79b6026ae6aae74f20ce28747fad53ed6964d",
     ("psl22",): "29c366ab4ff95aba34414277249a226126305bac4f88c55fe765450333d17c92",
     ("sl", 2, 1): "8dc5362c398a4c9229a707bbe8faa621ffa9f9b7d12a0f2f4a8c84c52b7e14e5",
-    ("osp", 3, 2): "6b2654c9196a24d8db75bb276307521bc7622662f22c39ec94a2c177f0293db5",
-    ("gl", 2, 2): "644868b20f22af9668e65515755f83744a6e6b7d38f2feca00c65b5fb55c0bbf",
+    ("sl", 2, 3): "5b7ca813cef15df077c9518e02f6daf3e8dd40c0646bf78e00522900896fb7be",
+    ("sl", 3, 1): "5b2490c27760c6794d142c870ad87bf5170806b29c458751ef74ec37be12e6c6",
+    ("sl", 3, 2): "d8d85d7c4f335d543bf2b38521405dfb7882cc4f3099fe0db4f0c94a29c19c4a",
+    ("sl", 4, 1): "6cfc425842a5906ebde7467559b004e80284cc70aea3b34b21b542c3727cb0d6",
+    ("sl", 4, 2): "1bb347bbdda3c9fa7ebe892721df3fed42461f20ce55b0907ad7998cdec43d76",
+    ("sl", 5, 1): "b609639b8a5bf645b984734a730e9503cbabf0f680c31b32e141cd03314d7cbe",
+    ("sl", 5, 3): "775bdc3263970bd312c3483072c397d774a473481e62c5c7bac7804762627fcf",
+}
+
+# (m, n) -> sha256 of build_gl(m, n).brackets in insertion order, each
+# terms dict in its own key order: export_table sorts both away, but
+# bracket and the tables built from it iterate them.  Taken before gl was
+# built over its nonzero pairs only.
+GL_ORDER_DIGESTS = {
+    (2, 1): "21a7ee7dd17b1cf03726ae6f12cbc9d68cfde02db3660fa2f3ac68b6c419e3a7",
+    (3, 1): "90c83a52cd7a6dbb1b0397bba47e52a6d99230c98ae65b69da61a144ffb42f94",
+    (2, 2): "c0c67edf8b38d338501459ebebeb38ef0e2de34a016a291281e80443aa368750",
+    (4, 2): "11db1a301c959d7f585d8b71ecb505f66634939cd670d7adcabc7e0d33ab6231",
 }
 
 
@@ -114,6 +150,19 @@ def test_paired_basis_dual_and_e_are_pinned(selection):
 def test_table_and_names_are_pinned(selection):
     alg = build_psl22() if selection == ("psl22",) else family_setup(*selection).alg
     assert _sha([export_table(alg), list(alg.basis_names)]) == TABLE_DIGESTS[selection]
+    # _rows and bracket iterate the pairs in insertion order
+    assert list(alg.brackets) == sorted(alg.brackets)
+
+
+@pytest.mark.parametrize("m,n", sorted(GL_ORDER_DIGESTS), ids=lambda x: str(x))
+def test_bare_gl_table_and_its_order_are_pinned(m, n):
+    # (E[0,1], E[1,0]) = 1 already, so the bare table is the one exported
+    alg = build_gl(m, n)
+    assert _sha([export_table(alg), list(alg.basis_names)]) == TABLE_DIGESTS["gl", m, n]
+    assert list(alg.brackets) == sorted(alg.brackets)
+    ordered = [[i, j, [[k, str(c)] for k, c in terms.items()]]
+               for (i, j), terms in alg.brackets.items()]
+    assert _sha(ordered) == GL_ORDER_DIGESTS[m, n]
 
 
 def _blocks(blocks):
