@@ -12,7 +12,6 @@ from .algebra import (AlgebraReport, SuperAlgebra, build_gl, build_osp,
                       build_psl22, build_sl, check_algebra, export_table,
                       import_table, normalized_form)
 from .catalog import CATALOG_NAMES, family_setup, minimal_setup
-from .enveloping import EnvElement, supercommutator
 from .errors import (DegeneracyError, InputError, NotMinimalError, TableError,
                      ValidationError)
 from .generators import (WGenerator, casimir, standard_generators, theta_v,
@@ -24,5 +23,5 @@ from .relations import (C0Result, RELATION_IDS, RelationReport, SuiteResult,
                         one_dim_rep, run_suite, verify_scalar_reduction,
                         verify_b_invariance, verify_centrality, verify_deg0,
                         verify_deg01, w_pbw_check)
-from .whittaker import (WhittakerElement, ad_act, is_w_element, lift,
-                        multiply_q, project, sigma, supercommutator_q)
+from .whittaker import (WhittakerElement, ad_act, is_w_element, multiply_q,
+                        project, sigma, supercommutator_q)

@@ -1,4 +1,4 @@
-"""PBW normal-form arithmetic in U(g) over a minimal setup's letter basis.
+"""PBW normal-form kernel of U(g) over a minimal setup's letter basis.
 
 A monomial is a tuple of letter indices, non-decreasing in the global
 order (g(0), g(1), e, z's, f); odd letters never repeat.  Out-of-order
@@ -7,8 +7,10 @@ rewrites to [x,x]/2.  Rewriting scans from the right so the reduction is
 a single right-to-left pass for nearly-sorted products.
 
 A product, a commutator or a list of terms is straightened on integer
-numerators over one cleared denominator into an integer sink; the caller
-divides once per output word, the Whittaker model after dropping f-suffixes.
+numerators over one cleared denominator into an integer sink; the
+Whittaker model divides once per output word, after dropping f-suffixes.
+Elements live in the model (whittaker.WhittakerElement); this module
+works on words only.
 
 A supercommutator of two normal words is expanded by the superderivation
 rule into words one letter shorter, so the top terms of uv and vu, which
@@ -17,9 +19,6 @@ cancel, are never formed.
 
 from fractions import Fraction
 from math import lcm
-
-from .errors import InputError
-from .linalg import ZERO
 
 
 def straighten(setup, word, coeff, sink):
@@ -116,20 +115,6 @@ def straighten_terms(setup, pairs):
     return sink, d
 
 
-def _divided(sink, d):
-    return {w: Fraction(n, d) for w, n in sink.items()}
-
-
-def commutator_terms(setup, terms1, terms2):
-    """Normal form of [x, y] for sparse word maps x and y, word pair by
-    word pair, so mixed parity needs no splitting."""
-    return _divided(*over_word_pairs(setup, terms1, terms2, straighten_commutator))
-
-
-def word_parity(setup, word):
-    return sum(setup.letter_parity[i] for i in word) & 1
-
-
 def kazhdan_degree(setup, word):
     """Sum of (grade + 2) over the letters of the monomial."""
     return sum(setup.letter_grade[i] + 2 for i in word)
@@ -145,124 +130,3 @@ def weight(setup, word):
         elif g == -1:
             total -= 1
     return total
-
-
-class EnvElement:
-    """Element of U(g) as a sparse map from normal monomials to Fractions."""
-
-    __slots__ = ("setup", "terms")
-
-    def __init__(self, setup, terms=None):
-        self.setup = setup
-        self.terms = {} if terms is None else terms
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def unit(cls, setup, c=1):
-        c = Fraction(c)
-        return cls(setup, {(): c} if c != 0 else {})
-
-    @classmethod
-    def from_letter(cls, setup, i, c=1):
-        c = Fraction(c)
-        return cls(setup, {(i,): c} if c != 0 else {})
-
-    @classmethod
-    def from_vector(cls, setup, vec):
-        return cls(setup, {(i,): c for i, c in setup.to_letters(vec).items()})
-
-    @classmethod
-    def from_word(cls, setup, word, c=1):
-        out = {}
-        straighten(setup, tuple(word), Fraction(c), out)
-        return cls(setup, out)
-
-    # -- ring structure ---------------------------------------------------
-    # Results are built as type(self), so a model element stays one.
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, ZERO) + c
-            if v == 0:
-                out.pop(w, None)
-            else:
-                out[w] = v
-        return type(self)(self.setup, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(self.setup, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return type(self)(self.setup)
-        return type(self)(self.setup, {w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, EnvElement):
-            return EnvElement(self.setup, _divided(*over_word_pairs(
-                self.setup, self.terms, other.terms, straighten_product)))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    # -- structure --------------------------------------------------------
-
-    def parity(self):
-        """0/1 for homogeneous elements, None for 0 or mixed."""
-        p = None
-        for w in self.terms:
-            wp = word_parity(self.setup, w)
-            if p is None:
-                p = wp
-            elif p != wp:
-                return None
-        return p
-
-    def max_kazhdan_degree(self):
-        return max((kazhdan_degree(self.setup, w) for w in self.terms), default=0)
-
-    def report_key(self, word):
-        """Sort key of a monomial in rendered reports."""
-        return word
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for word in sorted(self.terms, key=self.report_key):
-            c = self.terms[word]
-            body = "·".join(self.setup.letter_names[i] for i in word) if word else "1"
-            if c == 1 and word:
-                txt = body
-            elif c == -1 and word:
-                txt = "-" + body
-            else:
-                txt = "%s·%s" % (c, body) if word else str(c)
-            chunks.append(txt)
-        out = chunks[0]
-        for t in chunks[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
-
-    __repr__ = render
-
-
-def supercommutator(u, v):
-    """uv - (-1)^{|u||v|} vu for parity-homogeneous u, v."""
-    pu, pv = u.parity(), v.parity()
-    if (pu is None and not u.is_zero()) or (pv is None and not v.is_zero()):
-        raise InputError("supercommutator needs parity-homogeneous arguments")
-    return EnvElement(u.setup, commutator_terms(u.setup, u.terms, v.terms))

@@ -10,10 +10,8 @@ generator is checked for model membership at construction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enveloping import EnvElement
 from .errors import InputError
-from .whittaker import (WhittakerElement, is_w_element, product_terms, project,
-                        project_terms)
+from .whittaker import WhittakerElement, is_w_element, product_terms, project_terms
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -43,7 +41,7 @@ def _generator(setup, source, value, degree, check):
     if check:
         _check_membership(gen.label, value)
         lead = value.leading()
-        want = project(EnvElement.from_vector(setup, source))
+        want = WhittakerElement.from_vector(setup, source)
         if lead != want:
             raise InputError("%s leading term is %s, expected %s"
                              % (gen.label, lead.render(), want.render()))

@@ -10,13 +10,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .enveloping import EnvElement, kazhdan_degree
+from .enveloping import kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
 from .grading import kw_numbers
 from .linalg import ONE, ZERO, Echelon, Span, lin_comb
 from .whittaker import (WhittakerElement, is_w_element, multiply_q, product_terms,
-                        project, project_terms, sigma, supercommutator_q)
+                        project_terms, sigma, supercommutator_q)
 
 RELATION_IDS = ("identities", "generators", "deg0", "deg01", "central",
                 "c0", "scalar_reduction", "b_invariance", "pbw", "one_dim")
@@ -124,7 +124,7 @@ class SuiteContext:
         if self.corrupt == "theta-v-sign":
             # negative control: flip the sign of every z-correction term
             for gen, v in zip(thetas, self.setup.cent[0]):
-                plain = project(EnvElement.from_vector(self.setup, v))
+                plain = WhittakerElement.from_vector(self.setup, v)
                 gen.value = plain + (plain - gen.value)
         return thetas
 
@@ -338,7 +338,7 @@ def identities_suite(setup):
         vectors = [alg.bracket(za, inner(zs))
                    for za, zs in zip(setup.zbasis, setup.zdual)] + [x]
         coeffs = {**dict.fromkeys(range(n), ONE), n: c}
-        return project(EnvElement.from_vector(setup, lin_comb(coeffs, vectors)))
+        return WhittakerElement.from_vector(setup, lin_comb(coeffs, vectors))
     for k, w in enumerate(setup.cent[1]):
         rep.check("sum[z,[z*,w]] for w#%d" % k,
                   residue(lambda zs: alg.bracket(zs, w), Fraction(r - s, 2),

@@ -11,7 +11,11 @@ bw_element forms B(w1, w2) pair by pair from its definition, and the
 Fraction routes (the closed forms of Theta_w built from EnvElement products,
 the b_table assembly summed with Fraction arithmetic, and the model
 operations as projections of U(g) elements) pin the integer-numerator
-paths of the package.
+paths of the package.  EnvElement, the U(g) element the package no longer
+carries, straightens each word pair on its own Fraction coefficient by
+calling the kernel's straighten and straighten_commutator directly, never
+through over_word_pairs, so it shares no numerator clearing (_numerators
+and its lcm) with the model operations it is the reference for.
 """
 
 import itertools
@@ -19,7 +23,8 @@ import math
 from fractions import Fraction
 
 from wsuper.algebra import osp_realization
-from wsuper.enveloping import EnvElement, commutator_terms
+from wsuper.enveloping import kazhdan_degree, straighten, straighten_commutator
+from wsuper.errors import InputError
 from wsuper.linalg import Span
 from wsuper.whittaker import WhittakerElement, multiply_q, project, supercommutator_q
 
@@ -437,6 +442,107 @@ def b_table_by_fractions(ctx):
     return table
 
 
+# ---- U(g) elements on Fraction coefficients --------------------------------
+
+def word_parity(setup, word):
+    return sum(setup.letter_parity[i] for i in word) & 1
+
+
+class EnvElement:
+    """Element of U(g) as a sparse map from normal monomials to Fractions.
+
+    Products and commutators straighten each word pair on its own Fraction
+    coefficient, so no integer numerators or cleared denominators are
+    involved: the reference for the model operations of the package."""
+
+    __slots__ = ("setup", "terms")
+
+    def __init__(self, setup, terms=None):
+        self.setup = setup
+        self.terms = {} if terms is None else terms
+
+    @classmethod
+    def from_letter(cls, setup, i, c=1):
+        c = Fraction(c)
+        return cls(setup, {(i,): c} if c != 0 else {})
+
+    @classmethod
+    def from_word(cls, setup, word, c=1):
+        out = {}
+        straighten(setup, tuple(word), Fraction(c), out)
+        return cls(setup, out)
+
+    @classmethod
+    def from_vector(cls, setup, vec):
+        return cls(setup, {(i,): c for i, c in setup.to_letters(vec).items()})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            v = out.get(w, Fraction(0)) + c
+            if v == 0:
+                out.pop(w, None)
+            else:
+                out[w] = v
+        return EnvElement(self.setup, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return EnvElement(self.setup, {w: -c for w, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        return EnvElement(self.setup, {w: c * v for w, v in self.terms.items()}
+                          if c else {})
+
+    def __mul__(self, other):
+        sink = {}
+        for u, c1 in self.terms.items():
+            for v, c2 in other.terms.items():
+                straighten(self.setup, u + v, c1 * c2, sink)
+        return EnvElement(self.setup, sink)
+
+    def __eq__(self, other):
+        return isinstance(other, EnvElement) and self.terms == other.terms
+
+    def is_zero(self):
+        return not self.terms
+
+    def parity(self):
+        """0/1 for homogeneous elements, None for 0 or mixed."""
+        parities = {word_parity(self.setup, w) for w in self.terms}
+        return parities.pop() if len(parities) == 1 else None
+
+    def max_kazhdan_degree(self):
+        return max((kazhdan_degree(self.setup, w) for w in self.terms), default=0)
+
+
+def commutator_terms(setup, terms1, terms2):
+    """Normal form of [x, y] for sparse word maps x and y, word pair by
+    word pair, so mixed parity needs no splitting."""
+    sink = {}
+    for u, c1 in terms1.items():
+        for v, c2 in terms2.items():
+            straighten_commutator(setup, u, v, c1 * c2, sink)
+    return sink
+
+
+def supercommutator(u, v):
+    """uv - (-1)^{|u||v|} vu for parity-homogeneous u, v."""
+    pu, pv = u.parity(), v.parity()
+    if (pu is None and not u.is_zero()) or (pv is None and not v.is_zero()):
+        raise InputError("supercommutator needs parity-homogeneous arguments")
+    return EnvElement(u.setup, commutator_terms(u.setup, u.terms, v.terms))
+
+
+def lift(q):
+    """Canonical f-free preimage in U(g) of a model element: the same
+    words, already normal."""
+    return EnvElement(q.setup, dict(q.terms))
+
+
 # ---- the closed forms of Theta_w from EnvElement products -------------------
 
 def _theta_w_parts(setup, w):
@@ -486,7 +592,7 @@ def theta_w_phi_form(setup, w):
 
 def multiply_by_projection(q1, q2):
     """q1 q2 in the model: the product of the lifts in U(g), projected."""
-    return project(EnvElement(q1.setup, dict(q1.terms)) * EnvElement(q2.setup, dict(q2.terms)))
+    return project(lift(q1) * lift(q2))
 
 
 def commutator_by_projection(q1, q2):

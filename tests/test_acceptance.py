@@ -14,8 +14,7 @@ import itertools
 import time
 from fractions import Fraction
 
-from oracles import bw_element, naive_reduce, within_side_term
-from wsuper.enveloping import EnvElement
+from oracles import EnvElement, bw_element, naive_reduce, within_side_term
 from wsuper.grading import kw_dimensions
 from wsuper.relations import (c0_double_sum, c0_formula, extract_c0,
                               identities_suite, one_dim_rep, verify_centrality,

