@@ -28,16 +28,14 @@ def _unit_by_name(alg, name):
 def _osp_with_e(m, n):
     """(osp(m|n), e) with e the highest-root vector E[m, m+n-1] of the sp
     block; under the anti-diagonal symplectic form it is a long-root
-    vector for every even n (for n = 2 it is E[m, m+1])."""
+    vector for every even n (for n = 2 it is E[m, m+1]).  osp(m|0) has
+    no sp block: e is None."""
     gl, vectors = osp_realization(m, n)
     names = ["M%d" % i for i in range(len(vectors))]
     span = Span(vectors)
     alg = subalgebra(gl, vectors, "osp(%d|%d)" % (m, n), names, span)
     target = gl.basis_vector(_gl_index(m, n, m, m + n - 1))
-    coords = span.coords(target)
-    if coords is None:
-        raise InputError("sp raising element not found in osp(%d|%d)" % (m, n))
-    return alg, coords
+    return alg, span.coords(target)
 
 
 def minimal_setup(name):
@@ -66,4 +64,7 @@ def family_algebra(family, m=None, n=None):
 
 def family_setup(family, m=None, n=None):
     """Setup for a family selection at its default minimal nilpotent."""
-    return build_minimal_setup(*family_algebra(family, m, n))
+    alg, e = family_algebra(family, m, n)
+    if e is None:
+        raise InputError("%s has no default nilpotent: give one with --e" % alg.name)
+    return build_minimal_setup(alg, e)

@@ -85,13 +85,13 @@ def _parse_e(text, dim):
 def _setup_from_args(args, loaded=None):
     """The minimal setup of the loaded (alg, family), or of _load_algebra's."""
     alg, family = _load_algebra(args) if loaded is None else loaded
+    if not args.e:
+        if family is None:
+            raise InputError("--table requires --e (no catalog nilpotent for imports)")
+        return family_setup(family, args.m, args.n)
     if family is not None:
-        alg, e = family_algebra(family, args.m, args.n)
-    elif not args.e:
-        raise InputError("--table requires --e (no catalog nilpotent for imports)")
-    if args.e:
-        e = _parse_e(args.e, alg.dim)
-    return build_minimal_setup(alg, e)
+        alg, _ = family_algebra(family, args.m, args.n)
+    return build_minimal_setup(alg, _parse_e(args.e, alg.dim))
 
 
 def _emit(args, text_lines, json_obj):
@@ -206,8 +206,7 @@ def cmd_kw(args):
 def cmd_export(args):
     alg, family = _load_algebra(args)
     if family is not None:
-        setup = family_setup(family, args.m, args.n)
-        alg = setup.alg
+        alg = _setup_from_args(args, (alg, family)).alg
     doc = export_table(alg)
     lines = [json.dumps(doc, indent=2)]
     _emit(args, lines, doc)

@@ -6,11 +6,8 @@ neighbours a.b rewrite to (-1)^{|a||b|} b.a + [a,b]; an odd square x.x
 rewrites to [x,x]/2.  Rewriting scans from the right so the reduction is
 a single right-to-left pass for nearly-sorted products.
 
-A product, a commutator or a list of terms is straightened on integer
-numerators over one cleared denominator into an integer sink; the
-Whittaker model divides once per output word, after dropping f-suffixes.
-Elements live in the model (whittaker.WhittakerElement); this module
-works on words only.
+Elements live in the model (whittaker.WhittakerElement), which also
+owns their coefficients; this module works on words only.
 
 A supercommutator of two normal words is expanded by the superderivation
 rule into words one letter shorter, so the top terms of uv and vu, which
@@ -18,7 +15,6 @@ cancel, are never formed.
 """
 
 from fractions import Fraction
-from math import lcm
 
 
 def straighten(setup, word, coeff, sink):
@@ -77,42 +73,6 @@ def straighten_commutator(setup, u, v, c, sink):
                     straighten(setup, left + (k,) + right, cij * ck, sink)
             sign ^= par[a] & par[b]
         tail_par ^= par[a]
-
-
-def _numerators(pairs):
-    """(word, numerator) pairs over d, the lcm of the denominators, and d."""
-    d = lcm(*(c.denominator for _, c in pairs))
-    return [(w, c.numerator * (d // c.denominator)) for w, c in pairs], d
-
-
-def straighten_product(setup, u, v, c, sink):
-    """Accumulate c * uv of two normal words into the sink dict."""
-    straighten(setup, u + v, c, sink)
-
-
-def over_word_pairs(setup, terms1, terms2, kernel):
-    """Run kernel(setup, u, v, n1 * n2, sink) over every word pair on integer
-    numerators; the integer sink and its one denominator."""
-    nums1, d1 = _numerators(terms1.items())
-    nums2, d2 = _numerators(terms2.items())
-    sink = {}
-    for u, n1 in nums1:
-        for v, n2 in nums2:
-            kernel(setup, u, v, n1 * n2, sink)
-    return sink, d1 * d2
-
-
-def straighten_terms(setup, pairs):
-    """sum c * word over (word, c) pairs straightened, the denominators
-    cleared over the list first: the integer sink and its one denominator."""
-    nums, d = _numerators(pairs)
-    sink = {}
-    for w, n in nums:
-        if len(w) > 1:
-            straighten(setup, w, n, sink)
-        else:                       # 1 or a letter is normal; zeros may stay
-            sink[w] = sink.get(w, 0) + n
-    return sink, d
 
 
 def kazhdan_degree(setup, word):

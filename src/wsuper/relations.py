@@ -8,15 +8,14 @@ cross-checked against the closed double-sum formula.
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .enveloping import kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
 from .grading import kw_numbers
 from .linalg import ONE, ZERO, Echelon, Span, lin_comb
-from .whittaker import (WhittakerElement, is_w_element, multiply_q, product_terms,
-                        project_terms, sigma, supercommutator_q)
+from .whittaker import (WhittakerElement, combine, is_w_element, multiply_q,
+                        product_terms, project_terms, sigma, supercommutator_q)
 
 RELATION_IDS = ("identities", "generators", "deg0", "deg01", "central",
                 "c0", "scalar_reduction", "b_invariance", "pbw", "one_dim")
@@ -141,9 +140,9 @@ class SuiteContext:
         """ThetaCas = sum_i (-1)^{|a_i|} Theta_{a_i} Theta_{b_i} over the
         g^e(0) dual bases; a_i is cent[0][i], so Theta_{a_i} is cached."""
         setup = self.setup
-        value = _combine(setup, [(-1 if ta.parity else 1,
-                                  multiply_q(ta.value, self.theta(b)))
-                                 for ta, b in zip(self.thetas0, setup.dual_b)])
+        value = combine(setup, [(-1 if ta.parity else 1,
+                                 multiply_q(ta.value, self.theta(b)))
+                                for ta, b in zip(self.thetas0, setup.dual_b)])
         return WGenerator("ThetaCas", setup.triple.e, value, 4, 0)
 
     @cached_property
@@ -168,8 +167,8 @@ class SuiteContext:
 
     def theta(self, x):
         """Theta_x by linearity over the cached basis generators."""
-        return _combine(self.setup, [(c, self.basis_theta(k))
-                                     for k, c in self.coords(x).items()])
+        return combine(self.setup, [(c, self.basis_theta(k))
+                                    for k, c in self.coords(x).items()])
 
     def product(self, k, l):
         """basis_theta(k) * basis_theta(l) in the model; memoised."""
@@ -235,7 +234,7 @@ class SuiteContext:
                 terms = [(ONE, self.commutator(n0 + i, n0 + j)),
                          (Fraction(-pair, 2), c_minus_tcas)]
                 terms += [(c, self.product(k, l)) for (k, l), c in m.items()]
-                row.append((_combine(setup, terms), pair))
+                row.append((combine(setup, terms), pair))
             table.append(row)
         return table
 
@@ -448,20 +447,6 @@ def verify_centrality(setup, ctx=None):
         rep.check("[ThetaCas, %s]" % g.label,
                   supercommutator_q(ctx.tcas.value, g.value))
     return rep
-
-
-def _combine(setup, terms):
-    """sum c * q over (c, q) pairs on integer numerators over one denominator,
-    the lcm of c.denominator * lcm(q's denominators) over the pairs."""
-    scaled = [(c, q.terms, lcm(*(v.denominator for v in q.terms.values())))
-              for c, q in terms if c]
-    d = lcm(*(c.denominator * dq for c, _, dq in scaled))
-    acc = {}
-    for c, q, dq in scaled:
-        f = c.numerator * (d // (c.denominator * dq))
-        for w, v in q.items():
-            acc[w] = acc.get(w, 0) + f * v.numerator * (dq // v.denominator)
-    return WhittakerElement(setup, {w: Fraction(n, d) for w, n in acc.items() if n})
 
 
 def _nested_brackets(setup, side, w):

@@ -11,17 +11,22 @@ model's associative product.  Commutators, ad-n included, project the
 supercommutator of the words, expanded letter by letter by the
 superderivation rule, without forming either product.
 
-Products, commutators and term lists are projected on the kernel's integer
-sink, so a model element gets one Fraction per output word.
+The model owns the coefficients: every element that arithmetic builds is
+computed on integer numerators over one cleared denominator.
+_numerators clears an operand's denominators over their lcm, the kernel
+or the sum runs into an integer sink, and _project drops the f-suffixes
+and divides once per output word.  Products, commutators, term lists and
+linear combinations (combine, which +, - and scale also call) all take
+this route, so a model element gets one Fraction per output word.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
-from .enveloping import (kazhdan_degree, over_word_pairs, straighten_commutator,
-                         straighten_product, straighten_terms, weight)
+from .enveloping import kazhdan_degree, straighten, straighten_commutator, weight
 from .errors import InputError
-from .linalg import ZERO
+from .linalg import ONE, ZERO
 
 
 class WhittakerElement:
@@ -49,26 +54,16 @@ class WhittakerElement:
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, ZERO) + c
-            if v == 0:
-                out.pop(w, None)
-            else:
-                out[w] = v
-        return WhittakerElement(self.setup, out)
+        return combine(self.setup, [(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + (-other)
+        return combine(self.setup, [(1, self), (-1, other)])
 
     def __neg__(self):
         return WhittakerElement(self.setup, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return WhittakerElement(self.setup)
-        return WhittakerElement(self.setup, {w: c * v for w, v in self.terms.items()})
+        return combine(self.setup, [(Fraction(c), self)])
 
     def __mul__(self, other):
         if isinstance(other, WhittakerElement):
@@ -150,6 +145,12 @@ class WhittakerElement:
         return out
 
 
+def _numerators(pairs):
+    """(key, numerator) pairs over d, the lcm of the denominators, and d."""
+    d = lcm(*(c.denominator for _, c in pairs))
+    return [(w, c.numerator * (d // c.denominator)) for w, c in pairs], d
+
+
 def _project(setup, sink, d):
     """Image in the model of sink / d: f is the last letter, so the f-run of
     a normal word is a suffix; dropping it evaluates it at chi(f) = 1."""
@@ -168,6 +169,19 @@ def project(env):
     return _project(env.setup, env.terms, 1)
 
 
+def combine(setup, terms):
+    """sum c * q over (c, q) pairs: each q on its numerators over dq, the lcm
+    of its denominators, summed over d, the lcm of c.denominator * dq."""
+    parts = [(c, *_numerators(q.terms.items())) for c, q in terms if c]
+    d = lcm(*(c.denominator * dq for c, _, dq in parts))
+    sink = {}
+    for c, nums, dq in parts:
+        k = c.numerator * (d // (c.denominator * dq))
+        for w, n in nums:
+            sink[w] = sink.get(w, 0) + k * n
+    return _project(setup, sink, d)
+
+
 def product_terms(c, *factors):
     """c times the product of factors, each a {letter: coefficient} map, as
     (word, coefficient) pairs; the words are straightened together later."""
@@ -178,9 +192,29 @@ def product_terms(c, *factors):
 
 
 def project_terms(setup, pairs):
-    """Image in the model of sum c * word over (word, c) pairs, each word
-    straightened once on integer numerators."""
-    return _project(setup, *straighten_terms(setup, pairs))
+    """Image in the model of sum c * word over (word, c) pairs, the
+    denominators cleared over the list and each word straightened once."""
+    nums, d = _numerators(pairs)
+    sink = {}
+    for w, n in nums:
+        if len(w) > 1:
+            straighten(setup, w, n, sink)
+        else:                       # 1 or a letter is normal; zeros may stay
+            sink[w] = sink.get(w, 0) + n
+    return _project(setup, sink, d)
+
+
+def _over_word_pairs(q1, q2, kernel):
+    """Image in the model of kernel(setup, u, v, c1 * c2, sink) summed over
+    the word pairs of q1 and q2, run on their integer numerators."""
+    setup = q1.setup
+    nums1, d1 = _numerators(q1.terms.items())
+    nums2, d2 = _numerators(q2.terms.items())
+    sink = {}
+    for u, n1 in nums1:
+        for v, n2 in nums2:
+            kernel(setup, u, v, n1 * n2, sink)
+    return _project(setup, sink, d1 * d2)
 
 
 def multiply_q(q1, q2):
@@ -189,23 +223,22 @@ def multiply_q(q1, q2):
     Associative on ad-n invariants (and whenever the right factors are
     invariants); that is the only regime the verification suite uses.
     """
-    return _project(q1.setup, *over_word_pairs(q1.setup, q1.terms, q2.terms,
-                                               straighten_product))
+    return _over_word_pairs(q1, q2, lambda setup, u, v, c, sink:
+                            straighten(setup, u + v, c, sink))
 
 
 def supercommutator_q(q1, q2):
     """[q1, q2]: the projection of the supercommutator of each word pair,
     extended additively over parity components."""
-    return _project(q1.setup, *over_word_pairs(q1.setup, q1.terms, q2.terms,
-                                               straighten_commutator))
+    return _over_word_pairs(q1, q2, straighten_commutator)
 
 
 def ad_act(setup, x_letter, q):
     """Adjoint action of a basis letter of n = g(-1) + Cf on the model."""
     if x_letter not in range(len(setup.letters)) or setup.letter_grade[x_letter] >= 0:
         raise InputError("ad_act expects a letter of n = g(-1) + g(-2)")
-    return _project(setup, *over_word_pairs(setup, {(x_letter,): 1}, q.terms,
-                                            straighten_commutator))
+    return _over_word_pairs(WhittakerElement(setup, {(x_letter,): ONE}), q,
+                            straighten_commutator)
 
 
 def is_w_element(q):

@@ -14,8 +14,9 @@ operations as projections of U(g) elements) pin the integer-numerator
 paths of the package.  EnvElement, the U(g) element the package no longer
 carries, straightens each word pair on its own Fraction coefficient by
 calling the kernel's straighten and straighten_commutator directly, never
-through over_word_pairs, so it shares no numerator clearing (_numerators
-and its lcm) with the model operations it is the reference for.
+through the model's word-pair loop, so it shares no numerator clearing
+(whittaker._numerators and its lcm) with the model operations it is the
+reference for.
 """
 
 import itertools

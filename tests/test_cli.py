@@ -121,6 +121,27 @@ def test_explicit_e_builds_the_family_algebra_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+OSP50 = ("--family", "osp", "--m", "5", "--n", "0")
+
+
+def test_explicit_e_reaches_osp_without_an_sp_block(tmp_path, capsys):
+    # osp(5|0) = so(5) has no sp block, so no default nilpotent; an explicit
+    # e must build, and without one the error must say why
+    code, report = _report(tmp_path / "info.json", "info", *OSP50,
+                           "--e", "1,0,0,0,0,0,0,0,0,0")
+    assert code == 0
+    obj = json.loads(report)
+    assert (obj["algebra"], obj["s"], obj["r"]) == ("osp(5|0)", 2, 0)
+    code, _ = _report(tmp_path / "table.json", "export", *OSP50,
+                      "--e", "1,0,0,0,0,0,0,0,0,0")
+    assert code == 0
+    capsys.readouterr()
+    for cmd in ("info", "export"):
+        assert cli.main([cmd, *OSP50]) == 2
+        assert capsys.readouterr().err == \
+            "error: osp(5|0) has no default nilpotent: give one with --e\n"
+
+
 def test_info_on_a_table_imports_and_checks_it_no_more_than_needed(tmp_path, monkeypatch):
     # one import, whose validation the report reuses: the normalised
     # algebra differs only by a nonzero rescaling of the form

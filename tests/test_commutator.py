@@ -1,8 +1,9 @@
 """Property test: the superderivation kernel for [u, v] equals the product
 definition uv - (-1)^{|u||v|} vu, and the model commutators built on it
-(supercommutator_q, ad_act) equal the projection of the lifted products.
-Whatever runs on integer numerators inside, every coefficient these return
-is a nonzero Fraction."""
+(supercommutator_q, ad_act) equal the projection of the lifted products;
+the model's linear combinations (+, -, scale, combine) equal the sums
+term by term.  Whatever runs on integer numerators inside, every
+coefficient these return is a nonzero Fraction."""
 
 from fractions import Fraction
 
@@ -11,14 +12,17 @@ from hypothesis import given, settings, strategies as st
 from oracles import (EnvElement, ad_by_projection, commutator_by_projection,
                      commutator_terms, multiply_by_projection, word_parity)
 from wsuper.enveloping import straighten_commutator
-from wsuper.whittaker import (WhittakerElement, ad_act, multiply_q, project,
-                              project_terms, supercommutator_q)
+from wsuper.whittaker import (WhittakerElement, ad_act, combine, multiply_q,
+                              project, project_terms, supercommutator_q)
 
 from conftest import get_setup
 
 ALGEBRAS = ("sl(2|1)", "osp(3|2)", "psl22")
+# 1/3 and -2/5 make denominators that are not powers of 2: a max of the
+# denominators in place of their lcm must fail here
 COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
-                          Fraction(-3, 2), Fraction(2)])
+                          Fraction(-3, 2), Fraction(2), Fraction(1, 3),
+                          Fraction(-2, 5)])
 
 
 def _pool(setup, model):
@@ -159,3 +163,27 @@ def test_every_coefficient_out_of_the_kernel_is_a_nonzero_fraction(case):
     assert _exact(supercommutator_q(q1, q2).terms)
     for letter in (setup.z_letter(0), setup.idx_f):
         assert _exact(ad_act(setup, letter, q2).terms)
+
+
+def _fraction_sum(*scaled):
+    """sum c * terms over (c, terms) pairs, term by term on Fractions."""
+    out = {}
+    for c, terms in scaled:
+        for w, v in terms.items():
+            out[w] = out.get(w, Fraction(0)) + c * v
+    return {w: v for w, v in out.items() if v}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=cases(model=True), c1=COEFFS, c2=COEFFS)
+def test_linear_combinations_equal_the_fraction_sums(case, c1, c2):
+    setup, terms1, terms2 = case
+    q1, q2 = WhittakerElement(setup, terms1), WhittakerElement(setup, terms2)
+    for got, want in ((q1 + q2, _fraction_sum((1, terms1), (1, terms2))),
+                      (q1 - q2, _fraction_sum((1, terms1), (-1, terms2))),
+                      (q1.scale(c1), _fraction_sum((c1, terms1))),
+                      (combine(setup, [(c1, q1), (c2, q2)]),
+                       _fraction_sum((c1, terms1), (c2, terms2)))):
+        assert got.terms == want
+        assert _exact(got.terms)
+    assert (q1 - q1).terms == {}

@@ -5,13 +5,13 @@ import sys
 from pathlib import Path
 
 import wsuper.cli  # noqa: F401  (loads every wsuper module the tracer patches)
-from wsuper import relations
+from wsuper import enveloping, relations, whittaker
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
 
-from conftest import get_setup  # noqa: E402
+from conftest import get_ctx, get_setup  # noqa: E402
 
 
 def test_tracer_binds_every_name_and_restores_it():
@@ -54,3 +54,28 @@ def test_run_suite_calls_each_traced_relation_function_once(monkeypatch):
     result = relations.run_suite(get_setup("sl(2|1)"), fail_fast=False)
     assert calls == [rel_id for rel_id, _ in tracer.RELATION_FUNCTIONS]
     assert [r.rel_id for r in result.reports] == list(relations.RELATION_IDS) == calls
+
+
+def test_traced_model_operations_count_every_straighten_call():
+    # straighten is called from whittaker as well as from inside enveloping;
+    # a profile hook on its code object sees every call, whatever binding
+    # it went through, so the traced count must equal the hook's
+    ctx = get_ctx("osp(3|2)")
+    setup, q = ctx.setup, ctx.thetas1[0].value
+    pairs = [(w[::-1], c) for w, c in q.terms.items()]
+    code, seen = enveloping.straighten.__code__, []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            seen.append(event)
+    t = tracer.Tracer()
+    tracer.install_layers(t)
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        whittaker.multiply_q(q, q)
+        whittaker.project_terms(setup, pairs)
+    finally:
+        sys.setprofile(old)
+        t.close()
+    assert len(seen) == t.stat("enveloping.straighten").calls > 0
