@@ -11,6 +11,7 @@ Supercommutator convention throughout: [x,y] = xy - (-1)^{|x||y|} yx.
 
 from copy import copy
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegeneracyError, InputError, TableError, ValidationError
 from .linalg import ONE, ZERO, Span, nullspace, rank, transpose
@@ -45,9 +46,9 @@ class SuperAlgebra:
 
     def _set_form(self, form):
         self.form = {k: Fraction(g) for k, g in sorted(form.items()) if g}
-        self._gram = {}                   # i -> [(j, form[(i, j)])]
+        self._gram = {}                   # i -> {j: form[(i, j)]}
         for (i, j), g in self.form.items():
-            self._gram.setdefault(i, []).append((j, g))
+            self._gram.setdefault(i, {})[j] = g
 
     def basis_vector(self, i):
         return {i: ONE}
@@ -81,7 +82,7 @@ class SuperAlgebra:
         self._check(x, y)
         acc = ZERO
         for i, xi in x.items():
-            for j, g in self._gram.get(i, ()):
+            for j, g in self._gram.get(i, {}).items():
                 if j in y:
                     acc += xi * g * y[j]
         return acc
@@ -111,6 +112,14 @@ def normalized_form(alg, e, f):
     if ef == 0:
         raise DegeneracyError("(e,f) = 0; wrong choice of e or f")
     return alg.rescaled_form(Fraction(1) / ef)
+
+
+def _cleared(rows):
+    """rows {key: {k: Fraction}} on integer numerators over d, the lcm of
+    all their denominators: ({key: {k: int}}, d)."""
+    d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    return {key: {k: c.numerator * (d // c.denominator) for k, c in row.items()}
+            for key, row in rows.items()}, d
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +164,18 @@ def check_algebra(alg):
     """Verify every axiom exactly on the structure constants and the Gram
     matrix; the witness of a failed axiom is its least failing candidate.
 
+    The scans run on integer numerators, the constants and the Gram each
+    over the lcm of their denominators: a total is zero exactly as before.
     Jacobi and invariance are accumulated over the nonzero products only: a
     triple that receives no contribution has every term zero and cannot
     fail, so the scans stay exhaustive at a cost that follows the nonzeros.
     """
-    n, par, form, gram = alg.dim, alg.parity, alg.form, alg._gram
-    c = alg.bracket_basis                 # c(i, j) = {k: c_ij^k}
+    n, par = alg.dim, alg.parity
+    (brackets, _), (gram, _) = _cleared(alg.brackets), _cleared(alg._gram)
+    form = {(i, j): g for i, row in gram.items() for j, g in row.items()}
+
+    def c(i, j):                          # c(i, j) = {k: c_ij^k}, cleared
+        return brackets.get((i, j), {})
 
     def sign(i, j):
         return -1 if (par[i] and par[j]) else 1
@@ -168,13 +183,13 @@ def check_algebra(alg):
     def stored(keys):
         # stored pairs in sorted order, then sorted k: a pair whose mirror
         # is not stored is reached from the stored side
-        return ((i, j, k) for (i, j), terms in sorted(alg.brackets.items())
+        return ((i, j, k) for (i, j), terms in sorted(brackets.items())
                 for k in sorted(keys(i, j, terms)))
 
     def antisymmetry_fails(t):
         # c_ij^k = -(-1)^{|i||j|} c_ji^k
         i, j, k = t
-        return c(i, j).get(k, ZERO) != -sign(i, j) * c(j, i).get(k, ZERO)
+        return c(i, j).get(k, 0) != -sign(i, j) * c(j, i).get(k, 0)
 
     def parity_fails(t):
         i, j, k = t
@@ -185,10 +200,10 @@ def check_algebra(alg):
         # (-1)^{|a||d|} [x_a,[x_b,x_d]]: each nested bracket, formed once
         # from the stored pairs (b,d) and (a,m), goes to its three triples
         by_right = {}                     # m -> [(a, c_am)]
-        for (a, m), terms in alg.brackets.items():
+        for (a, m), terms in brackets.items():
             by_right.setdefault(m, []).append((a, terms))
         totals = {}                       # (i, j, k, l) -> coefficient of x_l
-        for (b, d), bd in alg.brackets.items():
+        for (b, d), bd in brackets.items():
             for m, cm in bd.items():
                 for a, am in by_right.get(m, ()):
                     s = -cm if par[a] and par[d] else cm
@@ -206,12 +221,12 @@ def check_algebra(alg):
         for (i, m), g in form.items():
             columns.setdefault(m, []).append((i, g))
         totals = {}
-        for (i, j), terms in alg.brackets.items():
+        for (i, j), terms in brackets.items():
             for m, cm in terms.items():
-                for k, g in gram.get(m, ()):
+                for k, g in gram.get(m, {}).items():
                     t, v = (i, j, k), cm * g
                     totals[t] = totals[t] + v if t in totals else v
-        for (j, k), terms in alg.brackets.items():
+        for (j, k), terms in brackets.items():
             for m, cm in terms.items():
                 for i, g in columns.get(m, ()):
                     t, v = (i, j, k), -g * cm
@@ -226,10 +241,10 @@ def check_algebra(alg):
         _first_failure(stored(lambda i, j, terms: terms), parity_fails),
         jacobi_witness(),
         _first_failure(form, lambda t: par[t[0]] != par[t[1]]),
-        _first_failure(mirrored, lambda t: form.get(t, ZERO)
-                       != sign(*t) * form.get((t[1], t[0]), ZERO)),
+        _first_failure(mirrored, lambda t: form.get(t, 0)
+                       != sign(*t) * form.get((t[1], t[0]), 0)),
         invariance_witness(),
-        None if rank(map(dict, gram.values())) == n else "gram rank < dim",
+        None if rank(alg._gram.values()) == n else "gram rank < dim",
     )
     return AlgebraReport([(name, witness is None, witness)
                           for name, witness in zip(AlgebraReport.AXIOMS, witnesses)])
@@ -301,19 +316,21 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             span = Span(vectors)
         except ValueError:
             raise ValidationError("subalgebra basis vectors are linearly dependent") from None
-    # [v_i, v_j] = sum of v_i[a] v_j[b] [x_a, x_b] over the stored ambient
-    # pairs (a, b), each b meeting the v_j that hold it through an index;
-    # only the nonzero products are expanded on the span, in sorted order
-    holders = transpose(vectors)          # b -> {j: vectors[j][b]}
-    brackets = {}
-    for i, u in enumerate(vectors):
-        row = {}                          # j -> [v_i, v_j] in amb
+    # d [v_i, v_j] = sum of v_i[a] v_j[b] [x_a, x_b] over amb's stored pairs, on the
+    # numerators over dv and da, d = dv^2 da; nonzero ones go to the span, sorted
+    nums, dv = _cleared(dict(enumerate(vectors)))
+    holders = transpose(nums.values())    # b -> {j: numerator of vectors[j][b]}
+    da = lcm(*(c.denominator for a in holders for t in amb._rows.get(a, {}).values()
+               for c in t.values()))
+    d, brackets = dv * dv * da, {}
+    for i, u in nums.items():
+        row = {}                          # j -> d [v_i, v_j] in amb
         for a, ua in u.items():
             for b, ab in amb._rows.get(a, {}).items():
                 for j, vb in holders.get(b, {}).items():
                     c, out = ua * vb, row.setdefault(j, {})
                     for k, ck in ab.items():
-                        out[k] = out.get(k, ZERO) + c * ck
+                        out[k] = out.get(k, 0) + c * ck.numerator * (da // ck.denominator)
         for j in sorted(row):
             product = {k: c for k, c in row[j].items() if c}
             if not product:
@@ -322,7 +339,7 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             if terms is None:
                 raise ValidationError(
                     "subspace not closed under bracket at pair (%d,%d)" % (i, j))
-            terms = {k: c for k, c in terms.items() if k < dim}
+            terms = {k: c if d == 1 else c / d for k, c in terms.items() if k < dim}
             if terms:
                 brackets[(i, j)] = terms
     return SuperAlgebra(name, parity, brackets, restricted_form(amb, vectors), names)
@@ -337,7 +354,7 @@ def restricted_form(amb, vectors):
     form = {}
     for i, u in enumerate(vectors):
         for a, ua in u.items():
-            for b, g in amb._gram.get(a, ()):
+            for b, g in amb._gram.get(a, {}).items():
                 for j, vb in holders.get(b, {}).items():
                     form[i, j] = form.get((i, j), ZERO) + ua * g * vb
     return {k: g for k, g in sorted(form.items()) if g}

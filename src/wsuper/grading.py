@@ -32,7 +32,8 @@ def _ad_columns(alg, x):
 
 def _shifted_columns(cols, shift, indices):
     """Columns j in indices of the matrix with columns cols, minus shift*I."""
-    return [lin_comb({0: ONE, 1: -shift}, (cols[j], {j: ONE})) for j in indices]
+    return [{k: x for k, x in {**cols[j], j: cols[j].get(j, ZERO) - shift}.items() if x}
+            for j in indices]
 
 
 def _kernel(vectors, images):

@@ -171,7 +171,9 @@ def project(env):
 
 def combine(setup, terms):
     """sum c * q over (c, q) pairs: each q on its numerators over dq, the lcm
-    of its denominators, summed over d, the lcm of c.denominator * dq."""
+    of its denominators, summed over d, the lcm of c.denominator * dq.  No
+    word of a model element carries an f, so the sum is not projected
+    (ad_act's one-word (f,) operand goes to the kernel, never here)."""
     parts = [(c, *_numerators(q.terms.items())) for c, q in terms if c]
     d = lcm(*(c.denominator * dq for c, _, dq in parts))
     sink = {}
@@ -179,7 +181,7 @@ def combine(setup, terms):
         k = c.numerator * (d // (c.denominator * dq))
         for w, n in nums:
             sink[w] = sink.get(w, 0) + k * n
-    return _project(setup, sink, d)
+    return WhittakerElement(setup, {w: Fraction(n, d) for w, n in sink.items() if n})
 
 
 def product_terms(c, *factors):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (dense, dense_form, gl_vector_to_matrix, mat_parity,
                      oracle_rank, super_bracket, supertrace, munit)
@@ -153,6 +154,40 @@ def test_subalgebra_rejects_an_index_outside_the_ambient():
     gl = build_gl(2, 0)
     with pytest.raises(InputError):
         subalgebra(gl, [gl.basis_vector(0), {gl.dim: Fraction(1)}], "outside")
+
+
+SCALE_BASES = (build_sl(2, 1), build_osp(1, 2), build_psl22(), build_osp(3, 2))
+# an ambient whose constants are not all integers: sl(2|1) on x_i / (i + 2)
+SCALE_BASES += (subalgebra(SCALE_BASES[0], [{i: Fraction(1, i + 2)} for i in range(8)], "s"),)
+SCALES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                          Fraction(3, 4), Fraction(5, 7), Fraction(-7, 6)]).map(Fraction)
+
+
+def _assert_scaled_copy(alg, c):
+    # on v_i = c_i x_i: c'_ij^k = c_i c_j / c_k c_ij^k and (v_i, v_j) = c_i c_j g_ij,
+    # each a nonzero Fraction
+    sub = subalgebra(alg, [{i: ci} for i, ci in enumerate(c)], "scaled")
+    assert sub.brackets == {(i, j): {k: c[i] * c[j] / c[k] * x for k, x in terms.items()}
+                            for (i, j), terms in alg.brackets.items()}
+    assert sub.form == {(i, j): c[i] * c[j] * g for (i, j), g in alg.form.items()}
+    values = [x for terms in sub.brackets.values() for x in terms.values()]
+    assert all(type(x) is Fraction and x for x in values + list(sub.form.values()))
+
+
+@pytest.mark.parametrize("alg", SCALE_BASES,
+                         ids=["sl21", "osp12", "psl22", "osp32", "sl21_scaled"])
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(data=st.data())
+def test_subalgebra_on_scaled_basis_vectors_scales_the_constants(alg, data):
+    _assert_scaled_copy(alg, data.draw(st.lists(SCALES, min_size=alg.dim,
+                                                max_size=alg.dim)))
+
+
+@pytest.mark.parametrize("alg", SCALE_BASES[:2], ids=["sl21", "osp12"])
+def test_subalgebra_on_integer_scalings_keeps_fractions(alg):
+    # integral constants and scalings: one common denominator, 1
+    assert all(x.denominator == 1 for terms in alg.brackets.values() for x in terms.values())
+    _assert_scaled_copy(alg, [Fraction(1 + i % 3) * (-1) ** i for i in range(alg.dim)])
 
 
 def _ambient_products(selection):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import dense, oracle_nullity, oracle_rank
 from wsuper import grading
@@ -9,7 +10,7 @@ from wsuper.catalog import _unit_by_name, family_algebra
 from wsuper.errors import DegeneracyError, InputError, NotMinimalError
 from wsuper.grading import (build_minimal_setup, find_sl2_triple, kw_dimensions,
                             kw_numbers)
-from wsuper.linalg import vec_scale
+from wsuper.linalg import ONE, lin_comb, vec_scale
 
 from conftest import get_setup
 
@@ -258,3 +259,20 @@ def test_hyperbolic_pass_refuses_a_pairing_without_isotropic_vectors():
     pairing = _gram_pairing([[1, 0], [0, 1]])
     with pytest.raises(DegeneracyError, match="no isotropic pivot"):
         grading._hyperbolic_basis(pairing, _UNITS[:2])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_shifted_columns_subtract_the_shift_on_the_diagonal(data):
+    # the values overlap, so a diagonal entry often cancels against the shift
+    n = data.draw(st.integers(1, 6))
+    value = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction)
+    cols = data.draw(st.lists(st.dictionaries(st.integers(0, n - 1), value),
+                              min_size=n, max_size=n))
+    shift = data.draw(st.sampled_from([0, 1, -2, 2, Fraction(1, 2)]).map(Fraction))
+    indices = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    before = [dict(col) for col in cols]
+    out = grading._shifted_columns(cols, shift, indices)
+    assert out == [lin_comb({0: ONE, 1: -shift}, (cols[j], {j: ONE})) for j in indices]
+    assert all(type(x) is Fraction and x for col in out for x in col.values())
+    assert cols == before
