@@ -53,9 +53,6 @@ class SuperAlgebra:
     def basis_vector(self, i):
         return {i: ONE}
 
-    def bracket_basis(self, i, j):
-        return self.brackets.get((i, j), {})
-
     def _check(self, *vectors):
         for v in vectors:
             if not v.keys() <= self._indices:

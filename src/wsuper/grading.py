@@ -112,9 +112,9 @@ class MinimalSetup:
         self.letter_parity = tuple(alg.parity_of(v) for v in self.letters)
         self.letter_grade = tuple(i for i, vs in blocks for _ in vs)
         self.dim = alg.dim
-        # letter layout: g(>= 0) is letters[:n_p], with e last, then z, then f
+        # letter layout: g(>= 0) is letters[:z_start], with e last, then z, then f
         self.idx_e = len(grading[0]) + len(grading[1])
-        self.n_p = self.z_start = self.idx_e + 1
+        self.z_start = self.idx_e + 1
         self.idx_f = len(self.letters) - 1
         self.sdim = self.letter_parity[self.z_start:self.idx_f].count(0)
         self.rdim = len(self.zbasis) - self.sdim

@@ -258,30 +258,19 @@ class SuiteContext:
         setup = self.setup
         gens = [(g.value, g.kazhdan_degree, g.parity)
                 for g in self.thetas0 + self.thetas1 + [self.cas]]
-
-        def extend(idxs, q, g):
-            """The monomial idxs times generator g; a product of two basis
-            generators comes from the product memo."""
-            if not idxs:
-                return gens[g][0]
-            if len(idxs) == 1 and g < len(gens) - 1:
-                return self.product(idxs[0], g)
-            return multiply_q(q, gens[g][0])
-
+        # breadth first, each monomial after its prefix: the list grows
+        # behind its own loop; two basis generators come from the memo
         monomials = [((), WhittakerElement.unit(setup), 0)]
-        frontier = [((), WhittakerElement.unit(setup), 0)]
-        while frontier:
-            nxt = []
-            for idxs, q, deg in frontier:
-                start = idxs[-1] if idxs else 0
-                for g in range(start, len(gens)):
-                    _, gdeg, gpar = gens[g]
-                    if (gpar and idxs and idxs[-1] == g) or deg + gdeg > max_deg:
-                        continue               # odd generators square away
-                    item = (idxs + (g,), extend(idxs, q, g), deg + gdeg)
-                    nxt.append(item)
-                    monomials.append(item)
-            frontier = nxt
+        for idxs, q, deg in monomials:
+            for g in range(idxs[-1] if idxs else 0, len(gens)):
+                value, gdeg, gpar = gens[g]
+                if (gpar and idxs and idxs[-1] == g) or deg + gdeg > max_deg:
+                    continue                   # odd generators square away
+                if len(idxs) == 1 and g < len(gens) - 1:
+                    value = self.product(idxs[0], g)
+                elif idxs:
+                    value = multiply_q(q, value)
+                monomials.append((idxs + (g,), value, deg + gdeg))
 
         tag = len(setup.letters)
         echelon = Echelon({**q.terms, (tag, t): ONE}
@@ -646,22 +635,15 @@ def one_dim_rep(setup, ctx=None):
 
 def _symalg_count(degrees, parities, max_deg):
     """Number of supersymmetric monomials of total degree <= max_deg on
-    generators with the given degrees; odd generators square to zero."""
-    counts = {0: 1}
+    generators with the given degrees; odd generators square to zero.  A
+    knapsack over counts[d], the monomials of degree d so far: an odd
+    generator enters at most once (d runs down), an even one any number
+    of times (d runs up)."""
+    counts = [1] + [0] * max_deg
     for deg, par in zip(degrees, parities):
-        new = dict(counts)
-        if par == 0:
-            for d, c in counts.items():
-                k = 1
-                while d + k * deg <= max_deg:
-                    new[d + k * deg] = new.get(d + k * deg, 0) + c
-                    k += 1
-        else:
-            for d, c in counts.items():
-                if d + deg <= max_deg:
-                    new[d + deg] = new.get(d + deg, 0) + c
-        counts = new
-    return sum(c for d, c in counts.items() if d <= max_deg)
+        for d in range(max_deg, deg - 1, -1) if par else range(deg, max_deg + 1):
+            counts[d] += counts[d - deg]
+    return sum(counts)
 
 
 def w_pbw_check(setup, max_deg=4, ctx=None):
@@ -690,7 +672,11 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
     # polynomial with no constant or linear part modulo Kazhdan degree
     # m_i + m_j + 1; operationally the part above the bound must lie in
     # the span of the same parts of two-generator products, factored once
-    # per bound.
+    # per bound.  Theta_l Theta_k = (-1)^{|k||l|} (Theta_k Theta_l -
+    # [Theta_k, Theta_l]) exactly and taking the part above a bound is
+    # linear, so the products for k <= l and the commutators for k < l,
+    # which the pair loop below has already memoised when the first top
+    # appears, span the same parts as all ordered products.
     def above(q, bound):
         return {k: c for k, c in q.terms.items() if kazhdan_degree(setup, k) > bound}
 
@@ -709,10 +695,9 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
                 continue
             echelon = quad_tops.get(bound)
             if echelon is None:
-                echelon = quad_tops[bound] = Echelon()
-                for k in range(n0):
-                    for l in range(n0):
-                        echelon.add(above(ctx.product(k, l), bound))
+                quads = [ctx.product(k, l) for k in range(n0) for l in range(k, n0)]
+                quads += [ctx.commutator(k, l) for k in range(n0) for l in range(k + 1, n0)]
+                echelon = quad_tops[bound] = Echelon(above(q, bound) for q in quads)
             if echelon.reduce(top):
                 rep.fail("filtration bound at (%d,%d): top part not a "
                          "quadratic polynomial in the generators" % (i, j))

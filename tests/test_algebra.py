@@ -105,7 +105,7 @@ def test_gl_brackets_match_the_matrix_supercommutator(m, n):
         a, b = divmod(i, N)
         for j in range(alg.dim):
             c, d = divmod(j, N)
-            got = gl_vector_to_matrix(alg, alg.bracket_basis(i, j), m, n)
+            got = gl_vector_to_matrix(alg, alg.brackets.get((i, j), {}), m, n)
             assert got == super_bracket(munit(N, a, b), munit(N, c, d), m), (i, j)
 
 

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import b_table_by_fractions, bw_element
 from wsuper import linalg, relations, whittaker
@@ -9,8 +11,8 @@ from wsuper.algebra import SuperAlgebra
 from wsuper.catalog import family_setup
 from wsuper.grading import MinimalSetup
 from wsuper.relations import (RELATION_IDS, SuiteContext, c0_double_sum,
-                              c0_formula, extract_c0, identities_suite,
-                              one_dim_rep, run_suite,
+                              c0_formula, extract_c0, generator_checks,
+                              identities_suite, one_dim_rep, run_suite,
                               verify_scalar_reduction, verify_b_invariance,
                               verify_centrality, verify_deg0, verify_deg01,
                               w_pbw_check)
@@ -494,3 +496,172 @@ def test_w_pbw_check_filtration_bound_can_fail(psl22):
         bounds = [w for w, _ in rep.failures if w.startswith("filtration bound")]
         assert bool(bounds) == fails
         assert rep.failures == [(w, None) for w in bounds]
+
+
+# ---------------------------------------------------------------------------
+# every check can fail: each branch forced once on a fresh context
+
+
+def _plus_one(ctx, i, j):
+    """Add 1 to B(w_i, w_j) in the basis-pair table."""
+    B, pair = ctx.b_table[i][j]
+    ctx.b_table[i][j] = (B + WhittakerElement.unit(ctx.setup, 1), pair)
+    return pair
+
+
+def test_extract_c0_fails_on_a_residue_at_a_zero_pairing_pair():
+    s = family_setup("psl22")
+    ctx = SuiteContext(s)
+    assert _plus_one(ctx, 0, 0) == 0
+    rep, result = extract_c0(s, ctx)
+    assert rep.failures == [("zero-pairing pair (w0,w0) has residue",
+                             WhittakerElement.unit(s, 1))]
+    assert result.consistent and result.value == 0
+
+
+def test_extract_c0_fails_when_the_pairs_disagree():
+    # (w1,w1) has pairing -4, so B + 1 moves its c0 from 0 to 1/2
+    s = family_setup("osp", 3, 2)
+    ctx = SuiteContext(s)
+    assert _plus_one(ctx, 1, 1) == -4
+    rep, result = extract_c0(s, ctx)
+    assert rep.failures == [("c0 at (w0,w2) is 0, at (w1,w1) is 1/2", None)]
+    assert not result.consistent and result.value == 0
+
+
+@pytest.mark.parametrize("selection", [("sl", 2, 0), ("gl", 2, 0),
+                                       ("osp", 0, 2), ("sl", 0, 2)])
+def test_extract_c0_notes_an_empty_g_e_1(selection):
+    s = family_setup(*selection)
+    assert s.cent[1] == []
+    result = run_suite(s, fail_fast=False)
+    assert result.ok
+    c0 = next(r for r in result.reports if r.rel_id == "c0")
+    assert c0.detail == {"note": "g^e(1) = 0; nothing to extract"}
+    assert result.c0.pairs == [] and result.c0.value is None
+
+
+def test_b_invariance_fails_on_an_odd_b():
+    # w0 is even and w2 odd on sl(3|1), so b(w0, w2) must vanish
+    s = family_setup("sl", 3, 1)
+    ctx = SuiteContext(s)
+    assert _plus_one(ctx, 0, 2) == 0
+    rep = verify_b_invariance(s, ctx)
+    assert rep.failures == [("b not even at (w0,w2)", None),
+                            ("invariance at v0,(w0,w2): -3/2 != 1/2", None),
+                            ("invariance at v1,(w0,w2): 1 != -1", None)]
+
+
+def test_b_invariance_fails_off_proportionality():
+    s = family_setup("osp", 3, 2)
+    ctx = SuiteContext(s)
+    _plus_one(ctx, 1, 1)
+    rep = verify_b_invariance(s, ctx)
+    assert rep.failures[0] == ("b not proportional to ([.,.],f): ratios "
+                               "['-1/4', '0']", None)
+    assert all(w.startswith("invariance at") for w, _ in rep.failures[1:])
+
+
+@pytest.mark.parametrize("grade, expected", [
+    (0, ["degree of Theta[1/2*x1+x2] > 2", "membership Theta[1/2*x1+x2] at ad z1",
+         "linearity of Theta on g^e(0)"]),
+    (1, ["sigma negates Theta[y1]", "degree of Theta[y1] > 3",
+         "membership Theta[y1] at ad z1", "linearity of Theta on g^e(1)"])])
+def test_generator_checks_fail_above_the_degree_bound(grade, expected):
+    # the lone letter e has Kazhdan degree 4
+    s = family_setup("psl22")
+    ctx = SuiteContext(s)
+    gen = (ctx.thetas0, ctx.thetas1)[grade][0]
+    gen.value = gen.value + WhittakerElement(s, {(s.idx_e,): F(1)})
+    rep = generator_checks(s, ctx)
+    assert [w for w, _ in rep.failures] == expected
+    assert dict(rep.failures)[expected[grade]] == gen.value
+
+
+def test_generator_checks_fail_above_the_degree_of_c():
+    s = family_setup("psl22")
+    ctx = SuiteContext(s)
+    ctx.cas.value = ctx.cas.value + WhittakerElement(s, {(s.idx_e, s.idx_e): F(1)})
+    assert generator_checks(s, ctx).failures == [("degree of C > 4", ctx.cas.value)]
+
+
+def test_w_pbw_check_fails_on_the_graded_count(monkeypatch, psl22):
+    count = relations._symalg_count
+    monkeypatch.setattr(relations, "_symalg_count", lambda *args: count(*args) + 1)
+    rep = w_pbw_check(psl22, 4, SuiteContext(psl22))
+    assert rep.failures == [("graded count 15 != supersymmetric-algebra count 16", None)]
+    assert rep.detail == {"monomials": 15, "rank": 15, "symalg_count": 16}
+
+
+def test_a_g_e_2_basis_off_e_is_an_input_error():
+    s = family_setup("psl22")
+    s.cent = {**s.cent, 2: [linalg.lin_comb({0: F(1), 1: F(1)}, [s.triple.e, s.triple.h])]}
+    with pytest.raises(InputError, match="g\\^e\\(2\\) basis is not a multiple of e"):
+        verify_centrality(s, SuiteContext(s))
+
+
+# ---------------------------------------------------------------------------
+# pbw: the monomials, their count and the filtration bound's work
+
+
+@pytest.mark.parametrize("name, max_deg, count", [
+    ("psl22", 2, 4), ("psl22", 3, 8), ("psl22", 5, 27), ("psl22", 6, 46),
+    ("sl(2|1)", 2, 2), ("sl(2|1)", 3, 4), ("sl(2|1)", 5, 8), ("sl(2|1)", 6, 11),
+    ("osp(3|2)", 2, 4), ("osp(3|2)", 3, 7), ("osp(3|2)", 5, 23), ("osp(3|2)", 6, 39)])
+def test_w_pbw_check_below_and_above_degree_4(name, max_deg, count):
+    # above degree 4 a monomial of three or more generators is a model
+    # product of its prefix and its last generator
+    s = get_setup(name)
+    rep = w_pbw_check(s, max_deg, SuiteContext(s))
+    assert rep.ok
+    assert rep.detail == {"monomials": count, "rank": count, "symalg_count": count}
+
+
+@pytest.mark.parametrize("name, echelons", [("psl22", 1), ("osp(5|2)", 2)])
+def test_pbw_makes_no_product_of_a_g_e_0_pair_out_of_order(monkeypatch, name, echelons):
+    # work counter: Theta_l Theta_k is read from Theta_k Theta_l and the
+    # commutator memo, so no product for k > l is made or memoised.  One
+    # echelon holds the monomials; osp(5|2) has tops above the bound of its
+    # g^e(1) pairs, so a second holds the tops of the g^e(0) quadratics
+    setup = family_setup(*B_TABLE_ALGEBRAS[name])
+    ctx = SuiteContext(setup)
+    products = _count(monkeypatch, "multiply_q", (whittaker, relations))
+    built = []
+    echelon = relations.Echelon
+    monkeypatch.setattr(relations, "Echelon", lambda *rows: built.append(1) or echelon(*rows))
+    assert w_pbw_check(setup, 4, ctx).ok
+    assert len(built) == echelons
+    n0 = len(setup.cent[0])
+    index = {id(g.value): k for k, g in enumerate(ctx.thetas0)}
+    pairs = [(index.get(id(a)), index.get(id(b))) for a, b in products]
+    assert not [(k, l) for k, l in pairs if None not in (k, l) and k > l]
+    assert set(ctx._products) == {(k, l) for k in range(n0) for l in range(k, n0)}
+
+
+def test_filtration_bound_spans_the_commutators(psl22):
+    # [Theta_0, Theta_1] added to every Theta_[Yi,Yj] puts it in the top
+    # part of each g^e(0) pair, whose bound is 1.  The ordered products
+    # span it, as Theta_0 Theta_1 - (-1)^{|0||1|} Theta_1 Theta_0, so pbw
+    # must pass although no product with k > l is formed
+    extra = get_ctx("psl22").commutator(0, 1)
+    ctx = SuiteContext(psl22)
+    theta = ctx.theta
+    ctx.theta = lambda x: theta(x) + extra
+    assert w_pbw_check(psl22, 4, ctx).ok
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 1)), max_size=6),
+       st.integers(0, 9))
+@example([(2, 0), (3, 1), (4, 0)], 1)
+def test_symalg_count_counts_supersymmetric_monomials(gens, max_deg):
+    # brute force: multisets of generators, no odd one twice, total degree
+    # <= max_deg; max_deg may lie below every degree
+    degrees, parities = [d for d, _ in gens], [p for _, p in gens]
+    count = 0
+    for size in range(max_deg + 1):
+        for idxs in combinations_with_replacement(range(len(gens)), size):
+            odd = [i for i in idxs if parities[i]]
+            if len(set(odd)) == len(odd) and sum(degrees[i] for i in idxs) <= max_deg:
+                count += 1
+    assert relations._symalg_count(degrees, parities, max_deg) == count
