@@ -298,9 +298,10 @@ def build_minimal_setup(alg, e):
     pieces = {}                           # (i, parity) -> basis of that part of g(i)
     for par in (0, 1):
         idx = [j for j in range(alg.dim) if alg.parity[j] == par]
-        units = [{j: ONE} for j in idx]
-        for i in range(-2, 3):
-            pieces[i, par] = _kernel(units, _shifted_columns(ad_h, Fraction(i), idx))
+        for i in range(-2, 3):      # over unit vectors: re-key each solution
+            rows = transpose(_shifted_columns(ad_h, Fraction(i), idx)).values()
+            pieces[i, par] = [{idx[j]: c for j, c in sol.items()}
+                              for sol in nullspace(rows, len(idx))]
     grading = {i: pieces[i, 0] + pieces[i, 1] for i in range(-2, 3)}
     total = sum(map(len, grading.values()))
     if total != alg.dim:

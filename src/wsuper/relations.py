@@ -98,8 +98,8 @@ class C0Result:
 
 class SuiteContext:
     """Shared caches: the standard generators, the Casimir data, the
-    coordinate map of g^e, the table of B on the g^e(1) basis and the
-    factored generator monomials.
+    coordinate map of g^e, the residue of each basis pair (B on the g^e(1)
+    basis among them) and the factored generator monomials.
 
     Theta is linear, so Theta of any vector of g^e(0) + g^e(1) + g^e(2)
     is summed from its coordinates over the cached basis generators, and
@@ -112,8 +112,10 @@ class SuiteContext:
         self.setup = setup
         self.corrupt = corrupt
         self.basis = setup.cent[0] + setup.cent[1] + setup.cent[2]
+        self.odd = [setup.alg.parity_of(y) for y in self.basis]
         self._products = {}
         self._commutators = {}
+        self._residues = {}
         self._nested = {}
         self._monomials = {}
 
@@ -179,64 +181,80 @@ class SuiteContext:
         return out
 
     def commutator(self, k, l):
-        """[basis_theta(k), basis_theta(l)]; memoised once per unordered
-        pair, the other order read by super-antisymmetry (each basis
-        generator has the parity of its basis vector).  The memo's value
-        is returned as is: copy its terms before changing them."""
+        """[basis_theta(k), basis_theta(l)], memoised by _antisymmetric."""
+        return self._antisymmetric(self._commutators, k, l, lambda k, l: supercommutator_q(
+            self.basis_theta(k), self.basis_theta(l)))
+
+    def residue(self, k, l):
+        """The residue of the relation for basis pair (k, l), memoised by
+        _antisymmetric: B_ij when basis[k] = w_i and basis[l] = w_j lie in
+        g^e(1), else [Theta_k, Theta_l] - Theta_[basis[k], basis[l]]."""
+        n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
+        bracket = self.setup.alg.bracket
+        return self._antisymmetric(self._residues, k, l, lambda k, l: (
+            self._b_entry(k - n0, l - n0) if n0 <= k and l < n0 + n1 else
+            self.commutator(k, l) - self.theta(bracket(self.basis[k], self.basis[l]))))
+
+    def _antisymmetric(self, memo, k, l, build):
+        """memo[(k, l)] for k <= l, built once; the other order is read by
+        super-antisymmetry (each basis generator has its basis vector's parity)."""
         key = (k, l) if k <= l else (l, k)
-        out = self._commutators.get(key)
+        out = memo.get(key)
         if out is None:
-            out = supercommutator_q(self.basis_theta(key[0]), self.basis_theta(key[1]))
-            self._commutators[key] = out
-        parity = self.setup.alg.parity_of
-        if k > l and not (parity(self.basis[k]) and parity(self.basis[l])):
-            return -out
-        return out
+            out = memo[key] = build(*key)
+        return -out if k > l and not (self.odd[k] and self.odd[l]) else out
 
     @cached_property
     def b_table(self):
         """b_table[i][j] = (B(w_i, w_j), ([w_i, w_j], f)) on the g^e(1)
-        basis; B is the degree-1 commutator minus its structural terms.
+        basis, a view of the residue memo."""
+        n0, basis = len(self.setup.cent[0]), self.setup.cent[1]
+        return [[(self.residue(n0 + i, n0 + j), self.pair_value(w1, w2))
+                 for j, w2 in enumerate(basis)] for i, w1 in enumerate(basis)]
 
-        Assembled bilinearly: with sign = -1 iff w_i and w_j are both odd,
+    @cached_property
+    def _b_entry(self):
+        """(i, j) -> B_ij, the degree-1 commutator minus its structural
+        terms, as one combine.  With sign = -1 iff w_i and w_j are both odd,
         B_ij = [Theta_wi, Theta_wj] - (pair/2)(C - ThetaCas)
-               + sum_{k,l} M_ij[k,l] product(k, l),
+               + sum_{k,l} M_ij[k,l] Theta_k Theta_l,
         M_ij = sum_a (L[i][a] (x) R[j][a] - sign L[j][a] (x) R[i][a]) / 2,
         where L[i][a] and R[j][a] are the g^e(0) coordinates of
-        [w_i, z_a]# and [z*_a, w_j]#, each computed once.
-        """
-        setup = self.setup
-        alg = setup.alg
-        basis = setup.cent[1]
-        n0 = len(setup.cent[0])
+        [w_i, z_a]# and [z*_a, w_j]#, and L, R and C - ThetaCas are computed
+        once.  A term with k > l is read as (-1)^{|k||l|} (Theta_l Theta_k
+        - [Theta_l, Theta_k]), so only products with k <= l are made."""
+        setup, odd = self.setup, self.odd
+        alg, n0 = setup.alg, len(setup.cent[0])
 
         def sharp_coords(x):
             return self.coords(setup.sharp(x)) if x else {}
-
         left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis]
-                for w in basis]
+                for w in setup.cent[1]]
         right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual]
-                 for w in basis]
+                 for w in setup.cent[1]]
         c_minus_tcas = self.cas.value - self.tcas.value
-        table = []
-        for i, w1 in enumerate(basis):
-            row = []
-            for j, w2 in enumerate(basis):
-                sign = -1 if (alg.parity_of(w1) and alg.parity_of(w2)) else 1
-                pair = self.pair_value(w1, w2)
-                m = {}
-                for x, y, c in ((left[i], right[j], Fraction(1, 2)),
-                                (left[j], right[i], Fraction(-sign, 2))):
-                    for xa, ya in zip(x, y):
-                        for k, xk in xa.items():
-                            for l, yl in ya.items():
-                                m[(k, l)] = m.get((k, l), ZERO) + c * xk * yl
-                terms = [(ONE, self.commutator(n0 + i, n0 + j)),
-                         (Fraction(-pair, 2), c_minus_tcas)]
-                terms += [(c, self.product(k, l)) for (k, l), c in m.items()]
-                row.append((combine(setup, terms), pair))
-            table.append(row)
-        return table
+
+        def entry(i, j):
+            m, sign = {}, -1 if odd[n0 + i] and odd[n0 + j] else 1
+            for x, y, c in ((left[i], right[j], Fraction(1, 2)),
+                            (left[j], right[i], Fraction(-sign, 2))):
+                for xa, ya in zip(x, y):
+                    for k, xk in xa.items():
+                        for l, yl in ya.items():
+                            m[(k, l)] = m.get((k, l), ZERO) + c * xk * yl
+            prods, comms = {}, {}
+            for (k, l), c in m.items():
+                if k > l:
+                    k, l, c = l, k, -c if odd[k] and odd[l] else c
+                    comms[(k, l)] = -c
+                prods[(k, l)] = prods.get((k, l), ZERO) + c
+            pair = self.pair_value(self.basis[n0 + i], self.basis[n0 + j])
+            terms = [(ONE, self.commutator(n0 + i, n0 + j)),
+                     (Fraction(-pair, 2), c_minus_tcas)]
+            terms += [(c, self.product(k, l)) for (k, l), c in prods.items() if c]
+            terms += [(c, self.commutator(k, l)) for (k, l), c in comms.items() if c]
+            return combine(setup, terms)
+        return entry
 
     def nested(self, side, w):
         """_nested_brackets(setup, side, w), memoised per (side, w)."""
@@ -393,15 +411,13 @@ def generator_checks(setup, ctx):
     return rep
 
 
-def _theta_brackets(setup, ctx, rel_id, left, lname, right, rname):
+def _theta_brackets(ctx, rel_id, left, lname, right, rname):
     """[Theta_x, Theta_y] = Theta_[x,y] over pairs of ctx.basis indices from
-    the ranges left and right, with the commutators read from the memo."""
+    the ranges left and right, with the residues read from the memo."""
     rep = RelationReport(rel_id)
-    basis = ctx.basis
     for i, k in enumerate(left):
         for j, l in enumerate(right):
-            res = ctx.commutator(k, l) - ctx.theta(setup.alg.bracket(basis[k], basis[l]))
-            rep.check("(%s%d,%s%d)" % (lname, i, rname, j), res)
+            rep.check("(%s%d,%s%d)" % (lname, i, rname, j), ctx.residue(k, l))
     rep.detail["pairs"] = len(left) * len(right)
     return rep
 
@@ -410,14 +426,14 @@ def verify_deg0(setup, ctx=None):
     """[Theta_v1, Theta_v2] = Theta_[v1,v2] over all ordered basis pairs."""
     ctx = ctx or SuiteContext(setup)
     n0 = range(len(setup.cent[0]))
-    return _theta_brackets(setup, ctx, "deg0", n0, "v", n0, "v")
+    return _theta_brackets(ctx, "deg0", n0, "v", n0, "v")
 
 
 def verify_deg01(setup, ctx=None):
     """[Theta_v, Theta_w] = Theta_[v,w] over all basis pairs."""
     ctx = ctx or SuiteContext(setup)
     n0, n1 = len(setup.cent[0]), len(setup.cent[1])
-    return _theta_brackets(setup, ctx, "deg01", range(n0), "v", range(n0, n0 + n1), "w")
+    return _theta_brackets(ctx, "deg01", range(n0), "v", range(n0, n0 + n1), "w")
 
 
 def verify_centrality(setup, ctx=None):
@@ -604,7 +620,9 @@ def one_dim_rep(setup, ctx=None):
     ctx.monomials(4): a_1 + a_C C + terms with a Theta factor.  eps is
     multiplicative iff a_1 + c0 a_C = 0 on every g^e(1) basis pair; c0 is
     -a_1/a_C at the first pair with a_C != 0, else 0.  The report carries
-    the generators of the ideal ker eps."""
+    the generators of the ideal ker eps; when every pair lies in the span
+    and none has a_C != 0 (g^e(1) = 0, say), nothing determines c0, and
+    it carries a note instead of c0 and C - c0."""
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("one_dim")
     gens, _, echelon = ctx.monomials(4)
@@ -622,14 +640,19 @@ def one_dim_rep(setup, ctx=None):
             else:       # C is the last generator, monomial len(gens)
                 coeffs.append((label, -rest.get((tag, 0), ZERO),
                                -rest.get((tag, len(gens)), ZERO)))
-    c0 = next((-a1 / ac for _, a1, ac in coeffs if ac), ZERO)
+    c0 = next((-a1 / ac for _, a1, ac in coeffs if ac), None)
+    undetermined = c0 is None and rep.ok        # every pair in the span
+    c0 = ZERO if c0 is None else c0
     for label, a1, ac in coeffs:
         if a1 + c0 * ac:
             rep.fail("a_1 + c0 a_C != 0 at %s" % label,
                      WhittakerElement.unit(setup, a1 + c0 * ac))
     rep.detail["ideal_generators"] = [g.label for g in ctx.thetas0 + ctx.thetas1]
-    rep.detail["ideal_generators"].append("C - %s" % c0)
-    rep.detail["c0"] = str(c0)
+    if undetermined:
+        rep.detail["note"] = "no pair has a_C != 0; c0 not determined"
+    else:
+        rep.detail["ideal_generators"].append("C - %s" % c0)
+        rep.detail["c0"] = str(c0)
     return rep
 
 
@@ -668,29 +691,30 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
         rep.fail("graded count %d != supersymmetric-algebra count %d"
                  % (len(monomials), expect))
 
-    # commutator filtration: [Theta_i, Theta_j] - Theta_[Yi,Yj] equals a
+    # commutator filtration: the residue of each generator pair equals a
     # polynomial with no constant or linear part modulo Kazhdan degree
     # m_i + m_j + 1; operationally the part above the bound must lie in
     # the span of the same parts of two-generator products, factored once
     # per bound.  Theta_l Theta_k = (-1)^{|k||l|} (Theta_k Theta_l -
     # [Theta_k, Theta_l]) exactly and taking the part above a bound is
-    # linear, so the products for k <= l and the commutators for k < l,
-    # which the pair loop below has already memoised when the first top
-    # appears, span the same parts as all ordered products.
+    # linear, so the products for k <= l and the commutators for k < l
+    # span the same parts as all ordered products.  B_ij differs from
+    # [Theta_wi, Theta_wj] - Theta_[wi,wj] by such a combination, (pair/2)
+    # ThetaCas + sum M_ij[k,l] Theta_k Theta_l, for any linear Theta (the
+    # corrupted ones too), so either gives the same verdict; on a passing
+    # run no residue has a top part and no echelon is built.
     def above(q, bound):
         return {k: c for k, c in q.terms.items() if kazhdan_degree(setup, k) > bound}
 
     n0 = len(setup.cent[0])
     grades = [grade for grade in (0, 1, 2) for _ in setup.cent[grade]]
     quad_tops = {}
-    for i, yi in enumerate(ctx.basis):
+    for i in range(len(ctx.basis)):
         for j in range(i, len(ctx.basis)):
-            yj = ctx.basis[j]
-            if i == j and setup.alg.parity_of(yi) == 0:
+            if i == j and not ctx.odd[i]:
                 continue
-            diff = ctx.commutator(i, j) - ctx.theta(setup.alg.bracket(yi, yj))
             bound = grades[i] + grades[j] + 1
-            top = above(diff, bound)
+            top = above(ctx.residue(i, j), bound)
             if not top:
                 continue
             echelon = quad_tops.get(bound)

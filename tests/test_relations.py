@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import b_table_by_fractions, bw_element
 from wsuper import linalg, relations, whittaker
 from wsuper.algebra import SuperAlgebra
-from wsuper.catalog import family_setup
+from wsuper.catalog import CATALOG_NAMES, family_setup
 from wsuper.grading import MinimalSetup
 from wsuper.relations import (RELATION_IDS, SuiteContext, c0_double_sum,
                               c0_formula, extract_c0, generator_checks,
@@ -490,6 +490,7 @@ def test_w_pbw_check_filtration_bound_can_fail(psl22):
             (WhittakerElement(psl22, {(psl22.idx_e,): F(1)}), True),
             (get_ctx("psl22").product(0, 1), False)):
         ctx = SuiteContext(psl22)
+        _ = ctx.tcas        # ThetaCas in B is summed before Theta is patched
         theta = ctx.theta
         ctx.theta = lambda x: theta(x) + extra
         rep = w_pbw_check(psl22, 4, ctx)
@@ -539,6 +540,24 @@ def test_extract_c0_notes_an_empty_g_e_1(selection):
     c0 = next(r for r in result.reports if r.rel_id == "c0")
     assert c0.detail == {"note": "g^e(1) = 0; nothing to extract"}
     assert result.c0.pairs == [] and result.c0.value is None
+    # no pair determines c0 in one_dim either: a note, and no C - c0
+    one_dim = next(r for r in result.reports if r.rel_id == "one_dim")
+    assert one_dim.detail == {
+        "ideal_generators": ["Theta[x1+x2]"] if selection == ("gl", 2, 0) else [],
+        "note": "no pair has a_C != 0; c0 not determined"}
+
+
+def test_one_dim_fails_where_no_pair_determines_c0():
+    # osp(1|2) has one g^e(1) pair; its commutator replaced by 1 has
+    # a_C = 0 and a_1 = 1, so c0 is not determined and no c0 gives eps
+    s = get_setup("osp(1|2)")
+    ctx = SuiteContext(s)
+    assert len(ctx.basis) == 2
+    ctx._commutators[(0, 0)] = WhittakerElement.unit(s, 1)
+    rep = one_dim_rep(s, ctx)
+    assert rep.failures == [("a_1 + c0 a_C != 0 at (w0,w0)", WhittakerElement.unit(s, 1))]
+    assert rep.detail == {"ideal_generators": ["Theta[y1]"],
+                          "note": "no pair has a_C != 0; c0 not determined"}
 
 
 def test_b_invariance_fails_on_an_odd_b():
@@ -617,12 +636,13 @@ def test_w_pbw_check_below_and_above_degree_4(name, max_deg, count):
     assert rep.detail == {"monomials": count, "rank": count, "symalg_count": count}
 
 
-@pytest.mark.parametrize("name, echelons", [("psl22", 1), ("osp(5|2)", 2)])
+@pytest.mark.parametrize("name, echelons", [("psl22", 1), ("osp(5|2)", 1)])
 def test_pbw_makes_no_product_of_a_g_e_0_pair_out_of_order(monkeypatch, name, echelons):
     # work counter: Theta_l Theta_k is read from Theta_k Theta_l and the
     # commutator memo, so no product for k > l is made or memoised.  One
-    # echelon holds the monomials; osp(5|2) has tops above the bound of its
-    # g^e(1) pairs, so a second holds the tops of the g^e(0) quadratics
+    # echelon holds the monomials; the bound reads the residues, B on the
+    # g^e(1) pairs, which have no top part, so no echelon of the g^e(0)
+    # quadratics is built
     setup = family_setup(*B_TABLE_ALGEBRAS[name])
     ctx = SuiteContext(setup)
     products = _count(monkeypatch, "multiply_q", (whittaker, relations))
@@ -636,6 +656,51 @@ def test_pbw_makes_no_product_of_a_g_e_0_pair_out_of_order(monkeypatch, name, ec
     pairs = [(index.get(id(a)), index.get(id(b))) for a, b in products]
     assert not [(k, l) for k, l in pairs if None not in (k, l) and k > l]
     assert set(ctx._products) == {(k, l) for k in range(n0) for l in range(k, n0)}
+
+
+@pytest.mark.parametrize("name", ["psl22", "osp(5|2)"])
+def test_pbw_and_c0_catch_a_residue_fault_at_one_g_e_1_pair(name):
+    # the residue memo entry of (w0, w1) plus the lone letter e, of Kazhdan
+    # degree 4, is not a quadratic polynomial in the g^e(0) generators;
+    # plus Theta_0 Theta_1 it is one.  B is non-scalar either way
+    setup = family_setup(*B_TABLE_ALGEBRAS[name])
+    n0 = len(setup.cent[0])
+    for extra, fails in ((WhittakerElement(setup, {(setup.idx_e,): F(1)}), True),
+                         (SuiteContext(setup).product(0, 1), False)):
+        ctx = SuiteContext(setup)
+        ctx._residues[(n0, n0 + 1)] = ctx.residue(n0, n0 + 1) + extra
+        pbw = w_pbw_check(setup, 4, ctx)
+        assert pbw.failures == [
+            ("filtration bound at (%d,%d): top part not a quadratic polynomial in "
+             "the generators" % (n0, n0 + 1), None)] * fails
+        rep, _ = extract_c0(setup, ctx)
+        assert [w for w, _ in rep.failures] == ["non-scalar residue at (w0,w1)",
+                                                "non-scalar residue at (w1,w0)"]
+
+
+@pytest.mark.parametrize("selection", [("psl22",), ("osp", 5, 2), ("sl", 4, 2)])
+def test_a_full_suite_makes_no_product_out_of_order(monkeypatch, selection):
+    # work counter: B's terms Theta_k Theta_l with k > l are read from the
+    # product with k < l and the commutator memo
+    contexts = []
+    context = relations.SuiteContext
+    monkeypatch.setattr(relations, "SuiteContext",
+                        lambda *args, **kw: contexts.append(context(*args, **kw)) or contexts[-1])
+    run_suite(family_setup(*selection), fail_fast=False)
+    (ctx,) = contexts
+    assert ctx._products and [(k, l) for k, l in ctx._products if k > l] == []
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("osp(5|2)",))
+def test_pbw_on_a_fresh_context_builds_one_echelon(monkeypatch, name):
+    # work counter: the monomials' echelon only; no residue of a passing
+    # run has a part above its bound
+    setup = family_setup("osp", 5, 2) if name == "osp(5|2)" else get_setup(name)
+    built = []
+    echelon = relations.Echelon
+    monkeypatch.setattr(relations, "Echelon", lambda *rows: built.append(1) or echelon(*rows))
+    assert w_pbw_check(setup, 4, SuiteContext(setup)).ok
+    assert len(built) == 1
 
 
 def test_filtration_bound_spans_the_commutators(psl22):
