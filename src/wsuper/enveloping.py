@@ -7,22 +7,27 @@ rewrites to [x,x]/2.  Rewriting scans from the right so the reduction is
 a single right-to-left pass for nearly-sorted products.
 
 Elements live in the model (whittaker.WhittakerElement), which also
-owns their coefficients; this module works on words only.
+owns their coefficients; this module works on lists of (word,
+coefficient) pairs.  Each operation pushes all its words onto one stack,
+and one straighten reduces that stack into one sink.
 
-A supercommutator of two normal words is expanded by the superderivation
-rule into words one letter shorter, so the top terms of uv and vu, which
-cancel, are never formed.
+A supercommutator of two sums of normal words is expanded by the
+superderivation rule into words one letter shorter, so the top terms of
+uv and vu, which cancel, are never formed.  The right operand is indexed
+once by letter, so a left letter meets only the right letters it has a
+nonzero bracket with.
 """
 
 from fractions import Fraction
 
 
-def straighten(setup, word, coeff, sink):
-    """Reduce one word to normal form, accumulating into the sink dict."""
+def straighten(setup, stack, sink):
+    """Reduce every (word, coefficient) on the stack to normal form,
+    accumulating into the sink dict; the stack is used up."""
     par, rows = setup.letter_parity, setup.bracket_rows
-    stack = [(tuple(word), coeff)]
+    pop, push = stack.pop, stack.append
     while stack:
-        w, c = stack.pop()
+        w, c = pop()
         pos = None
         for i in range(len(w) - 2, -1, -1):
             a, b = w[i], w[i + 1]
@@ -41,38 +46,54 @@ def straighten(setup, word, coeff, sink):
         if a == b:
             for k, ck in rows[a][a]:
                 x = c * ck              # halved exactly: an int stays an int
-                stack.append((head + (k,) + tail, x // 2 if type(x) is int
-                              and not x & 1 else Fraction(x, 2)))
+                push((head + (k,) + tail, x // 2 if type(x) is int
+                      and not x & 1 else Fraction(x, 2)))
         else:
-            stack.append((head + (b, a) + tail, -c if par[a] and par[b] else c))
+            push((head + (b, a) + tail, -c if par[a] and par[b] else c))
             for k, ck in rows[a][b]:
-                stack.append((head + (k,) + tail, c * ck))
+                push((head + (k,) + tail, c * ck))
 
 
-def straighten_commutator(setup, u, v, c, sink):
-    """Accumulate c * [u, v] of two normal words into the sink dict.
+def commute(setup, left, right, sink):
+    """Accumulate [x, y] into the sink dict, for x the sum of c * u over the
+    (u, c) pairs of left and y that of right, all words normal.
 
-    ad is a superderivation, so
-    [u, v] = sum_{i,j} (-1)^{|v||u_>i| + |u_i||v_<j|} u_<i v_<j [u_i, v_j] v_>j u_>i,
-    and each term is straightened on its own.
+    ad is a superderivation, so on two words
+    [u, v] = sum_{i,j} (-1)^{|v||u_>i| + |u_i||v_<j|} u_<i v_<j [u_i, v_j] v_>j u_>i.
+    The right words are indexed once by letter, b -> (v_<j, v_>j, d, |v|,
+    |v_<j|) for each v_j = b; walking each u from the right, a letter a
+    visits only the index letters b with [a, b] != 0.  Every term goes
+    onto one stack, which one straighten reduces.
     """
     par, rows = setup.letter_parity, setup.bracket_rows
-    pv = sum(par[b] for b in v) & 1
-    tail_par = 0                        # |u_>i|, walking i from the right
-    for i in range(len(u) - 1, -1, -1):
-        a = u[i]
-        head, tail = u[:i], u[i + 1:]
-        sign = pv & tail_par
-        row = rows[a]
+    index = {}
+    for v, d in right:
+        pv, pre = sum(par[b] for b in v) & 1, 0
         for j, b in enumerate(v):
-            bracket = row[b]
-            if bracket:
-                cij = -c if sign else c
-                left, right = head + v[:j], v[j + 1:] + tail
-                for k, ck in bracket:
-                    straighten(setup, left + (k,) + right, cij * ck, sink)
-            sign ^= par[a] & par[b]
-        tail_par ^= par[a]
+            index.setdefault(b, []).append((v[:j], v[j + 1:], d, pv, pre))
+            pre ^= par[b]
+    stack, hits = [], {}        # hits: a -> [([a, b], index[b])] over [a, b] != 0
+    push = stack.append
+    for u, c in left:
+        tail_par = 0                    # |u_>i|, walking i from the right
+        for i in range(len(u) - 1, -1, -1):
+            a = u[i]
+            visits = hits.get(a)
+            if visits is None:
+                row = rows[a]
+                visits = hits[a] = [(row[b], entries) for b, entries in index.items()
+                                    if row[b]]
+            pa, head, tail = par[a], u[:i], u[i + 1:]
+            for bracket, entries in visits:
+                for vl, vr, d, pv, pre in entries:
+                    x = c * d
+                    if (pv & tail_par) ^ (pa & pre):
+                        x = -x
+                    lw, rw = head + vl, vr + tail
+                    for k, ck in bracket:
+                        push((lw + (k,) + rw, x * ck))
+            tail_par ^= pa
+    straighten(setup, stack, sink)
 
 
 def kazhdan_degree(setup, word):

@@ -63,20 +63,12 @@ def theta_v(setup, v, check=True):
 
 def _zz_third(setup, w):
     """D/3 with D = sum_{a,b} z_a z_b [z*_b, [z*_a, w]] in U(g), the part
-    both closed forms share, as terms."""
-    alg, z = setup.alg, setup.z_letter
-    n = len(setup.zbasis)
-    terms = []
-    for alpha in range(n):
-        inner = alg.bracket(setup.zdual[alpha], w)        # in g(0)
-        if not inner:
-            continue
-        for beta in range(n):
-            br2 = alg.bracket(setup.zdual[beta], inner)   # in g(-1)
-            if br2:
-                terms += product_terms(THIRD, {z(alpha): 1}, {z(beta): 1},
-                                       setup.to_letters(br2))
-    return terms
+    both closed forms share, as terms; the nested brackets are side 1 of
+    the setup's memo, which c0_double_sum reads too."""
+    z = setup.z_letter
+    return [t for (alpha, beta), br2 in setup.nested(1, w).items()
+            for t in product_terms(THIRD, {z(alpha): 1}, {z(beta): 1},
+                                   setup.to_letters(br2))]
 
 
 def _theta_w_rests(setup, w):

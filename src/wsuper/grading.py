@@ -94,7 +94,8 @@ class MinimalSetup:
 
     Immutable after construction; all methods are pure.  The setup fixes
     the PBW letter order g(0), g(1), e, z_1..z_{s+r}, f; the letter tables
-    (`_basis_letters`, `bracket_rows`) are built on first use.
+    (`_basis_letters`, `bracket_rows`) and the nested brackets (`nested`)
+    are built on first use.
     """
 
     def __init__(self, alg, triple, grading, zbasis, zdual, cent, dual_a, dual_b):
@@ -130,6 +131,7 @@ class MinimalSetup:
             raise DegeneracyError("letter system is not a basis") from None
         chi = ((i, alg.form_value(triple.e, {i: ONE})) for i in range(alg.dim))
         self._chi = {i: c for i, c in chi if c}
+        self._nested = {}
 
     # -- linear functionals and maps ------------------------------------
 
@@ -201,6 +203,21 @@ class MinimalSetup:
     def letter_bracket(self, i, j):
         """[letter_i, letter_j] expanded in letters."""
         return self.bracket_rows[i][j]
+
+    def nested(self, side, w):
+        """{(a, b): [z_b, [z_a, w]]} over the nonzero nested brackets, with
+        z the zbasis on side 0 and the zdual on side 1; memoised per
+        (side, w).  Theta_w reads side 1 and the closed double sum of c0
+        both sides."""
+        key = side, frozenset(w.items())
+        out = self._nested.get(key)
+        if out is None:
+            zs, bracket = (self.zbasis, self.zdual)[side], self.alg.bracket
+            inner = [(a, bracket(za, w)) for a, za in enumerate(zs)]      # g(0)
+            nested = (((a, b), bracket(zb, x)) for a, x in inner if x
+                      for b, zb in enumerate(zs))                          # g(-1)
+            out = self._nested[key] = {ab: v for ab, v in nested if v}
+        return out
 
     def z_letter(self, alpha):
         """Letter index of z_alpha (alpha is 0-based here)."""

@@ -116,7 +116,6 @@ class SuiteContext:
         self._products = {}
         self._commutators = {}
         self._residues = {}
-        self._nested = {}
         self._monomials = {}
 
     @cached_property
@@ -255,13 +254,6 @@ class SuiteContext:
             terms += [(c, self.commutator(k, l)) for (k, l), c in comms.items() if c]
             return combine(setup, terms)
         return entry
-
-    def nested(self, side, w):
-        """_nested_brackets(setup, side, w), memoised per (side, w)."""
-        key = side, frozenset(w.items())
-        if key not in self._nested:
-            self._nested[key] = _nested_brackets(self.setup, side, w)
-        return self._nested[key]
 
     def monomials(self, max_deg):
         """(gens, monomials, echelon), memoised per max_deg: each generator's
@@ -454,22 +446,11 @@ def verify_centrality(setup, ctx=None):
     return rep
 
 
-def _nested_brackets(setup, side, w):
-    """{(a, b): [z_b,[z_a,w]]} over the nonzero nested brackets, with z the
-    zbasis on side 0 and the zdual on side 1."""
-    zs, bracket = (setup.zbasis, setup.zdual)[side], setup.alg.bracket
-    inner = [(a, bracket(za, w)) for a, za in enumerate(zs)]             # g(0)
-    nested = (((a, b), bracket(zb, x)) for a, x in inner if x
-              for b, zb in enumerate(zs))                                 # g(-1)
-    return {key: v for key, v in nested if v}
-
-
-def c0_double_sum(setup, w1, w2, ctx=None):
+def c0_double_sum(setup, w1, w2):
     """The closed formula's double sum:
-    sum_{a,b} (-1)^{|a||w1|+|b||w1|+|a||b|} chi([[z_b,[z_a,w1]],[z*_b,[z*_a,w2]]]).
-    A ctx memoises the nested brackets of each side per vector."""
-    ctx = ctx or SuiteContext(setup)
-    left, right = ctx.nested(0, w1), ctx.nested(1, w2)
+    sum_{a,b} (-1)^{|a||w1|+|b||w1|+|a||b|} chi([[z_b,[z_a,w1]],[z*_b,[z*_a,w2]]]),
+    over the setup's memo of nested brackets."""
+    left, right = setup.nested(0, w1), setup.nested(1, w2)
     p1, par = setup.alg.parity_of(w1), setup.letter_parity[setup.z_start:]
     total = ZERO
     for (a, b), x in left.items():
@@ -491,13 +472,13 @@ def c0_formula(setup, w1, w2, ctx=None):
     pair = ctx.pair_value(w1, w2)
     if pair == 0:
         raise InputError("c0_formula needs a pair with ([w1,w2],f) != 0")
-    return _published_scalar(setup, w1, w2, pair, ctx) / Fraction(-pair, 2)
+    return _published_scalar(setup, w1, w2, pair) / Fraction(-pair, 2)
 
 
-def _published_scalar(setup, w1, w2, pair, ctx):
+def _published_scalar(setup, w1, w2, pair):
     """The scalar the closed formula gives B(w1, w2), pair = ([w1,w2],f):
     -c0_formula * pair/2 = ((3(s-r)+4) pair - double sum) / 24."""
-    ds = c0_double_sum(setup, w1, w2, ctx)
+    ds = c0_double_sum(setup, w1, w2)
     return (Fraction(3 * (setup.sdim - setup.rdim) + 4) * pair - ds) / 24
 
 
@@ -567,7 +548,7 @@ def verify_scalar_reduction(setup, ctx=None):
     for i, w1 in enumerate(basis):
         for j, w2 in enumerate(basis):
             lhs, pair = ctx.b_table[i][j]
-            rhs = _published_scalar(setup, w1, w2, pair, ctx)
+            rhs = _published_scalar(setup, w1, w2, pair)
             rep.check("(w%d,w%d)" % (i, j), lhs - WhittakerElement.unit(setup, rhs))
     rep.detail["pairs"] = len(basis) ** 2
     return rep
@@ -619,10 +600,10 @@ def one_dim_rep(setup, ctx=None):
     [Theta_wi, Theta_wj] has Kazhdan degree <= 4, so it lies in the span of
     ctx.monomials(4): a_1 + a_C C + terms with a Theta factor.  eps is
     multiplicative iff a_1 + c0 a_C = 0 on every g^e(1) basis pair; c0 is
-    -a_1/a_C at the first pair with a_C != 0, else 0.  The report carries
-    the generators of the ideal ker eps; when every pair lies in the span
-    and none has a_C != 0 (g^e(1) = 0, say), nothing determines c0, and
-    it carries a note instead of c0 and C - c0."""
+    -a_1/a_C at the first pair with a_C != 0.  The report carries the
+    generators of the ideal ker eps; when no pair in the span has
+    a_C != 0 (g^e(1) = 0, say), nothing determines c0, and it carries a
+    note instead of c0 and C - c0."""
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("one_dim")
     gens, _, echelon = ctx.monomials(4)
@@ -641,14 +622,13 @@ def one_dim_rep(setup, ctx=None):
                 coeffs.append((label, -rest.get((tag, 0), ZERO),
                                -rest.get((tag, len(gens)), ZERO)))
     c0 = next((-a1 / ac for _, a1, ac in coeffs if ac), None)
-    undetermined = c0 is None and rep.ok        # every pair in the span
-    c0 = ZERO if c0 is None else c0
-    for label, a1, ac in coeffs:
-        if a1 + c0 * ac:
+    for label, a1, ac in coeffs:        # a_C != 0 only where there is a c0
+        value = a1 + c0 * ac if ac else a1
+        if value:
             rep.fail("a_1 + c0 a_C != 0 at %s" % label,
-                     WhittakerElement.unit(setup, a1 + c0 * ac))
+                     WhittakerElement.unit(setup, value))
     rep.detail["ideal_generators"] = [g.label for g in ctx.thetas0 + ctx.thetas1]
-    if undetermined:
+    if c0 is None:
         rep.detail["note"] = "no pair has a_C != 0; c0 not determined"
     else:
         rep.detail["ideal_generators"].append("C - %s" % c0)

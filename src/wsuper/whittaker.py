@@ -8,40 +8,51 @@ The z-letters generate the Weyl-Clifford algebra attached to the pairing
 on g(-1); the product of two model elements straightens the concatenated
 words in U(g) and projects, which on ad-n invariants is exactly the
 model's associative product.  Commutators, ad-n included, project the
-supercommutator of the words, expanded letter by letter by the
-superderivation rule, without forming either product.
+supercommutator of the two elements, expanded letter by letter by the
+superderivation rule (enveloping.commute), without forming either
+product.
 
-The model owns the coefficients: every element that arithmetic builds is
-computed on integer numerators over one cleared denominator.
-_numerators clears an operand's denominators over their lcm, the kernel
-or the sum runs into an integer sink, and _project drops the f-suffixes
-and divides once per output word.  Products, commutators, term lists and
-linear combinations (combine, which +, - and scale also call) all take
-this route, so a model element gets one Fraction per output word.
+The model owns the coefficients.  An element holds integer numerators
+over one positive denominator, divided by their gcd, so equal elements
+have equal numerators and denominators.  Products, commutators, term
+lists and linear combinations (combine, which +, - and scale also call)
+run on those integers: each pushes all its words onto one stack for one
+straighten, or sums them, into one sink, and _project drops the
+f-suffixes and reduces the sink once.  The Fractions of an element,
+`terms`, are built only when a report, an echelon or a test reads them.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .enveloping import kazhdan_degree, straighten, straighten_commutator, weight
+from .enveloping import commute, kazhdan_degree, straighten, weight
 from .errors import InputError
-from .linalg import ONE, ZERO
+from .linalg import ZERO
 
 
 class WhittakerElement:
-    """Sparse map f-free normal word -> Fraction, with the model product."""
+    """Sparse map f-free normal word -> rational, with the model product:
+    nums, {word: nonzero int}, over den, with gcd(den, nums) = 1."""
 
-    __slots__ = ("setup", "terms")
+    __slots__ = ("setup", "nums", "den")
 
-    def __init__(self, setup, terms=None):
+    def __init__(self, setup, terms=None, den=1):
+        """The element terms / den: terms maps words to ints or Fractions,
+        zeros allowed, and den is a positive int."""
         self.setup = setup
-        self.terms = {} if terms is None else terms
+        self.nums, self.den = _canonical(terms or {}, den)
+
+    @property
+    def terms(self):
+        """{word: nonzero Fraction}, built on each read: the view of the
+        element that an echelon or a test takes."""
+        d = self.den
+        return {w: Fraction(n, d) for w, n in self.nums.items()}
 
     @classmethod
     def unit(cls, setup, c=1):
-        c = Fraction(c)
-        return cls(setup, {(): c} if c != 0 else {})
+        return cls(setup, {(): c})
 
     @classmethod
     def from_vector(cls, setup, vec):
@@ -60,7 +71,7 @@ class WhittakerElement:
         return combine(self.setup, [(1, self), (-1, other)])
 
     def __neg__(self):
-        return WhittakerElement(self.setup, {w: -c for w, c in self.terms.items()})
+        return WhittakerElement(self.setup, {w: -n for w, n in self.nums.items()}, self.den)
 
     def scale(self, c):
         return combine(self.setup, [(Fraction(c), self)])
@@ -73,22 +84,23 @@ class WhittakerElement:
     __rmul__ = scale
 
     def __eq__(self, other):
-        return isinstance(other, WhittakerElement) and self.terms == other.terms
+        return (isinstance(other, WhittakerElement) and self.den == other.den
+                and self.nums == other.nums)
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     # -- structure --------------------------------------------------------
 
     def max_kazhdan_degree(self):
-        return max((kazhdan_degree(self.setup, w) for w in self.terms), default=0)
+        return max((kazhdan_degree(self.setup, w) for w in self.nums), default=0)
 
     def scalar_part(self):
         """Coefficient of 1 if the element is scalar, else None."""
-        if not self.terms:
+        if not self.nums:
             return ZERO
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+        if len(self.nums) == 1 and () in self.nums:
+            return Fraction(self.nums[()], self.den)
         return None
 
     def leading(self):
@@ -98,26 +110,26 @@ class WhittakerElement:
         def key(word):
             return kazhdan_degree(setup, word), weight(setup, word)
 
-        best = max((key(w) for w in self.terms), default=None)
-        return WhittakerElement(setup, {w: c for w, c in self.terms.items()
-                                        if key(w) == best})
+        best = max((key(w) for w in self.nums), default=None)
+        return WhittakerElement(setup, {w: n for w, n in self.nums.items()
+                                        if key(w) == best}, self.den)
 
-    def _report_order(self):
-        """The words sorted by (p-part, z-part), the split of a model word;
-        x1·z1 comes before x1·x2 here, after it as a whole word."""
-        z = self.setup.z_start
+    def _report_terms(self):
+        """(word, Fraction) pairs, the words sorted by (p-part, z-part), the
+        split of a model word; x1·z1 comes before x1·x2 here, after it as a
+        whole word."""
+        z, d = self.setup.z_start, self.den
 
         def split(word):
             k = bisect_left(word, z)
             return word[:k], word[k:]
-        return sorted(self.terms, key=split)
+        return [(w, Fraction(self.nums[w], d)) for w in sorted(self.nums, key=split)]
 
     def render(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         chunks = []
-        for word in self._report_order():
-            c = self.terms[word]
+        for word, c in self._report_terms():
             body = "·".join(self.setup.letter_names[i] for i in word) if word else "1"
             if c == 1 and word:
                 txt = body
@@ -136,8 +148,7 @@ class WhittakerElement:
     def as_json(self):
         names = self.setup.letter_names
         out = []
-        for word in self._report_order():
-            c = self.terms[word]
+        for word, c in self._report_terms():
             out.append({
                 "monomial": [names[i] for i in word],
                 "coeff": "%d/%d" % (c.numerator, c.denominator),
@@ -145,10 +156,22 @@ class WhittakerElement:
         return out
 
 
-def _numerators(pairs):
-    """(key, numerator) pairs over d, the lcm of the denominators, and d."""
-    d = lcm(*(c.denominator for _, c in pairs))
-    return [(w, c.numerator * (d // c.denominator)) for w, c in pairs], d
+def _canonical(sink, d):
+    """(nums, den) of sink / d, for d > 0 and a sink of ints, or of
+    Fractions where an odd square halved an odd coefficient or a letter
+    bracket has one: cleared to ints over one denominator and divided by
+    their gcd with it."""
+    nums = {w: n for w, n in sink.items() if n}
+    dens = [n.denominator for n in nums.values() if type(n) is not int]
+    if dens:
+        m = lcm(*dens)
+        nums = {w: (n * m).numerator for w, n in nums.items()}
+        d *= m
+    g = gcd(d, *nums.values())
+    if g != 1:
+        nums = {w: n // g for w, n in nums.items()}
+        d //= g
+    return nums, d
 
 
 def _project(setup, sink, d):
@@ -160,28 +183,27 @@ def _project(setup, sink, d):
         if word and word[-1] == idx_f:
             word = word[:bisect_left(word, idx_f)]
         out[word] = out.get(word, 0) + n
-    return WhittakerElement(setup, {w: Fraction(n, d) for w, n in out.items() if n})
+    return WhittakerElement(setup, out, d)
 
 
 def project(env):
     """Image in the model of a U(g) element, anything with a setup and a
-    {normal word: Fraction} map of terms (its Fractions over d = 1)."""
+    {normal word: rational} map of terms."""
     return _project(env.setup, env.terms, 1)
 
 
 def combine(setup, terms):
-    """sum c * q over (c, q) pairs: each q on its numerators over dq, the lcm
-    of its denominators, summed over d, the lcm of c.denominator * dq.  No
-    word of a model element carries an f, so the sum is not projected
-    (ad_act's one-word (f,) operand goes to the kernel, never here)."""
-    parts = [(c, *_numerators(q.terms.items())) for c, q in terms if c]
-    d = lcm(*(c.denominator * dq for c, _, dq in parts))
+    """sum c * q over (c, q) pairs, the numerators of each q put over d,
+    the lcm of c.denominator * q.den, and summed.  No word of a model
+    element carries an f, so the sum is not projected."""
+    parts = [(c, q) for c, q in terms if c and q.nums]
+    d = lcm(*(c.denominator * q.den for c, q in parts))
     sink = {}
-    for c, nums, dq in parts:
-        k = c.numerator * (d // (c.denominator * dq))
-        for w, n in nums:
+    for c, q in parts:
+        k = c.numerator * (d // (c.denominator * q.den))
+        for w, n in q.nums.items():
             sink[w] = sink.get(w, 0) + k * n
-    return WhittakerElement(setup, {w: Fraction(n, d) for w, n in sink.items() if n})
+    return WhittakerElement(setup, sink, d)
 
 
 def product_terms(c, *factors):
@@ -195,61 +217,64 @@ def product_terms(c, *factors):
 
 def project_terms(setup, pairs):
     """Image in the model of sum c * word over (word, c) pairs, the
-    denominators cleared over the list and each word straightened once."""
-    nums, d = _numerators(pairs)
-    sink = {}
-    for w, n in nums:
+    denominators cleared over the list and its words straightened on one
+    stack."""
+    d = lcm(*(c.denominator for _, c in pairs))
+    stack, sink = [], {}
+    for w, c in pairs:
+        n = c.numerator * (d // c.denominator)
         if len(w) > 1:
-            straighten(setup, w, n, sink)
+            stack.append((w, n))
         else:                       # 1 or a letter is normal; zeros may stay
             sink[w] = sink.get(w, 0) + n
+    straighten(setup, stack, sink)
     return _project(setup, sink, d)
 
 
-def _over_word_pairs(q1, q2, kernel):
-    """Image in the model of kernel(setup, u, v, c1 * c2, sink) summed over
-    the word pairs of q1 and q2, run on their integer numerators."""
-    setup = q1.setup
-    nums1, d1 = _numerators(q1.terms.items())
-    nums2, d2 = _numerators(q2.terms.items())
-    sink = {}
-    for u, n1 in nums1:
-        for v, n2 in nums2:
-            kernel(setup, u, v, n1 * n2, sink)
-    return _project(setup, sink, d1 * d2)
-
-
 def multiply_q(q1, q2):
-    """Model product: straighten each word pair uv in U(g), project.
+    """Model product: every word pair uv onto one stack, straightened in
+    U(g) and projected.
 
     Associative on ad-n invariants (and whenever the right factors are
     invariants); that is the only regime the verification suite uses.
     """
-    return _over_word_pairs(q1, q2, lambda setup, u, v, c, sink:
-                            straighten(setup, u + v, c, sink))
+    setup, sink = q1.setup, {}
+    straighten(setup, [(u + v, m * n) for u, m in q1.nums.items()
+                       for v, n in q2.nums.items()], sink)
+    return _project(setup, sink, q1.den * q2.den)
 
 
 def supercommutator_q(q1, q2):
-    """[q1, q2]: the projection of the supercommutator of each word pair,
-    extended additively over parity components."""
-    return _over_word_pairs(q1, q2, straighten_commutator)
+    """[q1, q2]: the projection of the supercommutator of the two
+    elements, extended additively over parity components."""
+    setup, sink = q1.setup, {}
+    commute(setup, q1.nums.items(), q2.nums.items(), sink)
+    return _project(setup, sink, q1.den * q2.den)
 
 
 def ad_act(setup, x_letter, q):
     """Adjoint action of a basis letter of n = g(-1) + Cf on the model."""
     if x_letter not in range(len(setup.letters)) or setup.letter_grade[x_letter] >= 0:
         raise InputError("ad_act expects a letter of n = g(-1) + g(-2)")
-    return _over_word_pairs(WhittakerElement(setup, {(x_letter,): ONE}), q,
-                            straighten_commutator)
+    sink = {}
+    commute(setup, [((x_letter,), 1)], q.nums.items(), sink)
+    return _project(setup, sink, q.den)
 
 
 def is_w_element(q):
-    """Membership in the model's ad-n invariants.
+    """Membership in the model's ad-n invariants, n = g(-1) + Cf.
 
-    Returns (True, None) or (False, (letter_name, residue)).
+    Returns (True, None) or (False, (letter_name, residue)) at the first z
+    letter whose ad is nonzero; ad f is applied only when g(-1) = 0.  That
+    is exact.  ad x preserves the left ideal U(g)(f - 1) for x in n, since
+    [x, f] lies in g(-3) = 0, so ad is an action of n on the model.  With
+    (e, f) = 1, [z_a, z_b] = <z_a, z_b> f, and a nondegenerate pairing on
+    g(-1) != 0 has a pair with <z_a, z_b> != 0, so
+    ad f = (ad z_a ad z_b - (-1)^{|a||b|} ad z_b ad z_a) / <z_a, z_b>
+    kills every q that each ad z kills.
     """
     setup = q.setup
-    for letter in (*map(setup.z_letter, range(len(setup.zbasis))), setup.idx_f):
+    for letter in range(setup.z_start, setup.idx_f) or (setup.idx_f,):
         res = ad_act(setup, letter, q)
         if not res.is_zero():
             return False, (setup.letter_names[letter], res)
@@ -259,5 +284,5 @@ def is_w_element(q):
 def sigma(q):
     """Involution negating monomials of odd Kazhdan degree."""
     setup = q.setup
-    return WhittakerElement(setup, {w: -c if kazhdan_degree(setup, w) % 2 else c
-                                    for w, c in q.terms.items()})
+    return WhittakerElement(setup, {w: -n if kazhdan_degree(setup, w) % 2 else n
+                                    for w, n in q.nums.items()}, q.den)

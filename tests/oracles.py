@@ -13,10 +13,11 @@ the b_table assembly summed with Fraction arithmetic, and the model
 operations as projections of U(g) elements) pin the integer-numerator
 paths of the package.  EnvElement, the U(g) element the package no longer
 carries, straightens each word pair on its own Fraction coefficient by
-calling the kernel's straighten and straighten_commutator directly, never
-through the model's word-pair loop, so it shares no numerator clearing
-(whittaker._numerators and its lcm) with the model operations it is the
-reference for.
+calling the kernel's straighten and commute with one-term lists, never
+through the model's integer elements, so it shares no numerator clearing
+(the lcm and gcd of whittaker) with the model operations it is the
+reference for.  Membership is decided here by ad of each z, then of f,
+the check on all of n that the package cuts to the z's.
 """
 
 import itertools
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 
 from wsuper.algebra import osp_realization
-from wsuper.enveloping import kazhdan_degree, straighten, straighten_commutator
+from wsuper.enveloping import commute, kazhdan_degree, straighten
 from wsuper.errors import InputError
 from wsuper.linalg import Span
 from wsuper.whittaker import WhittakerElement, multiply_q, project, supercommutator_q
@@ -470,7 +471,7 @@ class EnvElement:
     @classmethod
     def from_word(cls, setup, word, c=1):
         out = {}
-        straighten(setup, tuple(word), Fraction(c), out)
+        straighten(setup, [(tuple(word), Fraction(c))], out)
         return cls(setup, out)
 
     @classmethod
@@ -502,7 +503,7 @@ class EnvElement:
         sink = {}
         for u, c1 in self.terms.items():
             for v, c2 in other.terms.items():
-                straighten(self.setup, u + v, c1 * c2, sink)
+                straighten(self.setup, [(u + v, c1 * c2)], sink)
         return EnvElement(self.setup, sink)
 
     def __eq__(self, other):
@@ -526,7 +527,7 @@ def commutator_terms(setup, terms1, terms2):
     sink = {}
     for u, c1 in terms1.items():
         for v, c2 in terms2.items():
-            straighten_commutator(setup, u, v, c1 * c2, sink)
+            commute(setup, [(u, c1 * c2)], [(v, 1)], sink)
     return sink
 
 
@@ -605,6 +606,19 @@ def ad_by_projection(setup, letter, q):
     """ad of a letter of n on the model: the U(g) commutator, projected."""
     return project(EnvElement(setup, commutator_terms(
         setup, {(letter,): Fraction(1)}, q.terms)))
+
+
+def w_element_by_all_of_n(q):
+    """Membership in the ad-n invariants checked on all of n = g(-1) + Cf:
+    ad of each z, then of f, each the projected U(g) commutator.  Returns
+    (True, None) or (False, (letter_name, residue)) at the first letter
+    whose ad is nonzero."""
+    setup = q.setup
+    for letter in [setup.z_letter(a) for a in range(len(setup.zbasis))] + [setup.idx_f]:
+        residue = ad_by_projection(setup, letter, q)
+        if not residue.is_zero():
+            return False, (setup.letter_names[letter], residue)
+    return True, None
 
 
 # ---- the structure-constant kernel, by the naive double loop ---------------

@@ -7,13 +7,16 @@ coefficient these return is a nonzero Fraction."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (EnvElement, ad_by_projection, commutator_by_projection,
                      commutator_terms, multiply_by_projection, word_parity)
-from wsuper.enveloping import straighten_commutator
-from wsuper.whittaker import (WhittakerElement, ad_act, combine, multiply_q,
-                              project, project_terms, supercommutator_q)
+from wsuper import enveloping
+from wsuper.catalog import family_setup
+from wsuper.enveloping import commute
+from wsuper.relations import SuiteContext
+from wsuper.whittaker import (WhittakerElement, _project, ad_act, combine,
+                              multiply_q, project, project_terms, supercommutator_q)
 
 from conftest import get_setup
 
@@ -74,16 +77,65 @@ def _product_commutator(setup, terms1, terms2):
     return out
 
 
+def _crafted_case():
+    """osp(3|2) operands that take every path of the kernel in one call:
+    several terms on each side, letter pairs with a zero bracket, the
+    words of [x1, x2] and [x2, x1] that cancel, the odd square [y2, y2],
+    one-letter words, e and f."""
+    setup = get_setup("osp(3|2)")
+    rows, par = setup.bracket_rows, setup.letter_parity
+    x1, x2, y2, e, f = 0, 1, 5, setup.idx_e, setup.idx_f
+    assert not par[x1] and not par[x2] and rows[x1][x2]
+    assert par[y2] and rows[y2][y2] and not rows[e][e]
+    left = {(x1,): Fraction(1), (x2,): Fraction(1), (y2,): Fraction(1, 3),
+            (x1, y2, e): Fraction(-2, 5), (e,): Fraction(2)}
+    right = {(x1,): Fraction(1), (x2,): Fraction(1), (y2,): Fraction(-3, 2),
+             (setup.z_letter(0), f): Fraction(1, 2), (e,): Fraction(1), (f,): Fraction(-1)}
+    return setup, left, right
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(case=cases())
+@example(case=_crafted_case())
 def test_kernel_equals_the_product_definition(case):
+    # word pair by word pair, and the whole operands in one call
     setup, terms1, terms2 = case
     for u, c1 in terms1.items():
         for v, c2 in terms2.items():
             sink = {}
-            straighten_commutator(setup, u, v, c1 * c2, sink)
+            commute(setup, [(u, c1)], [(v, c2)], sink)
             assert EnvElement(setup, sink) == \
                 _product_commutator(setup, {u: c1}, {v: c2}), (u, v)
+    sink = {}
+    commute(setup, terms1.items(), terms2.items(), sink)
+    assert EnvElement(setup, sink) == _product_commutator(setup, terms1, terms2)
+
+
+def test_the_kernel_visits_only_nonzero_letter_brackets(monkeypatch):
+    # work counter, not a timing: [Theta_w0, Theta_w1] on osp(5|2) pushes
+    # one word per term of each nonzero [u_i, v_j] over the word pairs and
+    # letter pairs, onto one stack for one straighten, and forms the
+    # coefficient c * d only at a letter pair with a nonzero bracket
+    ctx = SuiteContext(family_setup("osp", 5, 2))
+    setup, (q1, q2) = ctx.setup, [g.value for g in ctx.thetas1[:2]]
+    rows = setup.bracket_rows
+    pairs = [(a, b) for u in q1.nums for v in q2.nums for a in u for b in v]
+    nonzero = [(a, b) for a, b in pairs if rows[a][b]]
+    assert 0 < len(nonzero) < len(pairs)
+    products, stacks = [], []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(other)
+            return int(self) * other
+    straighten = enveloping.straighten
+    monkeypatch.setattr(enveloping, "straighten", lambda setup, stack, sink:
+                        stacks.append(len(stack)) or straighten(setup, stack, sink))
+    sink = {}
+    commute(setup, [(u, Counted(n)) for u, n in q1.nums.items()], q2.nums.items(), sink)
+    assert stacks == [sum(len(rows[a][b]) for a, b in nonzero)]
+    assert len(products) == len(nonzero)
+    assert _project(setup, sink, q1.den * q2.den) == supercommutator_q(q1, q2)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

@@ -103,7 +103,7 @@ def test_odd_squares_halve_exactly_on_ints_and_fractions():
     for a in odd:
         for c in (1, 2, 3):
             sink = {}
-            straighten(s, (a, a), c, sink)
+            straighten(s, [((a, a), c)], sink)
             assert sink == naive_reduce(s, (a, a), coeff=Fraction(c))
             for (k,), v in sink.items():
                 ck = dict(s.letter_bracket(a, a))[k]

@@ -168,6 +168,11 @@ def test_one_dim_fails_outside_the_monomial_span():
         "(w%d,w%d) outside the monomial span" % p
         for p in ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2))]
     assert all(not r.is_zero() and r.scalar_part() is None for _, r in rep.failures)
+    # the pairs left in the span all have a_C = 0: c0 is not determined,
+    # so no c0 = 0 and no C - 0 is reported
+    assert rep.detail["note"] == "no pair has a_C != 0; c0 not determined"
+    assert "c0" not in rep.detail
+    assert not any(g.startswith("C - ") for g in rep.detail["ideal_generators"])
 
 
 def test_one_dim_fails_where_eps_is_not_multiplicative():
@@ -359,8 +364,10 @@ def _count(monkeypatch, name, modules):
 def test_scalar_reduction_brackets_each_side_once(monkeypatch):
     # work counter, not a timing: the nested brackets [z_b,[z_a,w1]] and
     # [z*_b,[z*_a,w2]] are taken once per basis vector, not once per pair
-    # (a per-pair double sum makes 1293 brackets here); the verdict is the
-    # published scalar's, which fails on osp(5|2) where s != r
+    # (a per-pair double sum makes 1293 brackets here), and the Theta_w
+    # have filled side 1 of the setup's memo already, so only side 0 is
+    # bracketed here; the verdict is the published scalar's, which fails
+    # on osp(5|2) where s != r
     setup, ctx = _warmed_osp52()
     _ = ctx.b_table
     calls = []
@@ -369,12 +376,12 @@ def test_scalar_reduction_brackets_each_side_once(monkeypatch):
                         lambda self, x, y: calls.append(x) or bracket(self, x, y))
     rep = verify_scalar_reduction(setup, ctx)
     assert not rep.ok and rep.detail["pairs"] == 25
-    assert len(calls) == 413
+    assert len(calls) == 283          # side 0: 130, the final brackets: 153
     calls.clear()
     assert verify_scalar_reduction(setup, ctx).as_json() == rep.as_json()
     assert len(calls) == 153          # one final bracket per matched (a, b)
-    basis = setup.cent[1]
-    assert all(c0_double_sum(setup, w1, w2, ctx) == c0_double_sum(setup, w1, w2)
+    fresh, basis = family_setup("osp", 5, 2), setup.cent[1]
+    assert all(c0_double_sum(setup, w1, w2) == c0_double_sum(fresh, w1, w2)
                for w1 in basis for w2 in basis)
 
 

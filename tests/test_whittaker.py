@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import EnvElement, lift
+from oracles import EnvElement, lift, w_element_by_all_of_n
+from wsuper.catalog import family_setup
 from wsuper.errors import InputError
 from wsuper.generators import standard_generators
+from wsuper.relations import SuiteContext
 from wsuper.whittaker import (WhittakerElement, ad_act, is_w_element, multiply_q,
                               project, sigma, supercommutator_q)
 
@@ -145,6 +147,43 @@ def test_is_w_element_examples(psl22):
     name, residue = witness
     assert name.startswith("z") or name == "f"
     assert not residue.is_zero()
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, NONUNIT])
+def test_membership_on_the_z_letters_equals_the_check_on_all_of_n(name):
+    # is_w_element applies ad over g(-1) only; the oracle applies ad of
+    # each z, then of f: the verdicts and the witnesses must agree
+    s = get_setup(name)
+    ctx = get_ctx(name)
+    for gen in ctx.thetas0 + ctx.thetas1 + [ctx.cas, ctx.tcas]:
+        assert is_w_element(gen.value) == w_element_by_all_of_n(gen.value) == (True, None)
+    # the negative control fails at a z letter
+    failed = 0
+    for gen in SuiteContext(s, corrupt="theta-v-sign").thetas0:
+        got = is_w_element(gen.value)
+        assert got == w_element_by_all_of_n(gen.value)
+        if not got[0]:
+            failed += 1
+            assert got[1][0].startswith("z") and not got[1][1].is_zero()
+    assert failed or name == "osp(1|2)"       # osp(1|2) has g^e(0) = 0
+    # a product with a factor outside W
+    z0 = WhittakerElement(s, {(s.z_letter(0),): Fraction(1)})
+    for q in (multiply_q(z0, ctx.thetas1[0].value), multiply_q(ctx.cas.value, z0)):
+        got = is_w_element(q)
+        assert not got[0] and got == w_element_by_all_of_n(q)
+
+
+@pytest.mark.parametrize("selection", [("sl", 2, 0), ("osp", 0, 2)])
+def test_membership_without_g_minus_1_checks_f(selection):
+    # g(-1) = 0: f is the only letter of n, so ad f decides alone
+    s = family_setup(*selection)
+    assert not s.zbasis
+    for gen in standard_generators(s):
+        assert is_w_element(gen.value) == w_element_by_all_of_n(gen.value) == (True, None)
+    e = WhittakerElement(s, {(s.idx_e,): Fraction(1)})          # ad f e = -h
+    got = is_w_element(e)
+    assert got == w_element_by_all_of_n(e)
+    assert got[0] is False and got[1][0] == "f"
 
 
 def test_membership_closed_under_products(catalog_setup):
