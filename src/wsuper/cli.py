@@ -10,6 +10,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from . import __version__
@@ -22,7 +23,10 @@ from .relations import RELATION_IDS, extract_c0, run_suite
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
+@cache
 def _parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     p = argparse.ArgumentParser(
         prog="wsuper",
         description="Exact verification of minimal W-superalgebra structure.")

@@ -52,12 +52,12 @@ def theta_v(setup, v, check=True):
     """(v - 1/2 sum_a z_a [z*_a, v]) in the model, for v in g^e(0)."""
     if not (setup.in_grade(v, 0) and setup.in_centralizer(v)):
         raise InputError("theta_v expects a vector in g^e(0)")
-    terms = product_terms(1, setup.to_letters(v))
-    for alpha in range(len(setup.zbasis)):
-        br = setup.alg.bracket(setup.zdual[alpha], v)     # in g(-1)
+    vl = setup.to_letters(v)
+    terms = product_terms(1, vl)
+    for za, zd in zip(*setup.z_letters):
+        br = setup.lbracket(zd, vl)                        # in g(-1)
         if br:
-            terms += product_terms(-HALF, {setup.z_letter(alpha): 1},
-                                   setup.to_letters(br))
+            terms += product_terms(-HALF, za, br)
     return _generator(setup, v, project_terms(setup, terms), 2, check)
 
 
@@ -65,29 +65,26 @@ def _zz_third(setup, w):
     """D/3 with D = sum_{a,b} z_a z_b [z*_b, [z*_a, w]] in U(g), the part
     both closed forms share, as terms; the nested brackets are side 1 of
     the setup's memo, which c0_double_sum reads too."""
-    z = setup.z_letter
+    z = setup.z_letters[0]
     return [t for (alpha, beta), br2 in setup.nested(1, w).items()
-            for t in product_terms(THIRD, {z(alpha): 1}, {z(beta): 1},
-                                   setup.to_letters(br2))]
+            for t in product_terms(THIRD, z[alpha], z[beta], br2)]
 
 
 def _theta_w_rests(setup, w):
     """Both closed forms of Theta_w without their shared D/3, as terms: the
     correction form w - sum z_a[z*_a,w] - 2/3 [w,f] and the reordered form
     w + sum (-1)^{|a|}[w,z*_a] z_a - (3(s-r)+4)/6 [w,f]."""
-    alg, letters = setup.alg, setup.to_letters
-    corr = product_terms(1, letters(w))
+    bracket, wl = setup.lbracket, setup.to_letters(w)
+    corr = product_terms(1, wl)
     reord = list(corr)
-    for alpha, zd in enumerate(setup.zdual):
-        za = {setup.z_letter(alpha): 1}
-        br = alg.bracket(zd, w)                           # in g(0)
+    for z, (za, zd) in enumerate(zip(*setup.z_letters), setup.z_start):
+        br = bracket(zd, wl)                              # in g(0)
         if br:
-            corr += product_terms(-1, za, letters(br))
-        br = alg.bracket(w, zd)
+            corr += product_terms(-1, za, br)
+        br = bracket(wl, zd)
         if br:
-            sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
-            reord += product_terms(sign, letters(br), za)
-    wf = letters(alg.bracket(w, setup.triple.f))          # in g(-1)
+            reord += product_terms(-1 if setup.letter_parity[z] else 1, br, za)
+    wf = bracket(wl, {setup.idx_f: 1})                    # in g(-1)
     coeff = Fraction(3 * (setup.sdim - setup.rdim) + 4, 6)
     return corr + product_terms(-2 * THIRD, wf), reord + product_terms(-coeff, wf)
 
@@ -113,16 +110,15 @@ def casimir(setup):
     """2e + h^2/2 - (1+(s-r)/2) h + sum (-1)^|i| a_i b_i
     + 2 sum (-1)^|a| [e,z*_a] z_a, as a model element."""
     alg, t, letters = setup.alg, setup.triple, setup.to_letters
-    h = letters(t.h)
-    terms = product_terms(2, letters(t.e)) + product_terms(HALF, h, h)
+    h, e = letters(t.h), {setup.idx_e: 1}
+    terms = product_terms(2, e) + product_terms(HALF, h, h)
     terms += product_terms(-1 - Fraction(setup.sdim - setup.rdim, 2), h)
     for a, b in zip(setup.dual_a, setup.dual_b):
         terms += product_terms(-1 if alg.parity_of(a) else 1, letters(a), letters(b))
-    for alpha in range(len(setup.zbasis)):
-        ez = alg.bracket(t.e, setup.zdual[alpha])         # in g(1)
+    for z, (za, zd) in enumerate(zip(*setup.z_letters), setup.z_start):
+        ez = setup.lbracket(e, zd)                        # in g(1)
         if ez:
-            sign = -1 if alg.parity_of(setup.zbasis[alpha]) else 1
-            terms += product_terms(2 * sign, letters(ez), {setup.z_letter(alpha): 1})
+            terms += product_terms(-2 if setup.letter_parity[z] else 2, ez, za)
     value = project_terms(setup, terms)
     _check_membership("C", value)
     return WGenerator("C", t.e, value, 4, 0)

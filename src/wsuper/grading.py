@@ -82,6 +82,11 @@ def _assert_triple(alg, t):
         raise NotMinimalError("triple identity [h,f]=-2f failed")
 
 
+def int_if_integral(c):
+    """c as an int when it is integral: the value type of letter coordinates."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _add_scaled(acc, c, vec):
     """acc += c * vec in place; zeros may stay."""
     for k, a in vec.items():
@@ -95,7 +100,8 @@ class MinimalSetup:
     Immutable after construction; all methods are pure.  The setup fixes
     the PBW letter order g(0), g(1), e, z_1..z_{s+r}, f; the letter tables
     (`_basis_letters`, `bracket_rows`) and the nested brackets (`nested`)
-    are built on first use.
+    are built on first use.  Letter coordinates are ints where integral,
+    else Fractions, and `lbracket` brackets them on `bracket_rows`.
     """
 
     def __init__(self, alg, triple, grading, zbasis, zdual, cent, dual_a, dual_b):
@@ -154,18 +160,22 @@ class MinimalSetup:
         return lin_comb({0: ONE, 1: -c}, (x, self.triple.h))
 
     def in_grade(self, x, i):
-        hx = self.alg.bracket(self.triple.h, x)
-        return hx == vec_scale(i, x)
+        """x lies in g(i): the letters are a basis of ad h eigenvectors, so
+        x does exactly when its letters all have grade i."""
+        grade = self.letter_grade
+        return all(grade[k] == i for k in self.to_letters(x))
 
     def in_centralizer(self, x):
-        return not self.alg.bracket(self.triple.e, x)
+        return not self.lbracket({self.idx_e: 1}, self.to_letters(x))
 
     # -- letters ---------------------------------------------------------
 
     @cached_property
     def _basis_letters(self):
         """Row i: the letter coordinates of the i-th basis vector of g."""
-        return [self._letter_span.coords({i: ONE}) for i in range(self.dim)]
+        coords = self._letter_span.coords
+        return [{k: int_if_integral(c) for k, c in coords({i: ONE}).items()}
+                for i in range(self.dim)]
 
     @cached_property
     def bracket_rows(self):
@@ -177,7 +187,8 @@ class MinimalSetup:
         hold x_a and x_b, so the table costs the nonzeros, not dim^2 brackets.
         The letters are a basis, so every x_a is held by some letter.
         """
-        holders = transpose(self.letters)  # a -> {letter i: its coefficient on x_a}
+        holders = transpose([{a: int_if_integral(c) for a, c in v.items()}
+                             for v in self.letters])  # a -> {letter i: coefficient on x_a}
         sums = {}                         # (i, j) -> {k: coefficient}
         for (a, b), terms in self.alg.brackets.items():
             image = self.to_letters(terms)
@@ -186,34 +197,51 @@ class MinimalSetup:
                     _add_scaled(sums.setdefault((i, j), {}), ca * cb, image)
         rows = [[()] * self.dim for _ in range(self.dim)]
         for (i, j), acc in sums.items():
-            rows[i][j] = tuple(sorted((k, c.numerator if c.denominator == 1 else c)
-                                      for k, c in acc.items() if c))
+            rows[i][j] = tuple(sorted((k, int_if_integral(c)) for k, c in acc.items() if c))
         return rows
 
     def to_letters(self, vec):
         """Coordinates of an algebra vector in the letter basis, as a sorted
-        dict of nonzero Fractions."""
+        dict of nonzero ints and Fractions."""
         self.alg._check(vec)
         rows = self._basis_letters
         out = {}
         for i, c in vec.items():
             _add_scaled(out, c, rows[i])
-        return {k: c for k, c in sorted(out.items()) if c}
+        return {k: int_if_integral(c) for k, c in sorted(out.items()) if c}
 
     def letter_bracket(self, i, j):
         """[letter_i, letter_j] expanded in letters."""
         return self.bracket_rows[i][j]
 
+    def lbracket(self, x, y):
+        """[x, y] for x and y in letter coordinates, in letter coordinates:
+        bilinear over bracket_rows, summed over the nonzeros of x and y."""
+        rows, out = self.bracket_rows, {}
+        for i, a in x.items():
+            row = rows[i]
+            for j, b in y.items():
+                for k, c in row[j]:
+                    out[k] = out.get(k, 0) + a * b * c
+        return {k: int_if_integral(c) for k, c in sorted(out.items()) if c}
+
+    @cached_property
+    def z_letters(self):
+        """(zbasis, zdual) in letter coordinates: z_a is the unit letter
+        z_start + a, and z*_a a signed unit letter."""
+        return ([{self.z_letter(a): 1} for a in range(len(self.zbasis))],
+                [self.to_letters(zd) for zd in self.zdual])
+
     def nested(self, side, w):
-        """{(a, b): [z_b, [z_a, w]]} over the nonzero nested brackets, with
-        z the zbasis on side 0 and the zdual on side 1; memoised per
-        (side, w).  Theta_w reads side 1 and the closed double sum of c0
-        both sides."""
+        """{(a, b): [z_b, [z_a, w]]} in letter coordinates over the nonzero
+        nested brackets, with z the zbasis on side 0 and the zdual on side
+        1; memoised per (side, w).  Theta_w reads side 1 and the closed
+        double sum of c0 both sides."""
         key = side, frozenset(w.items())
         out = self._nested.get(key)
         if out is None:
-            zs, bracket = (self.zbasis, self.zdual)[side], self.alg.bracket
-            inner = [(a, bracket(za, w)) for a, za in enumerate(zs)]      # g(0)
+            zs, wl, bracket = self.z_letters[side], self.to_letters(w), self.lbracket
+            inner = [(a, bracket(za, wl)) for a, za in enumerate(zs)]     # g(0)
             nested = (((a, b), bracket(zb, x)) for a, x in inner if x
                       for b, zb in enumerate(zs))                          # g(-1)
             out = self._nested[key] = {ab: v for ab, v in nested if v}

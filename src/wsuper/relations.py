@@ -12,7 +12,7 @@ from functools import cached_property
 from .enveloping import kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
-from .grading import kw_numbers
+from .grading import int_if_integral, kw_numbers
 from .linalg import ONE, ZERO, Echelon, Span, lin_comb
 from .whittaker import (WhittakerElement, combine, is_w_element, multiply_q,
                         product_terms, project_terms, sigma, supercommutator_q)
@@ -113,6 +113,7 @@ class SuiteContext:
         self.corrupt = corrupt
         self.basis = setup.cent[0] + setup.cent[1] + setup.cent[2]
         self.odd = [setup.alg.parity_of(y) for y in self.basis]
+        self.letters = [setup.to_letters(y) for y in self.basis]   # in letter coordinates
         self._products = {}
         self._commutators = {}
         self._residues = {}
@@ -148,10 +149,15 @@ class SuiteContext:
 
     @cached_property
     def _span(self):
-        return Span(self.basis)
+        """The basis in letter coordinates, on Fractions for the echelon."""
+        return Span([{k: Fraction(c) for k, c in x.items()} for x in self.letters])
 
     def coords(self, x):
         """Coordinates of x over basis = cent[0] + cent[1] + cent[2]."""
+        return self.letter_coords(self.setup.to_letters(x))
+
+    def letter_coords(self, x):
+        """The same, for x in letter coordinates."""
         coords = self._span.coords(x)
         if coords is None:
             raise InputError("vector is not in g^e(0) + g^e(1) + g^e(2)")
@@ -168,8 +174,11 @@ class SuiteContext:
 
     def theta(self, x):
         """Theta_x by linearity over the cached basis generators."""
-        return combine(self.setup, [(c, self.basis_theta(k))
-                                    for k, c in self.coords(x).items()])
+        return self.theta_of(self.coords(x))
+
+    def theta_of(self, coords):
+        """Theta of sum c * basis[k] over the items (k, c) of coords."""
+        return combine(self.setup, [(c, self.basis_theta(k)) for k, c in coords.items()])
 
     def product(self, k, l):
         """basis_theta(k) * basis_theta(l) in the model; memoised."""
@@ -189,10 +198,11 @@ class SuiteContext:
         _antisymmetric: B_ij when basis[k] = w_i and basis[l] = w_j lie in
         g^e(1), else [Theta_k, Theta_l] - Theta_[basis[k], basis[l]]."""
         n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
-        bracket = self.setup.alg.bracket
+        bracket, letters = self.setup.lbracket, self.letters
         return self._antisymmetric(self._residues, k, l, lambda k, l: (
             self._b_entry(k - n0, l - n0) if n0 <= k and l < n0 + n1 else
-            self.commutator(k, l) - self.theta(bracket(self.basis[k], self.basis[l]))))
+            self.commutator(k, l)
+            - self.theta_of(self.letter_coords(bracket(letters[k], letters[l])))))
 
     def _antisymmetric(self, memo, k, l, build):
         """memo[(k, l)] for k <= l, built once; the other order is read by
@@ -220,38 +230,46 @@ class SuiteContext:
         M_ij = sum_a (L[i][a] (x) R[j][a] - sign L[j][a] (x) R[i][a]) / 2,
         where L[i][a] and R[j][a] are the g^e(0) coordinates of
         [w_i, z_a]# and [z*_a, w_j]#, and L, R and C - ThetaCas are computed
-        once.  A term with k > l is read as (-1)^{|k||l|} (Theta_l Theta_k
-        - [Theta_l, Theta_k]), so only products with k <= l are made."""
-        setup, odd = self.setup, self.odd
-        alg, n0 = setup.alg, len(setup.cent[0])
+        once.  # is linear, so L and R are summed in letters from the
+        coordinates of letter# for each g(0) letter.  A term with k > l is
+        read as (-1)^{|k||l|} (Theta_l Theta_k - [Theta_l, Theta_k]), so
+        only products with k <= l are made."""
+        setup, odd, bracket = self.setup, self.odd, self.setup.lbracket
+        n0, n1 = len(setup.cent[0]), len(setup.cent[1])
+        sharps = [{k: int_if_integral(c) for k, c in self.coords(setup.sharp(x)).items()}
+                  for x in setup.grading[0]]          # the g(0) letters come first
 
-        def sharp_coords(x):
-            return self.coords(setup.sharp(x)) if x else {}
-        left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis]
-                for w in setup.cent[1]]
-        right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual]
-                 for w in setup.cent[1]]
+        def sharp_coords(x):                          # x in g(0), in letters
+            out = {}
+            for i, c in x.items():
+                for k, a in sharps[i].items():
+                    out[k] = out.get(k, 0) + c * a
+            return out
+        ws, (zs, zds) = self.letters[n0:n0 + n1], setup.z_letters
+        left = [[sharp_coords(bracket(w, z)) for z in zs] for w in ws]
+        right = [[sharp_coords(bracket(zd, w)) for zd in zds] for w in ws]
         c_minus_tcas = self.cas.value - self.tcas.value
 
         def entry(i, j):
             m, sign = {}, -1 if odd[n0 + i] and odd[n0 + j] else 1
-            for x, y, c in ((left[i], right[j], Fraction(1, 2)),
-                            (left[j], right[i], Fraction(-sign, 2))):
+            for x, y, c in ((left[i], right[j], 1), (left[j], right[i], -sign)):
                 for xa, ya in zip(x, y):
                     for k, xk in xa.items():
                         for l, yl in ya.items():
-                            m[(k, l)] = m.get((k, l), ZERO) + c * xk * yl
-            prods, comms = {}, {}
+                            m[(k, l)] = m.get((k, l), 0) + c * xk * yl
+            prods, comms = {}, {}                   # twice M_ij, halved below
             for (k, l), c in m.items():
                 if k > l:
                     k, l, c = l, k, -c if odd[k] and odd[l] else c
                     comms[(k, l)] = -c
-                prods[(k, l)] = prods.get((k, l), ZERO) + c
+                prods[(k, l)] = prods.get((k, l), 0) + c
             pair = self.pair_value(self.basis[n0 + i], self.basis[n0 + j])
             terms = [(ONE, self.commutator(n0 + i, n0 + j)),
                      (Fraction(-pair, 2), c_minus_tcas)]
-            terms += [(c, self.product(k, l)) for (k, l), c in prods.items() if c]
-            terms += [(c, self.commutator(k, l)) for (k, l), c in comms.items() if c]
+            terms += [(Fraction(c, 2), self.product(k, l))
+                      for (k, l), c in prods.items() if c]
+            terms += [(Fraction(c, 2), self.commutator(k, l))
+                      for (k, l), c in comms.items() if c]
             return combine(setup, terms)
         return entry
 
@@ -290,9 +308,10 @@ class SuiteContext:
         return self._monomials[max_deg]
 
     def pair_value(self, w1, w2):
-        """([w1, w2], f)."""
+        """([w1, w2], f): the e coordinate of [w1, w2] in letters, since the
+        form pairs f with g(2) = Ce alone and (e, f) = 1."""
         s = self.setup
-        return s.form(s.alg.bracket(w1, w2), s.triple.f)
+        return s.lbracket(s.to_letters(w1), s.to_letters(w2)).get(s.idx_e, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +322,7 @@ def identities_suite(setup):
     alg, letters = setup.alg, setup.to_letters
     n = len(setup.zbasis)
     s, r = setup.sdim, setup.rdim
-    zmaps = [{setup.z_letter(a): 1} for a in range(n)]
+    zmaps = setup.z_letters[0]
     odd = [alg.parity_of(z) for z in setup.zbasis]
 
     sums = ([], [])                     # z z* over the even, the odd z's
@@ -449,13 +468,14 @@ def verify_centrality(setup, ctx=None):
 def c0_double_sum(setup, w1, w2):
     """The closed formula's double sum:
     sum_{a,b} (-1)^{|a||w1|+|b||w1|+|a||b|} chi([[z_b,[z_a,w1]],[z*_b,[z*_a,w2]]]),
-    over the setup's memo of nested brackets."""
+    over the setup's memo of nested brackets; chi on g(-2) = Cf is the f
+    coordinate, since (e, f) = 1."""
     left, right = setup.nested(0, w1), setup.nested(1, w2)
     p1, par = setup.alg.parity_of(w1), setup.letter_parity[setup.z_start:]
-    total = ZERO
+    total, bracket = ZERO, setup.lbracket
     for (a, b), x in left.items():
         if (a, b) in right:
-            val = setup.chi(setup.alg.bracket(x, right[(a, b)]))   # g(-2) read via (e,.)
+            val = bracket(x, right[(a, b)]).get(setup.idx_f, 0)
             total += -val if (par[a] * p1 + par[b] * p1 + par[a] * par[b]) % 2 else val
     return total
 

@@ -362,24 +362,27 @@ def _count(monkeypatch, name, modules):
 
 
 def test_scalar_reduction_brackets_each_side_once(monkeypatch):
-    # work counter, not a timing: the nested brackets [z_b,[z_a,w1]] and
-    # [z*_b,[z*_a,w2]] are taken once per basis vector, not once per pair
-    # (a per-pair double sum makes 1293 brackets here), and the Theta_w
-    # have filled side 1 of the setup's memo already, so only side 0 is
-    # bracketed here; the verdict is the published scalar's, which fails
-    # on osp(5|2) where s != r
+    # work counter, not a timing: the nested letter brackets [z_b,[z_a,w1]]
+    # and [z*_b,[z*_a,w2]] are taken once per basis vector, not once per
+    # pair (a per-pair double sum makes 1293 brackets here), and the
+    # Theta_w have filled side 1 of the setup's memo already, so only side
+    # 0 is bracketed here; the verdict is the published scalar's, which
+    # fails on osp(5|2) where s != r.  No bracket is taken in g.
     setup, ctx = _warmed_osp52()
     _ = ctx.b_table
-    calls = []
-    bracket = SuperAlgebra.bracket
+    calls, in_g = [], []
+    bracket, lbracket = SuperAlgebra.bracket, MinimalSetup.lbracket
     monkeypatch.setattr(SuperAlgebra, "bracket",
-                        lambda self, x, y: calls.append(x) or bracket(self, x, y))
+                        lambda self, x, y: in_g.append(x) or bracket(self, x, y))
+    monkeypatch.setattr(MinimalSetup, "lbracket",
+                        lambda self, x, y: calls.append(x) or lbracket(self, x, y))
     rep = verify_scalar_reduction(setup, ctx)
     assert not rep.ok and rep.detail["pairs"] == 25
     assert len(calls) == 283          # side 0: 130, the final brackets: 153
     calls.clear()
     assert verify_scalar_reduction(setup, ctx).as_json() == rep.as_json()
     assert len(calls) == 153          # one final bracket per matched (a, b)
+    assert in_g == []
     fresh, basis = family_setup("osp", 5, 2), setup.cent[1]
     assert all(c0_double_sum(setup, w1, w2) == c0_double_sum(fresh, w1, w2)
                for w1 in basis for w2 in basis)
@@ -498,8 +501,8 @@ def test_w_pbw_check_filtration_bound_can_fail(psl22):
             (get_ctx("psl22").product(0, 1), False)):
         ctx = SuiteContext(psl22)
         _ = ctx.tcas        # ThetaCas in B is summed before Theta is patched
-        theta = ctx.theta
-        ctx.theta = lambda x: theta(x) + extra
+        theta_of = ctx.theta_of         # Theta_[Yi,Yj] is summed from coordinates
+        ctx.theta_of = lambda coords: theta_of(coords) + extra
         rep = w_pbw_check(psl22, 4, ctx)
         bounds = [w for w, _ in rep.failures if w.startswith("filtration bound")]
         assert bool(bounds) == fails
