@@ -14,10 +14,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegeneracyError, InputError, TableError, ValidationError
-from .linalg import ONE, ZERO, Span, nullspace, rank, transpose
+from .linalg import Span, int_entries, int_if_integral, nullspace, rank, transpose
 
 EVEN, ODD = 0, 1
-MINUS_ONE = -ONE
 
 
 class SuperAlgebra:
@@ -25,16 +24,16 @@ class SuperAlgebra:
 
     brackets stores every nonzero pair: brackets[(i,j)] = {k: c_ij^k}, and
     form stores every nonzero Gram entry the same way: form[(i,j)] =
-    (x_i, x_j), a zero entry given to the constructor being dropped.  A
-    vector is a dict {basis index: nonzero coefficient}.  Instances are
-    immutable after construction and safe to share.
+    (x_i, x_j), a zero entry given to the constructor being dropped; both
+    hold ints where integral.  A vector is a dict {basis index: nonzero
+    coefficient}.  Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, name, parity, brackets, form, basis_names=None):
         self.name = name
         self.parity = tuple(int(p) & 1 for p in parity)
         self.dim = len(self.parity)
-        self.brackets = {k: dict(v) for k, v in brackets.items() if v}
+        self.brackets = {k: int_entries(v) for k, v in brackets.items() if v}
         self._rows = {}                   # i -> {j: brackets[(i, j)]}
         for (i, j), terms in self.brackets.items():
             self._rows.setdefault(i, {})[j] = terms
@@ -45,13 +44,13 @@ class SuperAlgebra:
         self.basis_names = tuple(basis_names)
 
     def _set_form(self, form):
-        self.form = {k: Fraction(g) for k, g in sorted(form.items()) if g}
+        self.form = {k: int_if_integral(Fraction(g)) for k, g in sorted(form.items()) if g}
         self._gram = {}                   # i -> {j: form[(i, j)]}
         for (i, j), g in self.form.items():
             self._gram.setdefault(i, {})[j] = g
 
     def basis_vector(self, i):
-        return {i: ONE}
+        return {i: 1}
 
     def _check(self, *vectors):
         for v in vectors:
@@ -71,13 +70,13 @@ class SuperAlgebra:
                 if terms:
                     c = xi * yj
                     for k, ck in terms.items():
-                        out[k] = out.get(k, ZERO) + c * ck
+                        out[k] = out.get(k, 0) + c * ck
         return {k: c for k, c in out.items() if c}
 
     def form_value(self, x, y):
         """(x, y), walking the nonzero Gram entries of each x_i."""
         self._check(x, y)
-        acc = ZERO
+        acc = 0
         for i, xi in x.items():
             for j, g in self._gram.get(i, {}).items():
                 if j in y:
@@ -92,7 +91,6 @@ class SuperAlgebra:
 
     def rescaled_form(self, c):
         """The same algebra with its form scaled by c; the brackets are shared."""
-        c = Fraction(c)
         out = copy(self)
         out._set_form({k: c * g for k, g in self.form.items()})
         return out
@@ -108,11 +106,11 @@ def normalized_form(alg, e, f):
     ef = alg.form_value(e, f)
     if ef == 0:
         raise DegeneracyError("(e,f) = 0; wrong choice of e or f")
-    return alg.rescaled_form(Fraction(1) / ef)
+    return alg.rescaled_form(Fraction(1, ef))
 
 
 def _cleared(rows):
-    """rows {key: {k: Fraction}} on integer numerators over d, the lcm of
+    """rows {key: {k: rational}} on integer numerators over d, the lcm of
     all their denominators: ({key: {k: int}}, d)."""
     d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
     return {key: {k: c.numerator * (d // c.denominator) for k, c in row.items()}
@@ -279,12 +277,12 @@ def build_gl(m, n):
         a, b = divmod(i, N)
         for j in sorted({b * N + d for d in range(N)} | {c * N + a for c in range(N)}):
             c, d = divmod(j, N)
-            terms = {a * N + d: ONE} if b == c else {}
+            terms = {a * N + d: 1} if b == c else {}
             if d == a:
                 k = c * N + b
                 if k in terms:            # i = j = E[a,a]: the terms cancel
                     continue
-                terms[k] = ONE if parity[i] and parity[j] else MINUS_ONE
+                terms[k] = 1 if parity[i] and parity[j] else -1
             brackets[(i, j)] = terms
     # str(E[a,b] E[c,d]) = delta_bc delta_ad (-1)^{p(a)}
     form = {(_gl_index(m, n, a, b), _gl_index(m, n, b, a)):
@@ -313,21 +311,17 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             span = Span(vectors)
         except ValueError:
             raise ValidationError("subalgebra basis vectors are linearly dependent") from None
-    # d [v_i, v_j] = sum of v_i[a] v_j[b] [x_a, x_b] over amb's stored pairs, on the
-    # numerators over dv and da, d = dv^2 da; nonzero ones go to the span, sorted
-    nums, dv = _cleared(dict(enumerate(vectors)))
-    holders = transpose(nums.values())    # b -> {j: numerator of vectors[j][b]}
-    da = lcm(*(c.denominator for a in holders for t in amb._rows.get(a, {}).values()
-               for c in t.values()))
-    d, brackets = dv * dv * da, {}
-    for i, u in nums.items():
-        row = {}                          # j -> d [v_i, v_j] in amb
+    # [v_i, v_j] = sum of v_i[a] v_j[b] [x_a, x_b] over amb's stored pairs, in
+    # ints where the vectors and constants are; nonzero ones go to the span, sorted
+    holders, brackets = transpose(vectors), {}    # b -> {j: vectors[j][b]}
+    for i, u in enumerate(vectors):
+        row = {}                          # j -> [v_i, v_j] in amb
         for a, ua in u.items():
             for b, ab in amb._rows.get(a, {}).items():
                 for j, vb in holders.get(b, {}).items():
                     c, out = ua * vb, row.setdefault(j, {})
                     for k, ck in ab.items():
-                        out[k] = out.get(k, 0) + c * ck.numerator * (da // ck.denominator)
+                        out[k] = out.get(k, 0) + c * ck
         for j in sorted(row):
             product = {k: c for k, c in row[j].items() if c}
             if not product:
@@ -336,7 +330,7 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             if terms is None:
                 raise ValidationError(
                     "subspace not closed under bracket at pair (%d,%d)" % (i, j))
-            terms = {k: c if d == 1 else c / d for k, c in terms.items() if k < dim}
+            terms = {k: c for k, c in terms.items() if k < dim}
             if terms:
                 brackets[(i, j)] = terms
     return SuperAlgebra(name, parity, brackets, restricted_form(amb, vectors), names)
@@ -353,7 +347,7 @@ def restricted_form(amb, vectors):
         for a, ua in u.items():
             for b, g in amb._gram.get(a, {}).items():
                 for j, vb in holders.get(b, {}).items():
-                    form[i, j] = form.get((i, j), ZERO) + ua * g * vb
+                    form[i, j] = form.get((i, j), 0) + ua * g * vb
     return {k: g for k, g in sorted(form.items()) if g}
 
 
@@ -366,9 +360,8 @@ def _sl_vectors(m, n):
     pidx = [EVEN] * m + [ODD] * n
     for a in range(N - 1):
         # E[a,a] -+ E[a+1,a+1], sign chosen to kill the supertrace
-        vectors.append({_gl_index(m, n, a, a): ONE,
-                        _gl_index(m, n, a + 1, a + 1):
-                            -ONE if pidx[a] == pidx[a + 1] else ONE})
+        vectors.append({_gl_index(m, n, a, a): 1,
+                        _gl_index(m, n, a + 1, a + 1): -1 if pidx[a] == pidx[a + 1] else 1})
         names.append("D[%d]" % a)
     for a in range(N):
         for b in range(N):
@@ -397,7 +390,7 @@ def build_psl22():
     """
     gl, vectors, names = _sl_vectors(2, 2)
     vectors = vectors[:2] + vectors[3:]
-    ident = dict.fromkeys((_gl_index(2, 2, a, a) for a in range(4)), ONE)
+    ident = dict.fromkeys((_gl_index(2, 2, a, a) for a in range(4)), 1)
     return subalgebra(gl, vectors, "psl(2|2)", ["h", "H1"] + names[3:],
                       Span(vectors + [ident]))
 
@@ -406,8 +399,8 @@ def _osp_form(m, n):
     """The defining split form B on C^(m|n), by the one nonzero of each
     row: row u holds B[u][u'] at u', and u'' = u.  Symmetric anti-diagonal
     on the even part, symplectic anti-diagonal on the odd."""
-    return ([(m - 1 - u, ONE) for u in range(m)]
-            + [(m + n - 1 - i, ONE if i < n // 2 else -ONE) for i in range(n)])
+    return ([(m - 1 - u, 1) for u in range(m)]
+            + [(m + n - 1 - i, 1 if i < n // 2 else -1) for i in range(n)])
 
 
 def osp_realization(m, n):
@@ -435,7 +428,7 @@ def osp_realization(m, n):
                 # (-1)^{|A| p(v)} (B A)_{vw} = sum_u B_{vu} A_{uw} = B_{vv'} A_{v'w}
                 if (pv, w) in index:
                     idx = index[pv, w]
-                    row[idx] = row.get(idx, ZERO) + (-bv if apar and pidx[v] else bv)
+                    row[idx] = row.get(idx, 0) + (-bv if apar and pidx[v] else bv)
                 rows.append({idx: x for idx, x in sorted(row.items()) if x})
         for sol in nullspace(rows, len(slots)):
             vectors.append({_gl_index(m, n, *slots[idx]): c

@@ -15,7 +15,8 @@ from itertools import count
 
 from .algebra import normalized_form, restricted_form
 from .errors import DegeneracyError, InputError, NotMinimalError
-from .linalg import ONE, ZERO, Span, lin_comb, nullspace, solve, transpose, vec_scale
+from .linalg import (Span, int_entries, int_if_integral, lin_comb, nullspace, solve,
+                     transpose, vec_scale)
 
 
 @dataclass(frozen=True)
@@ -27,20 +28,20 @@ class SL2Triple:
 
 def _ad_columns(alg, x):
     """The columns [x, x_j] of ad x, for j < dim."""
-    return [alg.bracket(x, {j: ONE}) for j in range(alg.dim)]
+    return [alg.bracket(x, {j: 1}) for j in range(alg.dim)]
 
 
 def _shifted_columns(cols, shift, indices):
     """Columns j in indices of the matrix with columns cols, minus shift*I."""
-    return [{k: x for k, x in {**cols[j], j: cols[j].get(j, ZERO) - shift}.items() if x}
+    return [{k: x for k, x in {**cols[j], j: cols[j].get(j, 0) - shift}.items() if x}
             for j in indices]
 
 
 def _kernel(vectors, images):
     """Basis of the kernel of the linear map sending vectors[j] to
     images[j], as combinations of the vectors (nullspace order)."""
-    rows = transpose(images)
-    return [lin_comb(sol, vectors) for sol in nullspace(rows.values(), len(vectors))]
+    rows = transpose(images).values()
+    return [int_entries(lin_comb(sol, vectors)) for sol in nullspace(rows, len(vectors))]
 
 
 def find_sl2_triple(alg, e):
@@ -59,7 +60,7 @@ def find_sl2_triple(alg, e):
     y = solve(transpose([alg.bracket(e, col) for col in ad_e]), vec_scale(-2, e))
     if y is None:
         raise NotMinimalError("e is not sl2-embeddable: (ad e)^2 y = -2e has no solution")
-    h = alg.bracket(e, y)
+    h = int_entries(alg.bracket(e, y))
     # [e, f] = h on equations i < dim, [h, f] + 2f = 0 on equations dim + i
     rows = transpose(ad_e)
     ad_h2 = _shifted_columns(_ad_columns(alg, h), -2, range(alg.dim))
@@ -82,11 +83,6 @@ def _assert_triple(alg, t):
         raise NotMinimalError("triple identity [h,f]=-2f failed")
 
 
-def int_if_integral(c):
-    """c as an int when it is integral: the value type of letter coordinates."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _add_scaled(acc, c, vec):
     """acc += c * vec in place; zeros may stay."""
     for k, a in vec.items():
@@ -101,7 +97,7 @@ class MinimalSetup:
     the PBW letter order g(0), g(1), e, z_1..z_{s+r}, f; the letter tables
     (`_basis_letters`, `bracket_rows`) and the nested brackets (`nested`)
     are built on first use.  Letter coordinates are ints where integral,
-    else Fractions, and `lbracket` brackets them on `bracket_rows`.
+    else Fractions, as is every vector of the setup; `lbracket` brackets them.
     """
 
     def __init__(self, alg, triple, grading, zbasis, zdual, cent, dual_a, dual_b):
@@ -135,7 +131,7 @@ class MinimalSetup:
             self._letter_span = Span(self.letters)
         except ValueError:
             raise DegeneracyError("letter system is not a basis") from None
-        chi = ((i, alg.form_value(triple.e, {i: ONE})) for i in range(alg.dim))
+        chi = ((i, alg.form_value(triple.e, {i: 1})) for i in range(alg.dim))
         self._chi = {i: c for i, c in chi if c}
         self._nested = {}
 
@@ -143,7 +139,7 @@ class MinimalSetup:
 
     def chi(self, x):
         """chi(x) = (e, x)."""
-        return sum((c * self._chi[i] for i, c in x.items() if i in self._chi), ZERO)
+        return sum(c * self._chi[i] for i, c in x.items() if i in self._chi)
 
     def form(self, x, y):
         return self.alg.form_value(x, y)
@@ -156,8 +152,8 @@ class MinimalSetup:
         """Project g(0) onto g^e(0): x - (h,x)/2 * h."""
         if not self.in_grade(x, 0):
             raise InputError("sharp expects a vector in g(0)")
-        c = self.form(self.triple.h, x) / 2
-        return lin_comb({0: ONE, 1: -c}, (x, self.triple.h))
+        c = Fraction(self.form(self.triple.h, x), 2)
+        return lin_comb({0: 1, 1: -c}, (x, self.triple.h))
 
     def in_grade(self, x, i):
         """x lies in g(i): the letters are a basis of ad h eigenvectors, so
@@ -173,9 +169,7 @@ class MinimalSetup:
     @cached_property
     def _basis_letters(self):
         """Row i: the letter coordinates of the i-th basis vector of g."""
-        coords = self._letter_span.coords
-        return [{k: int_if_integral(c) for k, c in coords({i: ONE}).items()}
-                for i in range(self.dim)]
+        return [self._letter_span.coords({i: 1}) for i in range(self.dim)]
 
     @cached_property
     def bracket_rows(self):
@@ -187,8 +181,7 @@ class MinimalSetup:
         hold x_a and x_b, so the table costs the nonzeros, not dim^2 brackets.
         The letters are a basis, so every x_a is held by some letter.
         """
-        holders = transpose([{a: int_if_integral(c) for a, c in v.items()}
-                             for v in self.letters])  # a -> {letter i: coefficient on x_a}
+        holders = transpose(self.letters)   # a -> {letter i: coefficient on x_a}
         sums = {}                         # (i, j) -> {k: coefficient}
         for (a, b), terms in self.alg.brackets.items():
             image = self.to_letters(terms)
@@ -290,28 +283,27 @@ def _hyperbolic_basis(setup_pairing, vectors):
         if jb is None:
             raise DegeneracyError("pairing on g(-1) is degenerate")
         b = rem.pop(jb)
-        b = vec_scale(ONE / setup_pairing(b, a), b)                   # <b,a> = 1
-        b = lin_comb({0: ONE, 1: -setup_pairing(b, b) / 2}, (b, a))   # make b isotropic
+        b = vec_scale(Fraction(1, setup_pairing(b, a)), b)                  # <b,a> = 1
+        b = lin_comb({0: 1, 1: Fraction(-setup_pairing(b, b), 2)}, (b, a))  # make b isotropic
         ab = setup_pairing(a, b)
-        rem = [lin_comb({0: ONE, 1: -setup_pairing(x, b) / ab, 2: -setup_pairing(x, a)},
+        rem = [lin_comb({0: 1, 1: Fraction(-setup_pairing(x, b), ab), 2: -setup_pairing(x, a)},
                         (x, a, b)) for x in rem]
         left.append(a)
         right.append(b)
-    return left + middle + right[::-1]
+    return [int_entries(v) for v in left + middle + right[::-1]]
 
 
 def _zdual(setup_pairing, zbasis, s, r):
     """z*_alpha as the signed permutation fixed by the pairing normal form."""
     dual = []
     for a in range(1, s + 1):
-        sign = ONE if a <= s // 2 else -ONE
+        sign = 1 if a <= s // 2 else -1
         dual.append(vec_scale(sign, zbasis[s - a]))            # a^nat * z_{s+1-a}
     for a in range(1, r + 1):
         dual.append(zbasis[s + r - a])                         # z_{r+1-a+s}
     for a in range(s + r):
         for b in range(s + r):
-            want = ONE if a == b else ZERO
-            if setup_pairing(dual[a], zbasis[b]) != want:
+            if setup_pairing(dual[a], zbasis[b]) != int(a == b):
                 raise DegeneracyError(
                     "pairing normal form failed at (%d,%d)" % (a, b))
     return dual
@@ -333,7 +325,7 @@ def build_minimal_setup(alg, e):
     f to q*f: h, the grading, the normalized form, g^e and the dual bases
     stay, and g(-1) is paired again.  setup.triple.e is the e used.
     """
-    e = {k: Fraction(c) for k, c in e.items() if c}
+    e = {k: int_if_integral(Fraction(c)) for k, c in e.items() if c}
     triple = find_sl2_triple(alg, e)
     alg = normalized_form(alg, triple.e, triple.f)
     if alg.form_value(triple.h, triple.h) != 2:
@@ -344,7 +336,7 @@ def build_minimal_setup(alg, e):
     for par in (0, 1):
         idx = [j for j in range(alg.dim) if alg.parity[j] == par]
         for i in range(-2, 3):      # over unit vectors: re-key each solution
-            rows = transpose(_shifted_columns(ad_h, Fraction(i), idx)).values()
+            rows = transpose(_shifted_columns(ad_h, i, idx)).values()
             pieces[i, par] = [{idx[j]: c for j, c in sol.items()}
                               for sol in nullspace(rows, len(idx))]
     grading = {i: pieces[i, 0] + pieces[i, 1] for i in range(-2, 3)}
@@ -367,8 +359,8 @@ def build_minimal_setup(alg, e):
         middle = zbasis[s + r // 2]
         q = pairing(middle, middle)
         if q != 1:
-            triple = SL2Triple(e=vec_scale(1 / q, triple.e), h=triple.h,
-                               f=vec_scale(q, triple.f))
+            triple = SL2Triple(e=int_entries(vec_scale(Fraction(1, q), triple.e)),
+                               h=triple.h, f=int_entries(vec_scale(q, triple.f)))
             _assert_triple(alg, triple)
             pairing, zbasis = _paired_neg1(alg, triple.e, neg1_even, neg1_odd)
     zdual = _zdual(pairing, zbasis, s, r)
@@ -393,7 +385,7 @@ def build_minimal_setup(alg, e):
         gram = Span(columns)
     except ValueError:
         raise DegeneracyError("form degenerate on g^e(0)") from None
-    dual_b = [lin_comb(gram.coords({j: ONE}), dual_a) for j in range(len(dual_a))]
+    dual_b = [int_entries(lin_comb(gram.coords({j: 1}), dual_a)) for j in range(len(dual_a))]
 
     setup = MinimalSetup(alg, triple, grading, zbasis, zdual, cent, dual_a, dual_b)
     _post_checks(setup)
@@ -407,8 +399,7 @@ def _post_checks(setup):
     n = len(setup.dual_a)
     for i in range(n):
         for j in range(n):
-            want = ONE if i == j else ZERO
-            if alg.form_value(setup.dual_a[i], setup.dual_b[j]) != want:
+            if alg.form_value(setup.dual_a[i], setup.dual_b[j]) != int(i == j):
                 raise DegeneracyError("dual bases of g^e(0) failed at (%d,%d)" % (i, j))
     if alg.bracket(t.e, setup.cent[2][0]):
         raise NotMinimalError("g^e(2) is not centralized by e")

@@ -1,22 +1,30 @@
 """Exact linear algebra over the rationals.
 
-Everything works on Fraction entries; no floats anywhere.  A vector is a
-dict {index: nonzero Fraction}, and a matrix is given by its rows, or by
+A rational is an int where integral, else a Fraction (int_if_integral);
+no floats, so no `/`: exact division is Fraction(a, b).  A vector is a
+dict {index: nonzero rational}, and a matrix is given by its rows, or by
 its columns, as such dicts.  There is one elimination, the sparse
-Echelon; rank, rref, nullspace, solve and Span are views of it.  The
-pivot of a row is its smallest key, so every result is deterministic,
+Echelon, whose rows keep that type, so on ints it runs on ints; rank,
+rref, nullspace, solve and Span are views of it and return that type.
+The pivot of a row is its smallest key, so every result is deterministic,
 and reduced() gives the unique reduced row echelon form.
 """
 
 from fractions import Fraction
 from heapq import heappop, heappush
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def int_if_integral(c):
+    """c as an int when it is integral, else c: the engine's value type."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def int_entries(v):
+    """The vector v with every integral entry an int."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in v.items()}
 
 
 def vec_scale(c, x):
-    c = Fraction(c)
     return {k: c * a for k, a in x.items()} if c else {}
 
 
@@ -26,7 +34,7 @@ def lin_comb(coeffs, vectors):
     for t, c in coeffs.items():
         if c:
             for k, a in vectors[t].items():
-                x = out.pop(k, ZERO) + c * a
+                x = out.pop(k, 0) + c * a
                 if x:
                     out[k] = x
     return out
@@ -57,7 +65,7 @@ class Echelon:
             self.add(v)
 
     def reduce(self, v):
-        """The remainder of v modulo the rows, as a new dict."""
+        """The remainder of v modulo the rows, as a new dict of ints where integral."""
         rows = self.rows
         v = {k: c for k, c in v.items() if c}
         heap = [k for k in v if k in rows]
@@ -80,7 +88,7 @@ class Echelon:
                         v[k] = x
                     else:
                         del v[k]
-        return v
+        return int_entries(v)
 
     def add(self, v):
         """Add v as a row unless it lies in the span; True when it is new."""
@@ -89,7 +97,8 @@ class Echelon:
             return False
         p = min(v)
         c = v[p]
-        self.rows[p] = {k: a / c for k, a in v.items()}
+        self.rows[p] = v if c == 1 else {k: int_if_integral(Fraction(a, c))
+                                         for k, a in v.items()}
         return True
 
     def reduced(self):
@@ -113,8 +122,8 @@ def rref(rows):
     red = Echelon({j: c for j, c in enumerate(row) if c}
                   for row in rows).reduced().rows
     pivots = sorted(red)
-    m = [[red[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
-    return m + [[ZERO] * ncols for _ in range(len(rows) - len(m))], pivots
+    m = [[red[p].get(c, 0) for c in range(ncols)] for p in pivots]
+    return m + [[0] * ncols for _ in range(len(rows) - len(m))], pivots
 
 
 def rank(rows):
@@ -132,7 +141,7 @@ def nullspace(rows, ncols):
     basis = []
     for fc in range(ncols):
         if fc not in red:
-            v = {fc: ONE}
+            v = {fc: 1}
             for pc, row in red.items():
                 if fc in row:
                     v[pc] = -row[fc]
@@ -149,7 +158,7 @@ def solve(rows, rhs):
     augmented rows; a pivot there means inconsistency.
     """
     n = _width(rows.values())
-    red = Echelon({**rows.get(i, {}), n: rhs.get(i, ZERO)}
+    red = Echelon({**rows.get(i, {}), n: rhs.get(i, 0)}
                   for i in rows.keys() | rhs.keys()).reduced().rows
     if n in red:
         return None
@@ -167,7 +176,7 @@ class Span:
 
     def __init__(self, vectors):
         n = self._n = _width(vectors)
-        echelon = Echelon({**v, n + i: ONE} for i, v in enumerate(vectors))
+        echelon = Echelon({**v, n + i: 1} for i, v in enumerate(vectors))
         if any(p >= n for p in echelon.rows):
             raise ValueError("vectors are linearly dependent")
         self._echelon = echelon.reduced()

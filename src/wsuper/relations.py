@@ -12,8 +12,8 @@ from functools import cached_property
 from .enveloping import kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
-from .grading import int_if_integral, kw_numbers
-from .linalg import ONE, ZERO, Echelon, Span, lin_comb
+from .grading import kw_numbers
+from .linalg import Echelon, Span, lin_comb
 from .whittaker import (WhittakerElement, combine, is_w_element, multiply_q,
                         product_terms, project_terms, sigma, supercommutator_q)
 
@@ -149,8 +149,8 @@ class SuiteContext:
 
     @cached_property
     def _span(self):
-        """The basis in letter coordinates, on Fractions for the echelon."""
-        return Span([{k: Fraction(c) for k, c in x.items()} for x in self.letters])
+        """The basis in letter coordinates."""
+        return Span(self.letters)
 
     def coords(self, x):
         """Coordinates of x over basis = cent[0] + cent[1] + cent[2]."""
@@ -217,9 +217,9 @@ class SuiteContext:
     def b_table(self):
         """b_table[i][j] = (B(w_i, w_j), ([w_i, w_j], f)) on the g^e(1)
         basis, a view of the residue memo."""
-        n0, basis = len(self.setup.cent[0]), self.setup.cent[1]
-        return [[(self.residue(n0 + i, n0 + j), self.pair_value(w1, w2))
-                 for j, w2 in enumerate(basis)] for i, w1 in enumerate(basis)]
+        n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
+        return [[(self.residue(n0 + i, n0 + j), self.letter_pair(n0 + i, n0 + j))
+                 for j in range(n1)] for i in range(n1)]
 
     @cached_property
     def _b_entry(self):
@@ -236,8 +236,7 @@ class SuiteContext:
         only products with k <= l are made."""
         setup, odd, bracket = self.setup, self.odd, self.setup.lbracket
         n0, n1 = len(setup.cent[0]), len(setup.cent[1])
-        sharps = [{k: int_if_integral(c) for k, c in self.coords(setup.sharp(x)).items()}
-                  for x in setup.grading[0]]          # the g(0) letters come first
+        sharps = [self.coords(setup.sharp(x)) for x in setup.grading[0]]  # g(0) letters first
 
         def sharp_coords(x):                          # x in g(0), in letters
             out = {}
@@ -263,8 +262,8 @@ class SuiteContext:
                     k, l, c = l, k, -c if odd[k] and odd[l] else c
                     comms[(k, l)] = -c
                 prods[(k, l)] = prods.get((k, l), 0) + c
-            pair = self.pair_value(self.basis[n0 + i], self.basis[n0 + j])
-            terms = [(ONE, self.commutator(n0 + i, n0 + j)),
+            pair = self.letter_pair(n0 + i, n0 + j)
+            terms = [(1, self.commutator(n0 + i, n0 + j)),
                      (Fraction(-pair, 2), c_minus_tcas)]
             terms += [(Fraction(c, 2), self.product(k, l))
                       for (k, l), c in prods.items() if c]
@@ -278,9 +277,9 @@ class SuiteContext:
         (degree, parity), for Theta_v (2), Theta_w (3) and C (4); each
         ordered monomial of degree <= max_deg as (generator indices,
         degree), 1 first and generator g as monomial g + 1; and one echelon
-        of them all, monomial t tagged by the key (len(letters), t) above
-        every word.  A reduced element in their span keeps only tags, with
-        minus its coefficient on monomial t at tag t."""
+        of them all on integer numerators: monomial t enters as q.nums with
+        q.den on the key (len(letters), t), above every word, and numerators
+        in their span reduce to minus their coefficient on monomial t at tag t."""
         if max_deg in self._monomials:
             return self._monomials[max_deg]
         setup = self.setup
@@ -301,7 +300,7 @@ class SuiteContext:
                 monomials.append((idxs + (g,), value, deg + gdeg))
 
         tag = len(setup.letters)
-        echelon = Echelon({**q.terms, (tag, t): ONE}
+        echelon = Echelon({**q.nums, (tag, t): q.den}
                           for t, (_, q, _) in enumerate(monomials))
         self._monomials[max_deg] = ([g[1:] for g in gens],
                                     [(idxs, deg) for idxs, _, deg in monomials], echelon)
@@ -312,6 +311,11 @@ class SuiteContext:
         form pairs f with g(2) = Ce alone and (e, f) = 1."""
         s = self.setup
         return s.lbracket(s.to_letters(w1), s.to_letters(w2)).get(s.idx_e, 0)
+
+    def letter_pair(self, k, l):
+        """pair_value(basis[k], basis[l]), read off the basis letters."""
+        s = self.setup
+        return s.lbracket(self.letters[k], self.letters[l]).get(s.idx_e, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +358,7 @@ def identities_suite(setup):
         """sum_a [z_a, inner(z*_a)] + c x, in the model."""
         vectors = [alg.bracket(za, inner(zs))
                    for za, zs in zip(setup.zbasis, setup.zdual)] + [x]
-        coeffs = {**dict.fromkeys(range(n), ONE), n: c}
+        coeffs = {**dict.fromkeys(range(n), 1), n: c}
         return WhittakerElement.from_vector(setup, lin_comb(coeffs, vectors))
     for k, w in enumerate(setup.cent[1]):
         rep.check("sum[z,[z*,w]] for w#%d" % k,
@@ -384,8 +388,8 @@ def _invariance_failures(alg, gram, basis, v, coords):
     right = [coords(alg.bracket(v, x)) for x in basis]    # [v, x_j]
     for i, li in enumerate(left):
         for j, rj in enumerate(right):
-            lhs = sum((c * gram[m][j] for m, c in li.items()), ZERO)
-            rhs = sum((c * gram[i][m] for m, c in rj.items()), ZERO)
+            lhs = sum(c * gram[m][j] for m, c in li.items())
+            rhs = sum(c * gram[i][m] for m, c in rj.items())
             if lhs != rhs:
                 yield i, j, lhs, rhs
 
@@ -411,7 +415,7 @@ def generator_checks(setup, ctx):
     # at the sum of the basis, keeps that checked rather than assumed
     for grade, direct in ((0, theta_v), (1, theta_w)):
         if setup.cent[grade]:
-            x = lin_comb(dict.fromkeys(range(len(setup.cent[grade])), ONE),
+            x = lin_comb(dict.fromkeys(range(len(setup.cent[grade])), 1),
                          setup.cent[grade])
             rep.check("linearity of Theta on g^e(%d)" % grade,
                       direct(setup, x, check=False).value - ctx.theta(x))
@@ -455,7 +459,7 @@ def verify_centrality(setup, ctx=None):
     # [C, Theta_k] from the memo, whose C entry is Theta(c*e) = c*C/2
     k_c, norm = len(ctx.basis) - 1, _e_norm(setup)
     for k, g in enumerate(ctx.thetas0 + ctx.thetas1):
-        rep.check("[C, %s]" % g.label, ctx.commutator(k_c, k).scale(1 / norm))
+        rep.check("[C, %s]" % g.label, ctx.commutator(k_c, k).scale(Fraction(1, norm)))
     for label, q in (("ThetaCas", ctx.tcas.value), ("C", c)):
         rep.check("[C, %s]" % label, supercommutator_q(c, q))
     # Theta_Cas commutes with the degree-0 generators
@@ -472,7 +476,7 @@ def c0_double_sum(setup, w1, w2):
     coordinate, since (e, f) = 1."""
     left, right = setup.nested(0, w1), setup.nested(1, w2)
     p1, par = setup.alg.parity_of(w1), setup.letter_parity[setup.z_start:]
-    total, bracket = ZERO, setup.lbracket
+    total, bracket = 0, setup.lbracket
     for (a, b), x in left.items():
         if (a, b) in right:
             val = bracket(x, right[(a, b)]).get(setup.idx_f, 0)
@@ -492,14 +496,14 @@ def c0_formula(setup, w1, w2, ctx=None):
     pair = ctx.pair_value(w1, w2)
     if pair == 0:
         raise InputError("c0_formula needs a pair with ([w1,w2],f) != 0")
-    return _published_scalar(setup, w1, w2, pair) / Fraction(-pair, 2)
+    return Fraction(-2 * _published_scalar(setup, w1, w2, pair), pair)
 
 
 def _published_scalar(setup, w1, w2, pair):
     """The scalar the closed formula gives B(w1, w2), pair = ([w1,w2],f):
     -c0_formula * pair/2 = ((3(s-r)+4) pair - double sum) / 24."""
     ds = c0_double_sum(setup, w1, w2)
-    return (Fraction(3 * (setup.sdim - setup.rdim) + 4) * pair - ds) / 24
+    return Fraction((3 * (setup.sdim - setup.rdim) + 4) * pair - ds, 24)
 
 
 def extract_c0(setup, ctx=None):
@@ -528,7 +532,7 @@ def extract_c0(setup, ctx=None):
                 if scalar != 0:
                     rep.fail("zero-pairing pair %s has residue" % label, B)
             else:
-                c0 = scalar / Fraction(-pair, 2)
+                c0 = Fraction(-2 * scalar, pair)
                 formula = c0_formula(setup, w1, w2, ctx)
                 result.formula_values.append((label, formula))
                 if formula != c0:
@@ -586,7 +590,7 @@ def verify_b_invariance(setup, ctx=None):
     rep = RelationReport("b_invariance")
     alg = setup.alg
     basis = setup.cent[1]
-    b = [[ZERO] * len(basis) for _ in basis]
+    b = [[0] * len(basis) for _ in basis]
     ratios = []
     for i, w1 in enumerate(basis):
         for j, w2 in enumerate(basis):
@@ -594,12 +598,12 @@ def verify_b_invariance(setup, ctx=None):
             val = B.scalar_part()
             if val is None:
                 rep.fail("non-scalar B at (w%d,w%d)" % (i, j), B)
-                val = ZERO
+                val = 0
             b[i][j] = val
             if alg.parity_of(w1) != alg.parity_of(w2) and val != 0:
                 rep.fail("b not even at (w%d,w%d)" % (i, j))
             if pair != 0:
-                ratios.append(val / pair)
+                ratios.append(Fraction(val, pair))
     if ratios and any(x != ratios[0] for x in ratios):
         rep.fail("b not proportional to ([.,.],f): ratios %s"
                  % sorted(set(str(x) for x in ratios)))
@@ -633,15 +637,16 @@ def one_dim_rep(setup, ctx=None):
     for i in range(n1):
         for j in range(n1):
             label = "(w%d,w%d)" % (i, j)
-            rest = echelon.reduce(ctx.commutator(n0 + i, n0 + j).terms)
+            q = ctx.commutator(n0 + i, n0 + j)
+            rest = echelon.reduce(q.nums)
             words = {k: c for k, c in rest.items() if k < (tag,)}
             if words:
                 rep.fail("%s outside the monomial span" % label,
-                         WhittakerElement(setup, words))
+                         WhittakerElement(setup, words, q.den))
             else:       # C is the last generator, monomial len(gens)
-                coeffs.append((label, -rest.get((tag, 0), ZERO),
-                               -rest.get((tag, len(gens)), ZERO)))
-    c0 = next((-a1 / ac for _, a1, ac in coeffs if ac), None)
+                coeffs.append((label, Fraction(-rest.get((tag, 0), 0), q.den),
+                               Fraction(-rest.get((tag, len(gens)), 0), q.den)))
+    c0 = next((Fraction(-a1, ac) for _, a1, ac in coeffs if ac), None)
     for label, a1, ac in coeffs:        # a_C != 0 only where there is a c0
         value = a1 + c0 * ac if ac else a1
         if value:
@@ -704,7 +709,7 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
     # corrupted ones too), so either gives the same verdict; on a passing
     # run no residue has a top part and no echelon is built.
     def above(q, bound):
-        return {k: c for k, c in q.terms.items() if kazhdan_degree(setup, k) > bound}
+        return {k: c for k, c in q.nums.items() if kazhdan_degree(setup, k) > bound}
 
     n0 = len(setup.cent[0])
     grades = [grade for grade in (0, 1, 2) for _ in setup.cent[grade]]

@@ -19,7 +19,7 @@ lists and linear combinations (combine, which +, - and scale also call)
 run on those integers: each pushes all its words onto one stack for one
 straighten, or sums them, into one sink, and _project drops the
 f-suffixes and reduces the sink once.  The Fractions of an element,
-`terms`, are built only when a report, an echelon or a test reads them.
+`terms`, are built only when a test reads them.
 """
 
 from bisect import bisect_left
@@ -28,7 +28,6 @@ from math import gcd, lcm
 
 from .enveloping import commute, kazhdan_degree, straighten, weight
 from .errors import InputError
-from .linalg import ZERO
 
 
 class WhittakerElement:
@@ -46,7 +45,7 @@ class WhittakerElement:
     @property
     def terms(self):
         """{word: nonzero Fraction}, built on each read: the view of the
-        element that an echelon or a test takes."""
+        element that the tests take."""
         d = self.den
         return {w: Fraction(n, d) for w, n in self.nums.items()}
 
@@ -98,7 +97,7 @@ class WhittakerElement:
     def scalar_part(self):
         """Coefficient of 1 if the element is scalar, else None."""
         if not self.nums:
-            return ZERO
+            return 0
         if len(self.nums) == 1 and () in self.nums:
             return Fraction(self.nums[()], self.den)
         return None

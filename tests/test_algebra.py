@@ -163,15 +163,23 @@ SCALES = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
                           Fraction(3, 4), Fraction(5, 7), Fraction(-7, 6)]).map(Fraction)
 
 
+def _exact(x):
+    """An int when integral, else a Fraction with denominator > 1: never a
+    float, a bool or a Fraction with denominator 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def _assert_scaled_copy(alg, c):
     # on v_i = c_i x_i: c'_ij^k = c_i c_j / c_k c_ij^k and (v_i, v_j) = c_i c_j g_ij,
-    # each a nonzero Fraction
+    # each nonzero and of the engine's value type; returns the values
     sub = subalgebra(alg, [{i: ci} for i, ci in enumerate(c)], "scaled")
     assert sub.brackets == {(i, j): {k: c[i] * c[j] / c[k] * x for k, x in terms.items()}
                             for (i, j), terms in alg.brackets.items()}
     assert sub.form == {(i, j): c[i] * c[j] * g for (i, j), g in alg.form.items()}
     values = [x for terms in sub.brackets.values() for x in terms.values()]
-    assert all(type(x) is Fraction and x for x in values + list(sub.form.values()))
+    values += sub.form.values()
+    assert all(_exact(x) and x for x in values)
+    return values
 
 
 @pytest.mark.parametrize("alg", SCALE_BASES,
@@ -184,10 +192,13 @@ def test_subalgebra_on_scaled_basis_vectors_scales_the_constants(alg, data):
 
 
 @pytest.mark.parametrize("alg", SCALE_BASES[:2], ids=["sl21", "osp12"])
-def test_subalgebra_on_integer_scalings_keeps_fractions(alg):
-    # integral constants and scalings: one common denominator, 1
-    assert all(x.denominator == 1 for terms in alg.brackets.values() for x in terms.values())
-    _assert_scaled_copy(alg, [Fraction(1 + i % 3) * (-1) ** i for i in range(alg.dim)])
+def test_subalgebra_on_integer_scalings_stores_ints_where_integral(alg):
+    # integral constants are stored as ints; integer scalings divide by c_k,
+    # so the scaled copy holds ints where integral and Fractions elsewhere
+    assert all(type(x) is int for terms in alg.brackets.values() for x in terms.values())
+    values = _assert_scaled_copy(alg, [Fraction(1 + i % 3) * (-1) ** i
+                                       for i in range(alg.dim)])
+    assert {type(x) for x in values} == {int, Fraction}
 
 
 def _ambient_products(selection):

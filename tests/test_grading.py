@@ -10,9 +10,11 @@ from wsuper.catalog import _unit_by_name, family_algebra
 from wsuper.errors import DegeneracyError, InputError, NotMinimalError
 from wsuper.grading import (build_minimal_setup, find_sl2_triple, kw_dimensions,
                             kw_numbers)
-from wsuper.linalg import ONE, lin_comb, vec_scale
+from wsuper.linalg import lin_comb, vec_scale
 
 from conftest import get_setup
+
+ONE = Fraction(1)
 
 
 def test_triple_identities_hold_exactly(catalog_setup):

@@ -11,9 +11,9 @@ from test_axiom_oracle import SCALED_SL21
 from wsuper import enveloping, whittaker
 from wsuper.algebra import SuperAlgebra, build_sl
 from wsuper.catalog import CATALOG_NAMES, _unit_by_name, family_setup
-from wsuper.grading import build_minimal_setup
+from wsuper.grading import MinimalSetup, build_minimal_setup
 from wsuper.linalg import lin_comb
-from wsuper.relations import extract_c0
+from wsuper.relations import SuiteContext, extract_c0
 
 from conftest import NONUNIT, get_setup
 
@@ -107,3 +107,30 @@ def test_one_c0_brackets_only_in_letters(monkeypatch, family, pops, straightens)
     assert rep.ok and result.value is not None
     assert calls == {"bracket": 0, "straighten": straightens}
     assert _CountingStack.pops == pops
+
+
+@pytest.mark.parametrize("family, to_letters, pair_values",
+                         ((("osp", 7, 2), 840, 7), (("sl", 4, 2), 714, 8)),
+                         ids=("osp(7|2)", "sl(4|2)"))
+def test_one_c0_reads_the_pairing_off_the_basis_letters(monkeypatch, family, to_letters,
+                                                        pair_values):
+    # work counters: B and its table read ([w_i, w_j], f) from the letters
+    # of the basis; only c0_formula, at the pairs with a nonzero pairing,
+    # still converts its two vectors through pair_value
+    setup = family_setup(*family)
+    calls = {"to_letters": 0, "pair_value": 0}
+    convert, pair_value = MinimalSetup.to_letters, SuiteContext.pair_value
+
+    def counted_to_letters(self, vec):
+        calls["to_letters"] += 1
+        return convert(self, vec)
+
+    def counted_pair_value(self, w1, w2):
+        calls["pair_value"] += 1
+        return pair_value(self, w1, w2)
+    monkeypatch.setattr(MinimalSetup, "to_letters", counted_to_letters)
+    monkeypatch.setattr(SuiteContext, "pair_value", counted_pair_value)
+    rep, result = extract_c0(setup)
+    assert rep.ok
+    assert calls == {"to_letters": to_letters, "pair_value": pair_values}
+    assert len(result.formula_values) == pair_values

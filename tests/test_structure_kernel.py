@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import dense, dense_bracket, dense_form_value, sparse
 from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
                             export_table, import_table)
-from wsuper.linalg import ZERO, lin_comb
+from wsuper.linalg import lin_comb
+
+ZERO = Fraction(0)
 
 ALGEBRAS = {
     "gl(2|1)": build_gl(2, 1),
