@@ -11,7 +11,6 @@ Supercommutator convention throughout: [x,y] = xy - (-1)^{|x||y|} yx.
 
 from copy import copy
 from fractions import Fraction
-from math import lcm
 
 from .errors import DegeneracyError, InputError, TableError, ValidationError
 from .linalg import Span, int_entries, int_if_integral, nullspace, rank, transpose
@@ -109,14 +108,6 @@ def normalized_form(alg, e, f):
     return alg.rescaled_form(Fraction(1, ef))
 
 
-def _cleared(rows):
-    """rows {key: {k: rational}} on integer numerators over d, the lcm of
-    all their denominators: ({key: {k: int}}, d)."""
-    d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
-    return {key: {k: c.numerator * (d // c.denominator) for k, c in row.items()}
-            for key, row in rows.items()}, d
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -159,17 +150,16 @@ def check_algebra(alg):
     """Verify every axiom exactly on the structure constants and the Gram
     matrix; the witness of a failed axiom is its least failing candidate.
 
-    The scans run on integer numerators, the constants and the Gram each
-    over the lcm of their denominators: a total is zero exactly as before.
-    Jacobi and invariance are accumulated over the nonzero products only: a
-    triple that receives no contribution has every term zero and cannot
-    fail, so the scans stay exhaustive at a cost that follows the nonzeros.
+    The scans read the stored constants and Gram entries as they are, ints
+    where integral.  Jacobi and invariance are accumulated over the nonzero
+    products only: a triple that receives no contribution has every term
+    zero and cannot fail, so the scans stay exhaustive at a cost that
+    follows the nonzeros.
     """
     n, par = alg.dim, alg.parity
-    (brackets, _), (gram, _) = _cleared(alg.brackets), _cleared(alg._gram)
-    form = {(i, j): g for i, row in gram.items() for j, g in row.items()}
+    brackets, gram, form = alg.brackets, alg._gram, alg.form
 
-    def c(i, j):                          # c(i, j) = {k: c_ij^k}, cleared
+    def c(i, j):                          # c(i, j) = {k: c_ij^k}
         return brackets.get((i, j), {})
 
     def sign(i, j):
@@ -239,7 +229,7 @@ def check_algebra(alg):
         _first_failure(mirrored, lambda t: form.get(t, 0)
                        != sign(*t) * form.get((t[1], t[0]), 0)),
         invariance_witness(),
-        None if rank(alg._gram.values()) == n else "gram rank < dim",
+        None if rank(gram.values()) == n else "gram rank < dim",
     )
     return AlgebraReport([(name, witness is None, witness)
                           for name, witness in zip(AlgebraReport.AXIOMS, witnesses)])
@@ -311,9 +301,25 @@ def subalgebra(amb, vectors, name, names=None, span=None):
             span = Span(vectors)
         except ValueError:
             raise ValidationError("subalgebra basis vectors are linearly dependent") from None
-    # [v_i, v_j] = sum of v_i[a] v_j[b] [x_a, x_b] over amb's stored pairs, in
-    # ints where the vectors and constants are; nonzero ones go to the span, sorted
-    holders, brackets = transpose(vectors), {}    # b -> {j: vectors[j][b]}
+    brackets = {}
+    for (i, j), product in pair_products(amb, vectors):
+        terms = span.coords(product)
+        if terms is None:
+            raise ValidationError(
+                "subspace not closed under bracket at pair (%d,%d)" % (i, j))
+        terms = {k: c for k, c in terms.items() if k < dim}
+        if terms:
+            brackets[(i, j)] = terms
+    return SuperAlgebra(name, parity, brackets, restricted_form(amb, vectors), names)
+
+
+def pair_products(amb, vectors):
+    """Yield ((i, j), [v_i, v_j]) over the nonzero products of the vectors,
+    in sorted (i, j) order.  Each sums v_i[a] v_j[b] [x_a, x_b] over amb's
+    stored pairs, through an index of where each ambient coordinate is
+    nonzero among the vectors, in ints where the vectors and constants are;
+    one row of products is held at a time."""
+    holders = transpose(vectors)          # b -> {j: vectors[j][b]}
     for i, u in enumerate(vectors):
         row = {}                          # j -> [v_i, v_j] in amb
         for a, ua in u.items():
@@ -324,16 +330,8 @@ def subalgebra(amb, vectors, name, names=None, span=None):
                         out[k] = out.get(k, 0) + c * ck
         for j in sorted(row):
             product = {k: c for k, c in row[j].items() if c}
-            if not product:
-                continue
-            terms = span.coords(product)
-            if terms is None:
-                raise ValidationError(
-                    "subspace not closed under bracket at pair (%d,%d)" % (i, j))
-            terms = {k: c for k, c in terms.items() if k < dim}
-            if terms:
-                brackets[(i, j)] = terms
-    return SuperAlgebra(name, parity, brackets, restricted_form(amb, vectors), names)
+            if product:
+                yield (i, j), product
 
 
 def restricted_form(amb, vectors):

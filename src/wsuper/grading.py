@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .algebra import normalized_form, restricted_form
+from .algebra import normalized_form, pair_products, restricted_form
 from .errors import DegeneracyError, InputError, NotMinimalError
 from .linalg import (Span, int_entries, int_if_integral, lin_comb, nullspace, solve,
                      transpose, vec_scale)
@@ -81,13 +81,6 @@ def _assert_triple(alg, t):
         raise NotMinimalError("triple identity [h,e]=2e failed")
     if alg.bracket(t.h, t.f) != vec_scale(-2, t.f):
         raise NotMinimalError("triple identity [h,f]=-2f failed")
-
-
-def _add_scaled(acc, c, vec):
-    """acc += c * vec in place; zeros may stay."""
-    for k, a in vec.items():
-        x = a if c == 1 else c * a
-        acc[k] = acc[k] + x if k in acc else x
 
 
 class MinimalSetup:
@@ -174,34 +167,20 @@ class MinimalSetup:
     @cached_property
     def bracket_rows(self):
         """rows[i][j] = [letter_i, letter_j] in letters, as a sorted tuple of
-        (k, c) with c an int when integral, () when zero.
-
-        The bracket is bilinear: each stored product [x_a, x_b] is expanded
-        in letters once and added to every letter pair (i, j) whose vectors
-        hold x_a and x_b, so the table costs the nonzeros, not dim^2 brackets.
-        The letters are a basis, so every x_a is held by some letter.
-        """
-        holders = transpose(self.letters)   # a -> {letter i: coefficient on x_a}
-        sums = {}                         # (i, j) -> {k: coefficient}
-        for (a, b), terms in self.alg.brackets.items():
-            image = self.to_letters(terms)
-            for i, ca in holders[a].items():
-                for j, cb in holders[b].items():
-                    _add_scaled(sums.setdefault((i, j), {}), ca * cb, image)
+        (k, c) with c an int when integral, () when zero: the letters'
+        pairwise products (`algebra.pair_products`), each expanded in
+        letters, so the table costs the nonzeros, not dim^2 brackets."""
         rows = [[()] * self.dim for _ in range(self.dim)]
-        for (i, j), acc in sums.items():
-            rows[i][j] = tuple(sorted((k, int_if_integral(c)) for k, c in acc.items() if c))
+        for (i, j), product in pair_products(self.alg, self.letters):
+            rows[i][j] = tuple(self.to_letters(product).items())
         return rows
 
     def to_letters(self, vec):
         """Coordinates of an algebra vector in the letter basis, as a sorted
         dict of nonzero ints and Fractions."""
         self.alg._check(vec)
-        rows = self._basis_letters
-        out = {}
-        for i, c in vec.items():
-            _add_scaled(out, c, rows[i])
-        return {k: int_if_integral(c) for k, c in sorted(out.items()) if c}
+        out = lin_comb(vec, self._basis_letters)
+        return {k: int_if_integral(c) for k, c in sorted(out.items())}
 
     def letter_bracket(self, i, j):
         """[letter_i, letter_j] expanded in letters."""

@@ -237,16 +237,9 @@ class SuiteContext:
         setup, odd, bracket = self.setup, self.odd, self.setup.lbracket
         n0, n1 = len(setup.cent[0]), len(setup.cent[1])
         sharps = [self.coords(setup.sharp(x)) for x in setup.grading[0]]  # g(0) letters first
-
-        def sharp_coords(x):                          # x in g(0), in letters
-            out = {}
-            for i, c in x.items():
-                for k, a in sharps[i].items():
-                    out[k] = out.get(k, 0) + c * a
-            return out
         ws, (zs, zds) = self.letters[n0:n0 + n1], setup.z_letters
-        left = [[sharp_coords(bracket(w, z)) for z in zs] for w in ws]
-        right = [[sharp_coords(bracket(zd, w)) for zd in zds] for w in ws]
+        left = [[lin_comb(bracket(w, z), sharps) for z in zs] for w in ws]
+        right = [[lin_comb(bracket(zd, w), sharps) for zd in zds] for w in ws]
         c_minus_tcas = self.cas.value - self.tcas.value
 
         def entry(i, j):
@@ -452,7 +445,8 @@ def verify_deg01(setup, ctx=None):
 
 
 def verify_centrality(setup, ctx=None):
-    """[C, -] = 0 against every generator, Theta_Cas, and C itself."""
+    """[C, -] = 0 against every generator and Theta_Cas; [C, C] = 0 holds
+    in any associative superalgebra, C being even, so it is not checked."""
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("central")
     c = ctx.cas.value
@@ -460,8 +454,7 @@ def verify_centrality(setup, ctx=None):
     k_c, norm = len(ctx.basis) - 1, _e_norm(setup)
     for k, g in enumerate(ctx.thetas0 + ctx.thetas1):
         rep.check("[C, %s]" % g.label, ctx.commutator(k_c, k).scale(Fraction(1, norm)))
-    for label, q in (("ThetaCas", ctx.tcas.value), ("C", c)):
-        rep.check("[C, %s]" % label, supercommutator_q(c, q))
+    rep.check("[C, ThetaCas]", supercommutator_q(c, ctx.tcas.value))
     # Theta_Cas commutes with the degree-0 generators
     for g in ctx.thetas0:
         rep.check("[ThetaCas, %s]" % g.label,

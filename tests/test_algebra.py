@@ -7,7 +7,7 @@ from oracles import (dense, dense_form, gl_vector_to_matrix, mat_parity,
                      oracle_rank, super_bracket, supertrace, munit)
 from wsuper.algebra import (build_gl, build_osp, build_psl22, build_sl,
                             _sl_vectors, check_algebra, normalized_form,
-                            osp_realization, subalgebra)
+                            osp_realization, pair_products, subalgebra)
 from wsuper.catalog import family_algebra
 from wsuper.errors import DegeneracyError, InputError, ValidationError
 
@@ -237,6 +237,24 @@ def test_construction_costs_the_nonzero_products(monkeypatch, selection, extra):
     nonzero = sum(1 for u in vectors for v in vectors if amb.bracket(u, v))
     assert nonzero < alg.dim ** 2
     assert calls == {"bracket": 0, "coords": nonzero + extra}
+
+
+def _fraction_products():
+    """gl(2|1) with the vectors of sl(2|1) scaled by (i + 2)/3 and
+    negated at odd i: Fraction entries, some of them integral."""
+    gl, vectors, _ = _sl_vectors(2, 1)
+    return gl, [{k: Fraction((i + 2) * (-1) ** i, 3) * c for k, c in v.items()}
+                for i, v in enumerate(vectors)]
+
+
+@pytest.mark.parametrize("selection", [("osp", 7, 2), ("sl", 4, 2), ("psl22",), None],
+                         ids=["osp72", "sl42", "psl22", "fractions"])
+def test_pair_products_yields_the_nonzero_brackets_in_sorted_order(selection):
+    amb, vectors = _ambient_products(selection) if selection else _fraction_products()
+    expected = [((i, j), amb.bracket(u, v)) for i, u in enumerate(vectors)
+                for j, v in enumerate(vectors) if amb.bracket(u, v)]
+    assert expected
+    assert list(pair_products(amb, vectors)) == expected
 
 
 def _break_antisymmetry(br, form):

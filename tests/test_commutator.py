@@ -7,6 +7,7 @@ coefficient these return is a nonzero Fraction."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (EnvElement, ad_by_projection, commutator_by_projection,
@@ -18,7 +19,7 @@ from wsuper.relations import SuiteContext
 from wsuper.whittaker import (WhittakerElement, _project, ad_act, combine,
                               multiply_q, project, project_terms, supercommutator_q)
 
-from conftest import get_setup
+from conftest import CATALOG_NAMES, get_ctx, get_setup
 
 ALGEBRAS = ("sl(2|1)", "osp(3|2)", "psl22")
 # 1/3 and -2/5 make denominators that are not powers of 2: a max of the
@@ -239,3 +240,13 @@ def test_linear_combinations_equal_the_fraction_sums(case, c1, c2):
         assert got.terms == want
         assert _exact(got.terms)
     assert (q1 - q1).terms == {}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_the_casimir_supercommutes_with_itself(name):
+    # C is even, so [C, C] = CC - CC = 0 in any associative superalgebra:
+    # the check tests the signs of supercommutator_q alone, so it lives
+    # here and not in the relation suite's `central`
+    cas = get_ctx(name).cas
+    assert cas.parity == 0 and not cas.value.is_zero()
+    assert supercommutator_q(cas.value, cas.value).is_zero()

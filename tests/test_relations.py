@@ -412,10 +412,10 @@ def test_warmed_context_computes_each_commutator_pair_once(monkeypatch):
     assert verify_deg0(setup, ctx).ok and verify_deg01(setup, ctx).ok
     assert w_pbw_check(setup, 4, ctx).ok
     assert len(commutators) == n * (n + 1) // 2
-    # [C, Theta] comes from the memo too; only [C, ThetaCas], [C, C] and
+    # [C, Theta] comes from the memo too; only [C, ThetaCas] and
     # [ThetaCas, Theta_v] are formed outside it
     assert verify_centrality(setup, ctx).ok
-    assert len(commutators) == n * (n + 1) // 2 + 2 + len(setup.cent[0])
+    assert len(commutators) == n * (n + 1) // 2 + 1 + len(setup.cent[0])
 
 
 def test_centrality_and_membership_make_no_model_product(monkeypatch):
