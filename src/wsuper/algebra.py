@@ -519,15 +519,21 @@ def import_table(doc):
     parity = _doc_list(doc["parity"], "parity", int)
     if len(parity) != dim or any(p not in (0, 1) for p in parity):
         raise TableError("parity: expected a list of dim entries in {0,1}")
-    brackets = {}
+    brackets, first = {}, {}            # key -> position of its first entry
+
+    def once(key, where):
+        if first.setdefault(key, where) != where:
+            raise TableError("%s: repeats the key of %s" % (where, first[key]))
     for pos, ent in enumerate(_doc_list(doc["brackets"], "brackets", dict)):
         where = "brackets[%d]" % pos
         i, j = _doc_index(ent, "i", dim, where), _doc_index(ent, "j", dim, where)
+        once(("brackets", i, j), where)
         terms = {}
         for tpos, t in enumerate(_doc_list(ent.get("terms", []),
                                            where + ".terms", dict)):
             twhere = "%s.terms[%d]" % (where, tpos)
             k = _doc_index(t, "k", dim, twhere)
+            once((where, k), twhere)
             val = _frac_from_doc(t, twhere)
             if val != 0:
                 terms[k] = val
@@ -537,6 +543,7 @@ def import_table(doc):
     for pos, ent in enumerate(_doc_list(doc["form"], "form", dict)):
         where = "form[%d]" % pos
         i, j = _doc_index(ent, "i", dim, where), _doc_index(ent, "j", dim, where)
+        once(("form", i, j), where)
         form[i, j] = _frac_from_doc(ent, where)
     if not any(form.values()):
         raise TableError("form: missing or identically zero")

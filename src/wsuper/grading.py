@@ -124,15 +124,13 @@ class MinimalSetup:
             self._letter_span = Span(self.letters)
         except ValueError:
             raise DegeneracyError("letter system is not a basis") from None
-        chi = ((i, alg.form_value(triple.e, {i: 1})) for i in range(alg.dim))
-        self._chi = {i: c for i, c in chi if c}
         self._nested = {}
 
     # -- linear functionals and maps ------------------------------------
 
     def chi(self, x):
         """chi(x) = (e, x)."""
-        return sum(c * self._chi[i] for i, c in x.items() if i in self._chi)
+        return self.alg.form_value(self.triple.e, x)
 
     def form(self, x, y):
         return self.alg.form_value(x, y)

@@ -13,7 +13,7 @@ from .enveloping import kazhdan_degree
 from .errors import InputError
 from .generators import WGenerator, casimir, theta_v, theta_w
 from .grading import kw_numbers
-from .linalg import Echelon, Span, lin_comb
+from .linalg import Echelon, Span, lin_comb, vec_scale
 from .whittaker import (WhittakerElement, combine, is_w_element, multiply_q,
                         product_terms, project_terms, sigma, supercommutator_q)
 
@@ -101,17 +101,18 @@ class SuiteContext:
     coordinate map of g^e, the residue of each basis pair (B on the g^e(1)
     basis among them) and the factored generator monomials.
 
-    Theta is linear, so Theta of any vector of g^e(0) + g^e(1) + g^e(2)
-    is summed from its coordinates over the cached basis generators, and
-    the model product or commutator of two such Thetas from the memos of
-    basis pairs; B is bilinear, so every relation that needs it reads the
-    basis-pair table.
+    The basis ends in 2e, so Theta of basis vector k is the k-th
+    generator, C last.  Theta is linear, so Theta of any vector of
+    g^e(0) + g^e(1) + g^e(2) is summed from its coordinates over the
+    cached basis generators, and the model product or commutator of two
+    such Thetas from the memos of basis pairs; B is bilinear, so every
+    relation that needs it reads the basis-pair table.
     """
 
     def __init__(self, setup, corrupt=None):
         self.setup = setup
         self.corrupt = corrupt
-        self.basis = setup.cent[0] + setup.cent[1] + setup.cent[2]
+        self.basis = setup.cent[0] + setup.cent[1] + [vec_scale(2, setup.triple.e)]
         self.odd = [setup.alg.parity_of(y) for y in self.basis]
         self.letters = [setup.to_letters(y) for y in self.basis]   # in letter coordinates
         self._products = {}
@@ -153,7 +154,8 @@ class SuiteContext:
         return Span(self.letters)
 
     def coords(self, x):
-        """Coordinates of x over basis = cent[0] + cent[1] + cent[2]."""
+        """Coordinates of x over basis = cent[0] + cent[1] + [2e]; the e
+        coordinate is halved, so Theta(c*e) = c*C/2."""
         return self.letter_coords(self.setup.to_letters(x))
 
     def letter_coords(self, x):
@@ -164,13 +166,13 @@ class SuiteContext:
         return coords
 
     def basis_theta(self, k):
-        """Theta of basis[k]; the g^e(2) vector c*e maps to c*C/2."""
+        """Theta of basis[k], the k-th generator; basis[-1] = 2e maps to C."""
         n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
         if k < n0:
             return self.thetas0[k].value
         if k < n0 + n1:
             return self.thetas1[k - n0].value
-        return self.cas.value.scale(_e_norm(self.setup))
+        return self.cas.value
 
     def theta(self, x):
         """Theta_x by linearity over the cached basis generators."""
@@ -449,11 +451,9 @@ def verify_centrality(setup, ctx=None):
     in any associative superalgebra, C being even, so it is not checked."""
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("central")
-    c = ctx.cas.value
-    # [C, Theta_k] from the memo, whose C entry is Theta(c*e) = c*C/2
-    k_c, norm = len(ctx.basis) - 1, _e_norm(setup)
+    c, k_c = ctx.cas.value, len(ctx.basis) - 1
     for k, g in enumerate(ctx.thetas0 + ctx.thetas1):
-        rep.check("[C, %s]" % g.label, ctx.commutator(k_c, k).scale(Fraction(1, norm)))
+        rep.check("[C, %s]" % g.label, ctx.commutator(k_c, k))
     rep.check("[C, ThetaCas]", supercommutator_q(c, ctx.tcas.value))
     # Theta_Cas commutes with the degree-0 generators
     for g in ctx.thetas0:
@@ -724,15 +724,6 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
                 rep.fail("filtration bound at (%d,%d): top part not a "
                          "quadratic polynomial in the generators" % (i, j))
     return rep
-
-
-def _e_norm(setup):
-    """Coefficient making C's leading e-term match the g^e(2) basis vector."""
-    coords = setup.to_letters(setup.cent[2][0])
-    c = coords.get(setup.idx_e)
-    if c is None or len(coords) != 1:
-        raise InputError("g^e(2) basis is not a multiple of e")
-    return Fraction(c, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -622,11 +622,26 @@ def test_w_pbw_check_fails_on_the_graded_count(monkeypatch, psl22):
     assert rep.detail == {"monomials": 15, "rank": 15, "symalg_count": 16}
 
 
-def test_a_g_e_2_basis_off_e_is_an_input_error():
+def test_the_suite_basis_ends_in_2e_whatever_g_e_2_basis_the_setup_holds():
+    # the suite reads no setup.cent[2]: a tampered one changes nothing
     s = family_setup("psl22")
     s.cent = {**s.cent, 2: [linalg.lin_comb({0: F(1), 1: F(1)}, [s.triple.e, s.triple.h])]}
-    with pytest.raises(InputError, match="g\\^e\\(2\\) basis is not a multiple of e"):
-        verify_centrality(s, SuiteContext(s))
+    ctx = SuiteContext(s)
+    assert ctx.basis[-1] == linalg.vec_scale(2, s.triple.e)
+    assert verify_centrality(s, ctx).ok
+
+
+@pytest.mark.parametrize("selection, cent2", [
+    (("sl", 2, 1), 1), (("sl", 3, 1), 1), (("psl22",), 1), (("osp", 3, 2), 2)])
+def test_theta_of_the_last_basis_vector_is_c(selection, cent2):
+    # the setup's g^e(2) vector is cent2 * e; the suite's is 2e either
+    # way, so the product memo's C entry is Theta_k C and Theta(e) is C/2
+    s = family_setup(*selection)
+    assert s.cent[2] == [linalg.vec_scale(cent2, s.triple.e)]
+    ctx = SuiteContext(s)
+    last = len(ctx.basis) - 1
+    assert ctx.product(0, last) == whittaker.multiply_q(ctx.basis_theta(0), ctx.cas.value)
+    assert ctx.theta(s.triple.e) == ctx.cas.value.scale(F(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,23 @@ def _parity_as_booleans(doc):
     return doc
 
 
+def _bracket_repeated(doc):
+    first = doc["brackets"][0]
+    doc["brackets"].insert(0, {**first, "terms": [
+        {**t, "num": str(-int(t["num"]))} for t in first["terms"]]})
+    return doc
+
+
+def _term_repeated(doc):
+    doc["brackets"][2]["terms"].append(dict(doc["brackets"][2]["terms"][0]))
+    return doc
+
+
+def _form_repeated(doc):
+    doc["form"].append(dict(doc["form"][1]))
+    return doc
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (_terms_not_a_list, r"brackets\[1\]\.terms"),
     (_form_entry_not_an_object, r"form\[0\]"),
@@ -101,8 +118,12 @@ def _parity_as_booleans(doc):
     (_name_not_a_string, "name"),
     (_dim_too_large_to_print, "parity"),
     (_parity_as_booleans, r"parity\[0\]: expected int"),
+    (_bracket_repeated, r"brackets\[1\]: repeats the key of brackets\[0\]"),
+    (_term_repeated, r"brackets\[2\]\.terms\[\d+\]: repeats the key of brackets\[2\]\.terms\[0\]"),
+    (_form_repeated, r"form\[\d+\]: repeats the key of form\[1\]"),
 ], ids=["terms", "form-entry", "bracket-index", "document", "bracket-index-float",
-        "form-index-str", "term-index-bool", "name", "huge-dim", "parity-bool"])
+        "form-index-str", "term-index-bool", "name", "huge-dim", "parity-bool",
+        "bracket-repeated", "term-repeated", "form-repeated"])
 def test_import_reports_location_of_wrongly_typed_entry(corrupt, where):
     doc = corrupt(export_table(build_osp(1, 2)))
     with pytest.raises(TableError, match=where):
