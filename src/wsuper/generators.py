@@ -1,16 +1,19 @@
 """Generators of the minimal W-superalgebra inside the Whittaker model.
 
 theta_v and theta_w implement the degree-0 and degree-1 generator formulas;
-casimir builds the quadratic Casimir attached to the normalized form.  The
-contracted product of the dual-basis generators of degree 0 (ThetaCas) is
-summed from the cached generators in relations.SuiteContext.  Every
-generator is checked for model membership at construction.
+casimir builds the quadratic Casimir attached to the normalized form, whose
+leading term is 2e.  standard_generators lists them all, Theta of each
+vector of the basis cent[0] + cent[1] + [2e] in turn, so C is Theta of 2e;
+relations.SuiteContext.gens is that list, and ThetaCas, the contracted
+product of the dual-basis generators of degree 0, is summed from it there.
+Every generator is checked for model membership at construction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .linalg import vec_scale
 from .whittaker import WhittakerElement, is_w_element, product_terms, project_terms
 
 THIRD = Fraction(1, 3)
@@ -20,7 +23,7 @@ HALF = Fraction(1, 2)
 @dataclass
 class WGenerator:
     label: str
-    source: dict           # the g^e vector the generator lifts, or e for C
+    source: dict           # the g^e vector the generator lifts, 2e for C
     value: WhittakerElement
     kazhdan_degree: int
     parity: int
@@ -121,7 +124,7 @@ def casimir(setup):
             terms += product_terms(-2 if setup.letter_parity[z] else 2, ez, za)
     value = project_terms(setup, terms)
     _check_membership("C", value)
-    return WGenerator("C", t.e, value, 4, 0)
+    return WGenerator("C", vec_scale(2, t.e), value, 4, 0)
 
 
 def _vec_label(setup, v):
@@ -135,7 +138,8 @@ def _vec_label(setup, v):
 
 
 def standard_generators(setup):
-    """All generators in report order: degree-0 Thetas, degree-1 Thetas, C."""
+    """All generators in report order, Theta of cent[0] + cent[1] + [2e]:
+    degree-0 Thetas, degree-1 Thetas, C."""
     gens = []
     for v in setup.cent[0]:
         gens.append(theta_v(setup, v))

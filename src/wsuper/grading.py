@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from math import isqrt
 
 from .algebra import normalized_form, pair_products, restricted_form
 from .errors import DegeneracyError, InputError, NotMinimalError
@@ -241,7 +242,8 @@ def _hyperbolic_basis(setup_pairing, vectors):
     and <u_{n+1-i}, u_i> = 1 for i <= n/2, so <u_i, u_{n+1-i}> is -1 when
     alternating.  When n is odd the self-paired middle vector keeps its
     self-pairing, which is nonzero: it is left over only when no isotropic
-    pivot remains.  Pivot: the lowest-index isotropic vector.
+    pivot remains.  Pivot: the lowest-index isotropic vector, else one made
+    isotropic by _isotropic_pivot.
     """
     rem = list(vectors)
     left, right = [], []
@@ -252,9 +254,7 @@ def _hyperbolic_basis(setup_pairing, vectors):
             if len(rem) == 1:
                 middle = [rem.pop()]
                 break
-            raise DegeneracyError(
-                "pairing on g(-1): no isotropic pivot among %d remaining vectors"
-                % len(rem))
+            ia = _isotropic_pivot(setup_pairing, rem)
         a = rem.pop(ia)
         jb = next((j for j, x in enumerate(rem) if setup_pairing(a, x) != 0), None)
         if jb is None:
@@ -268,6 +268,28 @@ def _hyperbolic_basis(setup_pairing, vectors):
         left.append(a)
         right.append(b)
     return [int_entries(v) for v in left + middle + right[::-1]]
+
+
+def _isotropic_pivot(setup_pairing, rem):
+    """Index i of rem once rem[i] = a is replaced by an isotropic a + t b,
+    b = rem[j], at the first pair i != j in index order where a rational t
+    exists.  No vector of rem is isotropic, so the pairing is symmetric
+    (an alternating one makes every vector isotropic) and <b,b> != 0: t is
+    a root of <b,b> t^2 + 2<a,b> t + <a,a>, rational exactly when the
+    discriminant <a,b>^2 - <a,a><b,b> is the square of a rational."""
+    for i, a in enumerate(rem):
+        for j, b in enumerate(rem):
+            if i == j:
+                continue
+            ab, bb = setup_pairing(a, b), setup_pairing(b, b)
+            disc = Fraction(ab * ab - setup_pairing(a, a) * bb)
+            num, den = disc.numerator, disc.denominator
+            if num >= 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
+                root = Fraction(isqrt(num), isqrt(den))
+                rem[i] = lin_comb({0: 1, 1: Fraction(root - ab, bb)}, (a, b))
+                return i
+    raise DegeneracyError(
+        "pairing on g(-1): no isotropic pivot among %d remaining vectors" % len(rem))
 
 
 def _zdual(setup_pairing, zbasis, s, r):

@@ -11,7 +11,7 @@ from functools import cached_property
 
 from .enveloping import kazhdan_degree
 from .errors import InputError
-from .generators import WGenerator, casimir, theta_v, theta_w
+from .generators import WGenerator, standard_generators, theta_v, theta_w
 from .grading import kw_numbers
 from .linalg import Echelon, Span, lin_comb, vec_scale
 from .whittaker import (WhittakerElement, combine, is_w_element, multiply_q,
@@ -97,12 +97,13 @@ class C0Result:
 
 
 class SuiteContext:
-    """Shared caches: the standard generators, the Casimir data, the
-    coordinate map of g^e, the residue of each basis pair (B on the g^e(1)
-    basis among them) and the factored generator monomials.
+    """Shared caches: the generator list, ThetaCas, the coordinate map of
+    g^e, the residue of each basis pair (B on the g^e(1) basis among them)
+    and the factored generator monomials.
 
-    The basis ends in 2e, so Theta of basis vector k is the k-th
-    generator, C last.  Theta is linear, so Theta of any vector of
+    basis is cent[0] + cent[1] + [2e], n0 + n1 + 1 vectors, and gens is
+    standard_generators on it: gens[k] is Theta of basis[k], C last.
+    Theta is linear, so Theta of any vector of
     g^e(0) + g^e(1) + g^e(2) is summed from its coordinates over the
     cached basis generators, and the model product or commutator of two
     such Thetas from the memos of basis pairs; B is bilinear, so every
@@ -112,6 +113,7 @@ class SuiteContext:
     def __init__(self, setup, corrupt=None):
         self.setup = setup
         self.corrupt = corrupt
+        self.n0, self.n1 = len(setup.cent[0]), len(setup.cent[1])
         self.basis = setup.cent[0] + setup.cent[1] + [vec_scale(2, setup.triple.e)]
         self.odd = [setup.alg.parity_of(y) for y in self.basis]
         self.letters = [setup.to_letters(y) for y in self.basis]   # in letter coordinates
@@ -121,31 +123,23 @@ class SuiteContext:
         self._monomials = {}
 
     @cached_property
-    def thetas0(self):
-        thetas = [theta_v(self.setup, v) for v in self.setup.cent[0]]
+    def gens(self):
+        gens = standard_generators(self.setup)
         if self.corrupt == "theta-v-sign":
             # negative control: flip the sign of every z-correction term
-            for gen, v in zip(thetas, self.setup.cent[0]):
-                plain = WhittakerElement.from_vector(self.setup, v)
+            for gen in gens[:self.n0]:
+                plain = WhittakerElement.from_vector(self.setup, gen.source)
                 gen.value = plain + (plain - gen.value)
-        return thetas
-
-    @cached_property
-    def thetas1(self):
-        return [theta_w(self.setup, w) for w in self.setup.cent[1]]
-
-    @cached_property
-    def cas(self):
-        return casimir(self.setup)
+        return gens
 
     @cached_property
     def tcas(self):
         """ThetaCas = sum_i (-1)^{|a_i|} Theta_{a_i} Theta_{b_i} over the
-        g^e(0) dual bases; a_i is cent[0][i], so Theta_{a_i} is cached."""
+        g^e(0) dual bases; a_i is cent[0][i], so Theta_{a_i} is gens[i]."""
         setup = self.setup
         value = combine(setup, [(-1 if ta.parity else 1,
                                  multiply_q(ta.value, self.theta(b)))
-                                for ta, b in zip(self.thetas0, setup.dual_b)])
+                                for ta, b in zip(self.gens[:self.n0], setup.dual_b)])
         return WGenerator("ThetaCas", setup.triple.e, value, 4, 0)
 
     @cached_property
@@ -165,41 +159,32 @@ class SuiteContext:
             raise InputError("vector is not in g^e(0) + g^e(1) + g^e(2)")
         return coords
 
-    def basis_theta(self, k):
-        """Theta of basis[k], the k-th generator; basis[-1] = 2e maps to C."""
-        n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
-        if k < n0:
-            return self.thetas0[k].value
-        if k < n0 + n1:
-            return self.thetas1[k - n0].value
-        return self.cas.value
-
     def theta(self, x):
         """Theta_x by linearity over the cached basis generators."""
         return self.theta_of(self.coords(x))
 
     def theta_of(self, coords):
         """Theta of sum c * basis[k] over the items (k, c) of coords."""
-        return combine(self.setup, [(c, self.basis_theta(k)) for k, c in coords.items()])
+        return combine(self.setup, [(c, self.gens[k].value) for k, c in coords.items()])
 
     def product(self, k, l):
-        """basis_theta(k) * basis_theta(l) in the model; memoised."""
+        """Theta_k Theta_l in the model, for generators k and l; memoised."""
         out = self._products.get((k, l))
         if out is None:
-            out = multiply_q(self.basis_theta(k), self.basis_theta(l))
+            out = multiply_q(self.gens[k].value, self.gens[l].value)
             self._products[(k, l)] = out
         return out
 
     def commutator(self, k, l):
-        """[basis_theta(k), basis_theta(l)], memoised by _antisymmetric."""
+        """[Theta_k, Theta_l], memoised by _antisymmetric."""
         return self._antisymmetric(self._commutators, k, l, lambda k, l: supercommutator_q(
-            self.basis_theta(k), self.basis_theta(l)))
+            self.gens[k].value, self.gens[l].value))
 
     def residue(self, k, l):
         """The residue of the relation for basis pair (k, l), memoised by
         _antisymmetric: B_ij when basis[k] = w_i and basis[l] = w_j lie in
         g^e(1), else [Theta_k, Theta_l] - Theta_[basis[k], basis[l]]."""
-        n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
+        n0, n1 = self.n0, self.n1
         bracket, letters = self.setup.lbracket, self.letters
         return self._antisymmetric(self._residues, k, l, lambda k, l: (
             self._b_entry(k - n0, l - n0) if n0 <= k and l < n0 + n1 else
@@ -219,7 +204,7 @@ class SuiteContext:
     def b_table(self):
         """b_table[i][j] = (B(w_i, w_j), ([w_i, w_j], f)) on the g^e(1)
         basis, a view of the residue memo."""
-        n0, n1 = len(self.setup.cent[0]), len(self.setup.cent[1])
+        n0, n1 = self.n0, self.n1
         return [[(self.residue(n0 + i, n0 + j), self.letter_pair(n0 + i, n0 + j))
                  for j in range(n1)] for i in range(n1)]
 
@@ -237,12 +222,12 @@ class SuiteContext:
         read as (-1)^{|k||l|} (Theta_l Theta_k - [Theta_l, Theta_k]), so
         only products with k <= l are made."""
         setup, odd, bracket = self.setup, self.odd, self.setup.lbracket
-        n0, n1 = len(setup.cent[0]), len(setup.cent[1])
+        n0, n1 = self.n0, self.n1
         sharps = [self.coords(setup.sharp(x)) for x in setup.grading[0]]  # g(0) letters first
         ws, (zs, zds) = self.letters[n0:n0 + n1], setup.z_letters
         left = [[lin_comb(bracket(w, z), sharps) for z in zs] for w in ws]
         right = [[lin_comb(bracket(zd, w), sharps) for zd in zds] for w in ws]
-        c_minus_tcas = self.cas.value - self.tcas.value
+        c_minus_tcas = self.gens[-1].value - self.tcas.value
 
         def entry(i, j):
             m, sign = {}, -1 if odd[n0 + i] and odd[n0 + j] else 1
@@ -268,25 +253,22 @@ class SuiteContext:
         return entry
 
     def monomials(self, max_deg):
-        """(gens, monomials, echelon), memoised per max_deg: each generator's
-        (degree, parity), for Theta_v (2), Theta_w (3) and C (4); each
-        ordered monomial of degree <= max_deg as (generator indices,
+        """(monomials, echelon), memoised per max_deg: each ordered
+        monomial in gens of Kazhdan degree <= max_deg as (generator indices,
         degree), 1 first and generator g as monomial g + 1; and one echelon
         of them all on integer numerators: monomial t enters as q.nums with
         q.den on the key (len(letters), t), above every word, and numerators
         in their span reduce to minus their coefficient on monomial t at tag t."""
         if max_deg in self._monomials:
             return self._monomials[max_deg]
-        setup = self.setup
-        gens = [(g.value, g.kazhdan_degree, g.parity)
-                for g in self.thetas0 + self.thetas1 + [self.cas]]
+        setup, gens = self.setup, self.gens
         # breadth first, each monomial after its prefix: the list grows
         # behind its own loop; two basis generators come from the memo
         monomials = [((), WhittakerElement.unit(setup), 0)]
         for idxs, q, deg in monomials:
             for g in range(idxs[-1] if idxs else 0, len(gens)):
-                value, gdeg, gpar = gens[g]
-                if (gpar and idxs and idxs[-1] == g) or deg + gdeg > max_deg:
+                value, gdeg = gens[g].value, gens[g].kazhdan_degree
+                if (gens[g].parity and idxs and idxs[-1] == g) or deg + gdeg > max_deg:
                     continue                   # odd generators square away
                 if len(idxs) == 1 and g < len(gens) - 1:
                     value = self.product(idxs[0], g)
@@ -297,8 +279,7 @@ class SuiteContext:
         tag = len(setup.letters)
         echelon = Echelon({**q.nums, (tag, t): q.den}
                           for t, (_, q, _) in enumerate(monomials))
-        self._monomials[max_deg] = ([g[1:] for g in gens],
-                                    [(idxs, deg) for idxs, _, deg in monomials], echelon)
+        self._monomials[max_deg] = ([(idxs, deg) for idxs, _, deg in monomials], echelon)
         return self._monomials[max_deg]
 
     def pair_value(self, w1, w2):
@@ -392,20 +373,16 @@ def _invariance_failures(alg, gram, basis, v, coords):
 def generator_checks(setup, ctx):
     """Membership, leading terms, degree bounds, and the parity involution."""
     rep = RelationReport("generators")
-    for gens, sign, verb, bound in ((ctx.thetas0, 1, "fixes", 2),
-                                    (ctx.thetas1, -1, "negates", 3)):
-        for gen in gens:
-            rep.check("sigma %s %s" % (verb, gen.label),
-                      sigma(gen.value) - gen.value.scale(sign))
-            if gen.value.max_kazhdan_degree() > bound:
-                rep.fail("degree of %s > %d" % (gen.label, bound), gen.value)
+    for gen in ctx.gens:                # sigma is (-1)^degree, the degree a bound
+        odd = gen.kazhdan_degree % 2
+        rep.check("sigma %s %s" % ("negates" if odd else "fixes", gen.label),
+                  sigma(gen.value) - gen.value.scale(-1 if odd else 1))
+        if gen.value.max_kazhdan_degree() > gen.kazhdan_degree:
+            rep.fail("degree of %s > %d" % (gen.label, gen.kazhdan_degree), gen.value)
+        if gen is not ctx.gens[-1]:     # casimir checks C as it builds it
             ok, witness = is_w_element(gen.value)
             if not ok:
                 rep.fail("membership %s at ad %s" % (gen.label, witness[0]), witness[1])
-    cas = ctx.cas
-    rep.check("sigma fixes C", sigma(cas.value) - cas.value)
-    if cas.value.max_kazhdan_degree() > 4:
-        rep.fail("degree of C > 4", cas.value)
     # the suite takes Theta by linearity; one direct evaluation per grade,
     # at the sum of the basis, keeps that checked rather than assumed
     for grade, direct in ((0, theta_v), (1, theta_w)):
@@ -417,7 +394,7 @@ def generator_checks(setup, ctx):
     rep.detail["generators"] = [
         {"label": g.label, "kazhdan_degree": g.kazhdan_degree,
          "value": g.value.render()}
-        for g in ctx.thetas0 + ctx.thetas1 + [cas, ctx.tcas]]
+        for g in ctx.gens + [ctx.tcas]]
     return rep
 
 
@@ -435,14 +412,13 @@ def _theta_brackets(ctx, rel_id, left, lname, right, rname):
 def verify_deg0(setup, ctx=None):
     """[Theta_v1, Theta_v2] = Theta_[v1,v2] over all ordered basis pairs."""
     ctx = ctx or SuiteContext(setup)
-    n0 = range(len(setup.cent[0]))
-    return _theta_brackets(ctx, "deg0", n0, "v", n0, "v")
+    return _theta_brackets(ctx, "deg0", range(ctx.n0), "v", range(ctx.n0), "v")
 
 
 def verify_deg01(setup, ctx=None):
     """[Theta_v, Theta_w] = Theta_[v,w] over all basis pairs."""
     ctx = ctx or SuiteContext(setup)
-    n0, n1 = len(setup.cent[0]), len(setup.cent[1])
+    n0, n1 = ctx.n0, ctx.n1
     return _theta_brackets(ctx, "deg01", range(n0), "v", range(n0, n0 + n1), "w")
 
 
@@ -451,12 +427,12 @@ def verify_centrality(setup, ctx=None):
     in any associative superalgebra, C being even, so it is not checked."""
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("central")
-    c, k_c = ctx.cas.value, len(ctx.basis) - 1
-    for k, g in enumerate(ctx.thetas0 + ctx.thetas1):
-        rep.check("[C, %s]" % g.label, ctx.commutator(k_c, k))
-    rep.check("[C, ThetaCas]", supercommutator_q(c, ctx.tcas.value))
+    *gens, c = ctx.gens
+    for k, g in enumerate(gens):
+        rep.check("[C, %s]" % g.label, ctx.commutator(len(gens), k))
+    rep.check("[C, ThetaCas]", supercommutator_q(c.value, ctx.tcas.value))
     # Theta_Cas commutes with the degree-0 generators
-    for g in ctx.thetas0:
+    for g in gens[:ctx.n0]:
         rep.check("[ThetaCas, %s]" % g.label,
                   supercommutator_q(ctx.tcas.value, g.value))
     return rep
@@ -600,7 +576,7 @@ def verify_b_invariance(setup, ctx=None):
     if ratios and any(x != ratios[0] for x in ratios):
         rep.fail("b not proportional to ([.,.],f): ratios %s"
                  % sorted(set(str(x) for x in ratios)))
-    n0 = len(setup.cent[0])
+    n0 = ctx.n0
 
     def wcoords(x):
         return {m - n0: c for m, c in ctx.coords(x).items()}
@@ -623,9 +599,8 @@ def one_dim_rep(setup, ctx=None):
     note instead of c0 and C - c0."""
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("one_dim")
-    gens, _, echelon = ctx.monomials(4)
-    tag = len(setup.letters)
-    n0, n1 = len(setup.cent[0]), len(setup.cent[1])
+    _, echelon = ctx.monomials(4)
+    tag, n0, n1 = len(setup.letters), ctx.n0, ctx.n1
     coeffs = []                         # (label, a_1, a_C) per pair in the span
     for i in range(n1):
         for j in range(n1):
@@ -638,14 +613,14 @@ def one_dim_rep(setup, ctx=None):
                          WhittakerElement(setup, words, q.den))
             else:       # C is the last generator, monomial len(gens)
                 coeffs.append((label, Fraction(-rest.get((tag, 0), 0), q.den),
-                               Fraction(-rest.get((tag, len(gens)), 0), q.den)))
+                               Fraction(-rest.get((tag, len(ctx.gens)), 0), q.den)))
     c0 = next((Fraction(-a1, ac) for _, a1, ac in coeffs if ac), None)
     for label, a1, ac in coeffs:        # a_C != 0 only where there is a c0
         value = a1 + c0 * ac if ac else a1
         if value:
             rep.fail("a_1 + c0 a_C != 0 at %s" % label,
                      WhittakerElement.unit(setup, value))
-    rep.detail["ideal_generators"] = [g.label for g in ctx.thetas0 + ctx.thetas1]
+    rep.detail["ideal_generators"] = [g.label for g in ctx.gens[:-1]]
     if c0 is None:
         rep.detail["note"] = "no pair has a_C != 0; c0 not determined"
     else:
@@ -675,7 +650,7 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
         raise InputError("w_pbw_check needs max_deg >= 2")
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("pbw")
-    gens, monomials, echelon = ctx.monomials(max_deg)
+    monomials, echelon = ctx.monomials(max_deg)
     word_keys = (len(setup.letters),)
     rk = sum(1 for p in echelon.rows if p < word_keys)
     rep.detail["monomials"] = len(monomials)
@@ -683,7 +658,8 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
     if rk != len(monomials):
         rep.fail("monomials dependent: rank %d of %d" % (rk, len(monomials)))
 
-    expect = _symalg_count([g[0] for g in gens], [g[1] for g in gens], max_deg)
+    expect = _symalg_count([g.kazhdan_degree for g in ctx.gens],
+                           [g.parity for g in ctx.gens], max_deg)
     rep.detail["symalg_count"] = expect
     if expect != len(monomials):
         rep.fail("graded count %d != supersymmetric-algebra count %d"
@@ -704,7 +680,7 @@ def w_pbw_check(setup, max_deg=4, ctx=None):
     def above(q, bound):
         return {k: c for k, c in q.nums.items() if kazhdan_degree(setup, k) > bound}
 
-    n0 = len(setup.cent[0])
+    n0 = ctx.n0
     grades = [grade for grade in (0, 1, 2) for _ in setup.cent[grade]]
     quad_tops = {}
     for i in range(len(ctx.basis)):

@@ -388,7 +388,7 @@ def bw_element(setup, ctx, w1, w2):
     out = supercommutator_q(ctx.theta(w1), ctx.theta(w2))
     pair = ctx.pair_value(w1, w2)
     if pair != 0:
-        out = out - (ctx.cas.value - ctx.tcas.value).scale(Fraction(pair, 2))
+        out = out - (ctx.gens[-1].value - ctx.tcas.value).scale(Fraction(pair, 2))
     for a in range(len(setup.zbasis)):
         za, zs = setup.zbasis[a], setup.zdual[a]
         x1 = alg.bracket(w1, za)
@@ -424,7 +424,7 @@ def b_table_by_fractions(ctx):
 
     left = [[sharp_coords(alg.bracket(w, z)) for z in setup.zbasis] for w in basis]
     right = [[sharp_coords(alg.bracket(zs, w)) for zs in setup.zdual] for w in basis]
-    c_minus_tcas = ctx.cas.value - ctx.tcas.value
+    c_minus_tcas = ctx.gens[-1].value - ctx.tcas.value
     table = []
     for i, w1 in enumerate(basis):
         row = []

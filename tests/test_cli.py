@@ -11,6 +11,8 @@ from wsuper import algebra, catalog, cli
 from wsuper.algebra import build_psl22, export_table
 from wsuper.catalog import family_algebra
 
+from conftest import mixed_odd_pairs
+
 OK_SUITE = "identities,generators,deg0,deg01,central,c0,b_invariance,pbw,one_dim"
 
 
@@ -140,6 +142,20 @@ def test_explicit_e_reaches_osp_without_an_sp_block(tmp_path, capsys):
         assert cli.main([cmd, *OSP50]) == 2
         assert capsys.readouterr().err == \
             "error: osp(5|0) has no default nilpotent: give one with --e\n"
+
+
+def test_c0_on_a_table_without_isotropic_odd_g_minus_1_basis_vectors(tmp_path):
+    # sl(3|1) with its odd z pair replaced by sum and difference: a valid
+    # table on which the pairing has no isotropic basis vector; its c0
+    # report must be the family's, byte for byte
+    _, alg, e = mixed_odd_pairs("sl", 3, 1)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(export_table(alg)))
+    evec = ",".join(str(e.get(k, 0)) for k in range(alg.dim))
+    by_table = _report(tmp_path / "t.json", "c0", "--table", str(table), "--e", evec)
+    by_family = _report(tmp_path / "f.json", "c0", "--family", "sl", "--m", "3", "--n", "1")
+    assert by_table == by_family
+    assert by_table[0] == 0 and json.loads(by_table[1])["c0"]["consistent"]
 
 
 def test_info_on_a_table_imports_and_checks_it_no_more_than_needed(tmp_path, monkeypatch):

@@ -118,7 +118,7 @@ def test_the_kernel_visits_only_nonzero_letter_brackets(monkeypatch):
     # letter pairs, onto one stack for one straighten, and forms the
     # coefficient c * d only at a letter pair with a nonzero bracket
     ctx = SuiteContext(family_setup("osp", 5, 2))
-    setup, (q1, q2) = ctx.setup, [g.value for g in ctx.thetas1[:2]]
+    setup, (q1, q2) = ctx.setup, [g.value for g in ctx.gens[ctx.n0:ctx.n0 + 2]]
     rows = setup.bracket_rows
     pairs = [(a, b) for u in q1.nums for v in q2.nums for a in u for b in v]
     nonzero = [(a, b) for a, b in pairs if rows[a][b]]
@@ -247,6 +247,6 @@ def test_the_casimir_supercommutes_with_itself(name):
     # C is even, so [C, C] = CC - CC = 0 in any associative superalgebra:
     # the check tests the signs of supercommutator_q alone, so it lives
     # here and not in the relation suite's `central`
-    cas = get_ctx(name).cas
+    cas = get_ctx(name).gens[-1]
     assert cas.parity == 0 and not cas.value.is_zero()
     assert supercommutator_q(cas.value, cas.value).is_zero()

@@ -5,7 +5,7 @@ import pytest
 from oracles import EnvElement, theta_w_correction_form, theta_w_phi_form
 from wsuper import generators
 from wsuper.algebra import build_gl
-from wsuper.catalog import _unit_by_name
+from wsuper.catalog import CATALOG_NAMES, _unit_by_name
 from wsuper.errors import InputError
 from wsuper.generators import casimir, standard_generators, theta_v, theta_w
 from wsuper.grading import build_minimal_setup
@@ -13,7 +13,7 @@ from wsuper.linalg import lin_comb
 from wsuper.whittaker import (WhittakerElement, is_w_element, project,
                               supercommutator_q)
 
-from conftest import get_ctx
+from conftest import NONUNIT, get_ctx
 
 F = Fraction
 
@@ -89,10 +89,16 @@ def test_generators_are_invariant_with_unit_leading_term(catalog_setup):
     for gen in standard_generators(catalog_setup):
         ok, witness = is_w_element(gen.value)
         assert ok, (gen.label, witness)
-        if gen.label != "C":
-            lead = gen.value.leading()
-            assert lead == project(
-                EnvElement.from_vector(catalog_setup, gen.source))
+        lead = gen.value.leading()
+        assert lead == project(EnvElement.from_vector(catalog_setup, gen.source))
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, NONUNIT])
+def test_each_generator_lifts_its_suite_basis_vector(name):
+    # gens[k] is Theta of basis[k]; C lifts 2e, the last basis vector
+    ctx = get_ctx(name)
+    assert [g.source for g in ctx.gens] == ctx.basis
+    assert len(ctx.gens) == ctx.n0 + ctx.n1 + 1 and ctx.gens[-1].label == "C"
 
 
 def test_generator_degree_bounds(catalog_setup):
@@ -136,9 +142,9 @@ def test_theta_w_refuses_when_the_two_forms_disagree(psl22, monkeypatch):
 def test_casimir_commutes_with_everything(catalog_setup):
     ctx = get_ctx("psl22" if catalog_setup.alg.name == "psl(2|2)"
                   else catalog_setup.alg.name)
-    c = ctx.cas.value
-    for g in ctx.thetas0 + ctx.thetas1:
-        assert supercommutator_q(c, g.value).is_zero()
+    *gens, c = [g.value for g in ctx.gens]
+    for g in gens:
+        assert supercommutator_q(c, g).is_zero()
     assert supercommutator_q(c, ctx.tcas.value).is_zero()
 
 
@@ -177,7 +183,7 @@ def test_theta_cas_render_orders_by_p_part_then_z_part():
 def test_theta_cas_commutes_with_theta_v(catalog_setup):
     name = "psl22" if catalog_setup.alg.name == "psl(2|2)" else catalog_setup.alg.name
     ctx = get_ctx(name)
-    for g in ctx.thetas0:
+    for g in ctx.gens[:ctx.n0]:
         assert supercommutator_q(ctx.tcas.value, g.value).is_zero()
 
 

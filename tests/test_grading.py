@@ -11,8 +11,9 @@ from wsuper.errors import DegeneracyError, InputError, NotMinimalError
 from wsuper.grading import (build_minimal_setup, find_sl2_triple, kw_dimensions,
                             kw_numbers)
 from wsuper.linalg import lin_comb, vec_scale
+from wsuper.relations import run_suite
 
-from conftest import get_setup
+from conftest import get_setup, mixed_odd_pairs
 
 ONE = Fraction(1)
 
@@ -257,10 +258,41 @@ def test_hyperbolic_pass_refuses_a_zero_pairing():
 
 
 def test_hyperbolic_pass_refuses_a_pairing_without_isotropic_vectors():
-    # <x,x> = <y,y> = 1, <x,y> = 0: x^2 + y^2 = 0 has no rational solution
-    pairing = _gram_pairing([[1, 0], [0, 1]])
-    with pytest.raises(DegeneracyError, match="no isotropic pivot"):
-        grading._hyperbolic_basis(pairing, _UNITS[:2])
+    # <x,x> = <y,y> = 1, <x,y> = 0: x^2 + y^2 = 0 has no rational solution;
+    # nor has x^2 - 2 y^2 = 0: neither discriminant, -1 or 2, is a square
+    for gram in ([[1, 0], [0, 1]], [[1, 0], [0, -2]]):
+        with pytest.raises(DegeneracyError, match="no isotropic pivot among 2"):
+            grading._hyperbolic_basis(_gram_pairing(gram), _UNITS[:2])
+
+
+@pytest.mark.parametrize("gram", [
+    [[1, 0], [0, -1]],                           # x0 - x1
+    [[1, 0], [0, Fraction(-4, 9)]],              # x0 - 3/2 x1: a square of 2/3
+    [[1, 0, 0], [0, 1, 0], [0, 0, -1]],          # (0,1) has none; x0 - x2, x1 middle
+], ids=["integral", "rational", "second-pair"])
+def test_hyperbolic_pass_makes_an_isotropic_pivot_from_a_pair(gram):
+    # no unit vector is isotropic, but some x_i + t x_j is, t rational
+    n = len(gram)
+    pairing = _gram_pairing(gram)
+    u = grading._hyperbolic_basis(pairing, _UNITS[:n])
+    for i in range(n):
+        for j in range(n):
+            assert pairing(u[i], u[j]) == int(i + j == n - 1), (i, j)
+
+
+@pytest.mark.parametrize("selection", [("sl", 3, 1), ("psl22",), ("osp", 3, 2),
+                                       ("osp", 5, 2)], ids=str)
+def test_setup_builds_on_a_g_minus_1_basis_without_isotropic_vectors(selection):
+    # the odd g(-1) pairs of the unit basis replaced by sum and difference:
+    # no basis vector of odd g(-1) is isotropic, and the setup must still
+    # give the native s, r, Kac-Weisfeiler numbers, c0 and verdicts
+    native, alg, e = mixed_odd_pairs(*selection)
+    s = build_minimal_setup(alg, e)
+    assert all(s.pairing(v, v) for v in s.grading[-1] if alg.parity_of(v))
+    assert (s.sdim, s.rdim, kw_numbers(s)) == (native.sdim, native.rdim, kw_numbers(native))
+    got, want = (run_suite(x, fail_fast=False) for x in (s, native))
+    assert [r.ok for r in got.reports] == [r.ok for r in want.reports]
+    assert got.c0.value == want.c0.value
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)

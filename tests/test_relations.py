@@ -333,7 +333,7 @@ def test_b_table_equals_its_fraction_assembly(selection):
 def _warmed_osp52():
     setup = family_setup("osp", 5, 2)
     ctx = SuiteContext(setup)
-    _ = ctx.thetas0, ctx.thetas1, ctx.cas, ctx.tcas, ctx.coords(setup.cent[0][0])
+    _ = ctx.gens, ctx.tcas, ctx.coords(setup.cent[0][0])
     return setup, ctx
 
 
@@ -423,7 +423,7 @@ def test_centrality_and_membership_make_no_model_product(monkeypatch):
     setup, ctx = _warmed_osp52()
     products = _count(monkeypatch, "multiply_q", (whittaker, relations))
     assert verify_centrality(setup, ctx).ok
-    for gen in ctx.thetas0 + ctx.thetas1:
+    for gen in ctx.gens[:-1]:
         assert whittaker.is_w_element(gen.value) == (True, None)
     assert products == []
 
@@ -483,7 +483,7 @@ def test_pairing_invariance_can_fail(monkeypatch):
 
 def test_w_pbw_check_fails_on_a_duplicated_generator(psl22):
     ctx = SuiteContext(psl22)
-    ctx.thetas0[1] = ctx.thetas0[0]
+    ctx.gens[1] = ctx.gens[0]
     rep = w_pbw_check(psl22, 4, ctx)
     n = rep.detail["monomials"]
     assert rep.detail["rank"] < n
@@ -600,7 +600,7 @@ def test_generator_checks_fail_above_the_degree_bound(grade, expected):
     # the lone letter e has Kazhdan degree 4
     s = family_setup("psl22")
     ctx = SuiteContext(s)
-    gen = (ctx.thetas0, ctx.thetas1)[grade][0]
+    gen = ctx.gens[(0, ctx.n0)[grade]]
     gen.value = gen.value + WhittakerElement(s, {(s.idx_e,): F(1)})
     rep = generator_checks(s, ctx)
     assert [w for w, _ in rep.failures] == expected
@@ -610,8 +610,9 @@ def test_generator_checks_fail_above_the_degree_bound(grade, expected):
 def test_generator_checks_fail_above_the_degree_of_c():
     s = family_setup("psl22")
     ctx = SuiteContext(s)
-    ctx.cas.value = ctx.cas.value + WhittakerElement(s, {(s.idx_e, s.idx_e): F(1)})
-    assert generator_checks(s, ctx).failures == [("degree of C > 4", ctx.cas.value)]
+    cas = ctx.gens[-1]
+    cas.value = cas.value + WhittakerElement(s, {(s.idx_e, s.idx_e): F(1)})
+    assert generator_checks(s, ctx).failures == [("degree of C > 4", cas.value)]
 
 
 def test_w_pbw_check_fails_on_the_graded_count(monkeypatch, psl22):
@@ -640,8 +641,8 @@ def test_theta_of_the_last_basis_vector_is_c(selection, cent2):
     assert s.cent[2] == [linalg.vec_scale(cent2, s.triple.e)]
     ctx = SuiteContext(s)
     last = len(ctx.basis) - 1
-    assert ctx.product(0, last) == whittaker.multiply_q(ctx.basis_theta(0), ctx.cas.value)
-    assert ctx.theta(s.triple.e) == ctx.cas.value.scale(F(1, 2))
+    assert ctx.product(0, last) == whittaker.multiply_q(ctx.gens[0].value, ctx.gens[-1].value)
+    assert ctx.theta(s.triple.e) == ctx.gens[-1].value.scale(F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +678,7 @@ def test_pbw_makes_no_product_of_a_g_e_0_pair_out_of_order(monkeypatch, name, ec
     assert w_pbw_check(setup, 4, ctx).ok
     assert len(built) == echelons
     n0 = len(setup.cent[0])
-    index = {id(g.value): k for k, g in enumerate(ctx.thetas0)}
+    index = {id(g.value): k for k, g in enumerate(ctx.gens[:n0])}
     pairs = [(index.get(id(a)), index.get(id(b))) for a, b in products]
     assert not [(k, l) for k, l in pairs if None not in (k, l) and k > l]
     assert set(ctx._products) == {(k, l) for k in range(n0) for l in range(k, n0)}

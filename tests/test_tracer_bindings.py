@@ -61,7 +61,7 @@ def test_traced_model_operations_count_every_straighten_call():
     # a profile hook on its code object sees every call, whatever binding
     # it went through, so the traced count must equal the hook's
     ctx = get_ctx("osp(3|2)")
-    setup, q = ctx.setup, ctx.thetas1[0].value
+    setup, q = ctx.setup, ctx.gens[ctx.n0].value
     pairs = [(w[::-1], c) for w, c in q.terms.items()]
     code, seen = enveloping.straighten.__code__, []
 

@@ -155,11 +155,16 @@ def test_membership_on_the_z_letters_equals_the_check_on_all_of_n(name):
     # each z, then of f: the verdicts and the witnesses must agree
     s = get_setup(name)
     ctx = get_ctx(name)
-    for gen in ctx.thetas0 + ctx.thetas1 + [ctx.cas, ctx.tcas]:
+    for gen in ctx.gens + [ctx.tcas]:
         assert is_w_element(gen.value) == w_element_by_all_of_n(gen.value) == (True, None)
-    # the negative control fails at a z letter
+    # the negative control reaches the degree-0 generators alone, and
+    # fails at a z letter
+    corrupt = SuiteContext(s, corrupt="theta-v-sign")
+    n0 = corrupt.n0
+    assert ([g.value for g in corrupt.gens[n0:]]
+            == [g.value for g in standard_generators(s)[n0:]])
     failed = 0
-    for gen in SuiteContext(s, corrupt="theta-v-sign").thetas0:
+    for gen in corrupt.gens[:n0]:
         got = is_w_element(gen.value)
         assert got == w_element_by_all_of_n(gen.value)
         if not got[0]:
@@ -168,7 +173,7 @@ def test_membership_on_the_z_letters_equals_the_check_on_all_of_n(name):
     assert failed or name == "osp(1|2)"       # osp(1|2) has g^e(0) = 0
     # a product with a factor outside W
     z0 = WhittakerElement(s, {(s.z_letter(0),): Fraction(1)})
-    for q in (multiply_q(z0, ctx.thetas1[0].value), multiply_q(ctx.cas.value, z0)):
+    for q in (multiply_q(z0, ctx.gens[ctx.n0].value), multiply_q(ctx.gens[-1].value, z0)):
         got = is_w_element(q)
         assert not got[0] and got == w_element_by_all_of_n(q)
 
@@ -212,29 +217,28 @@ def test_zz_star_values(catalog_setup):
 def test_sigma_parity_action(catalog_setup):
     ctx = get_ctx(catalog_setup.alg.name if catalog_setup.alg.name != "psl(2|2)"
                   else "psl22")
-    for g in ctx.thetas0:
+    for g in ctx.gens[:ctx.n0]:
         assert sigma(g.value) == g.value
-    for g in ctx.thetas1:
+    for g in ctx.gens[ctx.n0:-1]:
         assert sigma(g.value) == -g.value
-    assert sigma(ctx.cas.value) == ctx.cas.value
+    assert sigma(ctx.gens[-1].value) == ctx.gens[-1].value
 
 
 def test_supercommutator_additive_over_parity(psl22):
     s = psl22
     ctx = get_ctx("psl22")
-    mixed = ctx.thetas0[0].value + ctx.thetas1[0].value
+    v, w = ctx.gens[0].value, ctx.gens[ctx.n0].value
+    mixed = v + w
     got = supercommutator_q(mixed, mixed)
-    want = (supercommutator_q(ctx.thetas0[0].value, ctx.thetas0[0].value)
-            + supercommutator_q(ctx.thetas0[0].value, ctx.thetas1[0].value)
-            + supercommutator_q(ctx.thetas1[0].value, ctx.thetas0[0].value)
-            + supercommutator_q(ctx.thetas1[0].value, ctx.thetas1[0].value))
+    want = (supercommutator_q(v, v) + supercommutator_q(v, w)
+            + supercommutator_q(w, v) + supercommutator_q(w, w))
     assert got == want
 
 
 def test_leading_term_selection(psl22):
     s = psl22
     ctx = get_ctx("psl22")
-    for g in ctx.thetas0 + ctx.thetas1:
+    for g in ctx.gens[:-1]:
         lead = g.value.leading()
         assert lead == project(EnvElement.from_vector(s, g.source))
 
@@ -242,7 +246,8 @@ def test_leading_term_selection(psl22):
 def test_ad_act_rejects_letters_out_of_range(psl22):
     # -1 must not wrap round to f, nor len(letters) escape as IndexError
     s = psl22
-    theta_w = get_ctx("psl22").thetas1[0].value
+    ctx = get_ctx("psl22")
+    theta_w = ctx.gens[ctx.n0].value
     for letter in (-1, len(s.letters)):
         with pytest.raises(InputError):
             ad_act(s, letter, theta_w)
