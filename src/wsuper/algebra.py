@@ -183,7 +183,8 @@ def check_algebra(alg):
     def jacobi_witness():
         # J(i,j,k) = sum over the rotations (a,b,d) of (i,j,k) of
         # (-1)^{|a||d|} [x_a,[x_b,x_d]]: each nested bracket, formed once
-        # from the stored pairs (b,d) and (a,m), goes to its three triples
+        # from the stored pairs (b,d) and (a,m), goes to the least rotation
+        # of (a,b,d), since J is the same on the three
         by_right = {}                     # m -> [(a, c_am)]
         for (a, m), terms in brackets.items():
             by_right.setdefault(m, []).append((a, terms))
@@ -192,10 +193,10 @@ def check_algebra(alg):
             for m, cm in bd.items():
                 for a, am in by_right.get(m, ()):
                     s = -cm if par[a] and par[d] else cm
+                    rot = min((a, b, d), (d, a, b), (b, d, a))
                     for l, cl in am.items():
-                        v = s * cl
-                        for t in ((a, b, d, l), (d, a, b, l), (b, d, a, l)):
-                            totals[t] = totals[t] + v if t in totals else v
+                        t, v = rot + (l,), s * cl
+                        totals[t] = totals[t] + v if t in totals else v
         return min((t[:3] for t, v in totals.items() if v), default=None)
 
     def invariance_witness():

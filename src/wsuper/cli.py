@@ -100,9 +100,12 @@ def _setup_from_args(args, loaded=None):
 
 def _emit(args, text_lines, json_obj):
     if args.format == "json":
-        payload = json.dumps(json_obj, indent=2) + "\n"
+        _write(args, json.dumps(json_obj, indent=2) + "\n")
     else:
-        payload = "\n".join(text_lines) + "\n"
+        _write(args, "\n".join(text_lines) + "\n")
+
+
+def _write(args, payload):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -212,8 +215,7 @@ def cmd_export(args):
     if family is not None:
         alg = _setup_from_args(args, (alg, family)).alg
     doc = export_table(alg)
-    lines = [json.dumps(doc, indent=2)]
-    _emit(args, lines, doc)
+    _write(args, json.dumps(doc, indent=2) + "\n")     # in either format
     return EXIT_OK
 
 

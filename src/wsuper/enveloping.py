@@ -3,13 +3,20 @@
 A monomial is a tuple of letter indices, non-decreasing in the global
 order (g(0), g(1), e, z's, f); odd letters never repeat.  Out-of-order
 neighbours a.b rewrite to (-1)^{|a||b|} b.a + [a,b]; an odd square x.x
-rewrites to [x,x]/2.  Rewriting scans from the right so the reduction is
-a single right-to-left pass for nearly-sorted products.
+rewrites to [x,x]/2.
 
 Elements live in the model (whittaker.WhittakerElement), which also
 owns their coefficients; this module works on lists of (word,
 coefficient) pairs.  Each operation pushes all its words onto one stack,
-and one straighten reduces that stack into one sink.
+and one straighten reduces that stack into one sink.  straighten puts the
+words into one dict per length, where equal words merge, and expands the
+lengths from the longest down.  Each word takes one insertion pass from
+the right: a letter out of order is carried right through the normal
+suffix, each swap changing only the sign of the word in hand and each
+bracket term, one letter shorter, going to the next lower dict; an odd
+square ends the word.  A rewrite either removes an inversion in hand or
+shortens the word, so a length's dict is complete before it is expanded,
+and each distinct word is expanded once per call.
 
 A supercommutator of two sums of normal words is expanded by the
 superderivation rule into words one letter shorter, so the top terms of
@@ -25,33 +32,58 @@ def straighten(setup, stack, sink):
     """Reduce every (word, coefficient) on the stack to normal form,
     accumulating into the sink dict; the stack is used up."""
     par, rows = setup.letter_parity, setup.bracket_rows
-    pop, push = stack.pop, stack.append
-    while stack:
-        w, c = pop()
-        pos = None
-        for i in range(len(w) - 2, -1, -1):
-            a, b = w[i], w[i + 1]
-            if a > b or (a == b and par[a]):
-                pos = i
-                break
-        if pos is None:
-            prev = sink.get(w, 0) + c
-            if prev == 0:
-                sink.pop(w, None)
+    buckets = {}                        # length -> {word: summed coefficient}
+    for w, c in stack:
+        words = buckets.get(len(w))
+        if words is None:
+            words = buckets[len(w)] = {}
+        words[w] = words.get(w, 0) + c
+    stack.clear()
+    for n in range(max(buckets, default=0), -1, -1):
+        lower = buckets.setdefault(n - 1, {})
+        for w, c in buckets.pop(n, {}).items():
+            if not c:
+                continue
+            for i in range(n - 2, -1, -1):      # w[i + 1:] is normal
+                a, b = w[i], w[i + 1]
+                if a < b or (a == b and not par[a]):
+                    continue
+                # carry a right past b = w[j]: the word in hand is
+                # head + w[i + 1:j] + (a,) + w[j:]
+                row, pa, head, j = rows[a], par[a], w[:i], i + 1
+                while True:
+                    terms = row[b]
+                    if a == b:          # an odd square: a.a = [a, a]/2 ends the word
+                        left, right = head + w[i + 1:j], w[j + 1:]
+                        for k, ck in terms:
+                            x = c * ck  # halved exactly: an int stays an int
+                            v = left + (k,) + right
+                            lower[v] = lower.get(v, 0) + (
+                                x // 2 if type(x) is int and not x & 1 else Fraction(x, 2))
+                        c = 0
+                        break
+                    if terms:
+                        left, right = head + w[i + 1:j], w[j + 1:]
+                        for k, ck in terms:
+                            v = left + (k,) + right
+                            lower[v] = lower.get(v, 0) + c * ck
+                    if pa and par[b]:
+                        c = -c
+                    j += 1
+                    if j == n:
+                        break
+                    b = w[j]
+                    if a < b or (a == b and not pa):
+                        break
+                if not c:
+                    break
+                w = head + w[i + 1:j] + (a,) + w[j:]
             else:
-                sink[w] = prev
-            continue
-        a, b = w[pos], w[pos + 1]
-        head, tail = w[:pos], w[pos + 2:]
-        if a == b:
-            for k, ck in rows[a][a]:
-                x = c * ck              # halved exactly: an int stays an int
-                push((head + (k,) + tail, x // 2 if type(x) is int
-                      and not x & 1 else Fraction(x, 2)))
-        else:
-            push((head + (b, a) + tail, -c if par[a] and par[b] else c))
-            for k, ck in rows[a][b]:
-                push((head + (k,) + tail, c * ck))
+                c += sink.get(w, 0)
+                if c:
+                    sink[w] = c
+                else:
+                    del sink[w]
 
 
 def commute(setup, left, right, sink):

@@ -102,7 +102,8 @@ class SuiteContext:
     and the factored generator monomials.
 
     basis is cent[0] + cent[1] + [2e], n0 + n1 + 1 vectors, and gens is
-    standard_generators on it: gens[k] is Theta of basis[k], C last.
+    standard_generators on it: gens[k] is Theta of basis[k], C last, and
+    checked[k] the value it built, checked for membership there.
     Theta is linear, so Theta of any vector of
     g^e(0) + g^e(1) + g^e(2) is summed from its coordinates over the
     cached basis generators, and the model product or commutator of two
@@ -125,6 +126,7 @@ class SuiteContext:
     @cached_property
     def gens(self):
         gens = standard_generators(self.setup)
+        self.checked = [gen.value for gen in gens]
         if self.corrupt == "theta-v-sign":
             # negative control: flip the sign of every z-correction term
             for gen in gens[:self.n0]:
@@ -373,13 +375,15 @@ def _invariance_failures(alg, gram, basis, v, coords):
 def generator_checks(setup, ctx):
     """Membership, leading terms, degree bounds, and the parity involution."""
     rep = RelationReport("generators")
-    for gen in ctx.gens:                # sigma is (-1)^degree, the degree a bound
+    for k, gen in enumerate(ctx.gens):  # sigma is (-1)^degree, the degree a bound
         odd = gen.kazhdan_degree % 2
         rep.check("sigma %s %s" % ("negates" if odd else "fixes", gen.label),
                   sigma(gen.value) - gen.value.scale(-1 if odd else 1))
         if gen.value.max_kazhdan_degree() > gen.kazhdan_degree:
             rep.fail("degree of %s > %d" % (gen.label, gen.kazhdan_degree), gen.value)
-        if gen is not ctx.gens[-1]:     # casimir checks C as it builds it
+        # standard_generators checked each value it built; a Theta replaced
+        # since, as by the theta-v-sign control, is checked again, C never
+        if gen.value is not ctx.checked[k] and gen is not ctx.gens[-1]:
             ok, witness = is_w_element(gen.value)
             if not ok:
                 rep.fail("membership %s at ad %s" % (gen.label, witness[0]), witness[1])

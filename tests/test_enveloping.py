@@ -119,6 +119,45 @@ def test_odd_squares_halve_exactly_on_ints_and_fractions():
             assert all(type(c) is Fraction for c in prod.values())
 
 
+def _kernel_stack(s, rng):
+    """(word, coefficient) pairs that take every path of straighten: words
+    up to length 5 with f inside, each repeated; a pair that cancels
+    outright; an odd square inside a word; a word whose terms cancel
+    after rewriting; int and Fraction coefficients."""
+    odd = [i for i in range(s.dim) if s.letter_parity[i]]
+    coeffs = [1, -2, 3, Fraction(1, 2), Fraction(-3, 4)]
+    stack = []
+    for _ in range(12):
+        word = [rng.randrange(s.dim) for _ in range(rng.randint(0, 4))]
+        word.insert(rng.randint(0, len(word)), s.idx_f)
+        c = rng.choice(coeffs)
+        stack += [(tuple(word), c)] * 2
+        a, b = rng.choice(odd), rng.randrange(s.dim)
+        stack += [((b, a, a), c), ((a, b), c), ((a, b), -c)]
+    # a.b = (-1)^{|a||b|} b.a + [a, b] for the letters a > b of a descent
+    a, b = max(range(s.dim), key=lambda i: len(s.letter_bracket(i, 0))), 0
+    assert s.letter_bracket(a, b)
+    sign = -1 if s.letter_parity[a] and s.letter_parity[b] else 1
+    stack += [((a, b), 1), ((b, a), -sign)] + [((k,), -ck) for k, ck in s.letter_bracket(a, b)]
+    rng.shuffle(stack)
+    return stack
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + (NONUNIT,))
+def test_straighten_equals_the_sum_of_the_naive_rewrites(name):
+    s = get_setup(name)
+    rng = random.Random(53)
+    for _ in range(4):
+        stack = _kernel_stack(s, rng)
+        expected = {}
+        for w, c in stack:
+            naive_reduce(s, w, expected, Fraction(c))
+        sink = {}
+        straighten(s, stack, sink)
+        assert stack == [] and sink == expected
+        assert all(sink.values())
+
+
 def test_random_words_match_naive_rewriter(catalog_setup):
     s = catalog_setup
     rng = random.Random(13)

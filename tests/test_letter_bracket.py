@@ -72,22 +72,23 @@ def test_letter_coordinates_are_ints_or_fractions(name):
         assert {2, 3} <= dens
 
 
-class _CountingStack(list):
-    """A straighten stack that counts its pops."""
-    pops = 0
+class _CountingRow(list):
+    """A row of bracket_rows that counts the letter brackets read from it."""
+    reads = 0
 
-    def pop(self, *args):
-        _CountingStack.pops += 1
-        return list.pop(self, *args)
+    def __getitem__(self, j):
+        _CountingRow.reads += 1
+        return list.__getitem__(self, j)
 
 
-@pytest.mark.parametrize("family, pops, straightens",
-                         ((("osp", 7, 2), 7752, 526), (("sl", 4, 2), 18273, 449)),
+@pytest.mark.parametrize("family, rewrites, straightens",
+                         ((("osp", 7, 2), 2131, 526), (("sl", 4, 2), 5544, 449)),
                          ids=("osp(7|2)", "sl(4|2)"))
-def test_one_c0_brackets_only_in_letters(monkeypatch, family, pops, straightens):
+def test_one_c0_brackets_only_in_letters(monkeypatch, family, rewrites, straightens):
     # work counters, not timings: one extract_c0 on a fresh setup takes no
-    # bracket in g; the model work (straighten calls and their stack pops)
-    # is that of the route through SuperAlgebra.bracket
+    # bracket in g; the model work is that of the route through
+    # SuperAlgebra.bracket: the straighten calls, and the letter brackets
+    # they read, one per rewrite step (a swap or an odd square)
     setup = family_setup(*family)
     calls = {"bracket": 0, "straighten": 0}
     bracket, straighten = SuperAlgebra.bracket, enveloping.straighten
@@ -98,15 +99,20 @@ def test_one_c0_brackets_only_in_letters(monkeypatch, family, pops, straightens)
 
     def counted_straighten(setup, stack, sink):
         calls["straighten"] += 1
-        return straighten(setup, _CountingStack(stack), sink)
+        rows = setup.bracket_rows
+        setup.bracket_rows = [_CountingRow(row) for row in rows]
+        try:
+            return straighten(setup, stack, sink)
+        finally:
+            setup.bracket_rows = rows
     monkeypatch.setattr(SuperAlgebra, "bracket", counted_bracket)
     for module in (enveloping, whittaker):
         monkeypatch.setattr(module, "straighten", counted_straighten)
-    _CountingStack.pops = 0
+    _CountingRow.reads = 0
     rep, result = extract_c0(setup)
     assert rep.ok and result.value is not None
     assert calls == {"bracket": 0, "straighten": straightens}
-    assert _CountingStack.pops == pops
+    assert _CountingRow.reads == rewrites
 
 
 @pytest.mark.parametrize("family, to_letters, pair_values",

@@ -607,6 +607,22 @@ def test_generator_checks_fail_above_the_degree_bound(grade, expected):
     assert dict(rep.failures)[expected[grade]] == gen.value
 
 
+@pytest.mark.parametrize("corrupt", (None, "theta-v-sign"))
+def test_generator_checks_prove_membership_only_of_replaced_values(monkeypatch, corrupt):
+    # work counter: standard_generators checked every value it built, so
+    # generator_checks runs is_w_element only on the values the control
+    # replaced, the n0 Theta_v, and reports the same verdict
+    s = family_setup("osp", 3, 2)
+    ctx = SuiteContext(s, corrupt=corrupt)
+    gens = ctx.gens                     # builds and checks every generator
+    seen = []
+    check = relations.is_w_element
+    monkeypatch.setattr(relations, "is_w_element", lambda q: seen.append(q) or check(q))
+    rep = generator_checks(s, ctx)
+    assert seen == ([g.value for g in gens[:ctx.n0]] if corrupt else [])
+    assert rep.ok is (corrupt is None)
+
+
 def test_generator_checks_fail_above_the_degree_of_c():
     s = family_setup("psl22")
     ctx = SuiteContext(s)
