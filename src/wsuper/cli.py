@@ -169,14 +169,6 @@ def cmd_c0(args):
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
-_P_RESTRICTIONS = {
-    "gl": lambda m, n, p: p > 2,
-    "sl": lambda m, n, p: p > 2 and (m - n) % p != 0,
-    "osp": lambda m, n, p: p > 2,
-    "psl22": lambda m, n, p: p > 2,
-}
-
-
 def _check_prime(p):
     """Trial division, so p is bounded: at most 10^6 steps."""
     if not (2 <= p < 10 ** 12 and all(p % d for d in range(2, isqrt(p) + 1))):
@@ -194,8 +186,7 @@ def cmd_kw(args):
              % (data["exponent_p"], data["exponent_two"])]
     if args.prime is not None:
         p = args.prime
-        restrict = _P_RESTRICTIONS.get(args.family or "", lambda m, n, q: q > 2)
-        if not restrict(args.m or 0, args.n or 0, p):
+        if p <= 2 or (args.family == "sl" and (args.m - args.n) % p == 0):
             lines.append("warning: p=%d violates the family restriction; "
                          "computing anyway" % p)
             obj["warning"] = "p violates family restriction"

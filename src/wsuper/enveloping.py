@@ -6,17 +6,16 @@ neighbours a.b rewrite to (-1)^{|a||b|} b.a + [a,b]; an odd square x.x
 rewrites to [x,x]/2.
 
 Elements live in the model (whittaker.WhittakerElement), which also
-owns their coefficients; this module works on lists of (word,
-coefficient) pairs.  Each operation pushes all its words onto one stack,
-and one straighten reduces that stack into one sink.  straighten puts the
-words into one dict per length, where equal words merge, and expands the
-lengths from the longest down.  Each word takes one insertion pass from
-the right: a letter out of order is carried right through the normal
-suffix, each swap changing only the sign of the word in hand and each
-bracket term, one letter shorter, going to the next lower dict; an odd
-square ends the word.  A rewrite either removes an inversion in hand or
-shortens the word, so a length's dict is complete before it is expanded,
-and each distinct word is expanded once per call.
+owns their coefficients; this module works on (word, coefficient) pairs
+and returns {normal word: nonzero coefficient} dicts.  straighten puts
+the words into one dict per length, where equal words merge, and expands
+the lengths from the longest down.  Each word takes one insertion pass
+from the right: a letter out of order is carried right through the
+normal suffix, each swap changing only the sign of the word in hand and
+each bracket term, one letter shorter, going to the next lower dict; an
+odd square ends the word.  A rewrite either removes an inversion in hand
+or shortens the word, so a length's dict is complete before it is
+expanded, and each distinct word is expanded once per call.
 
 A supercommutator of two sums of normal words is expanded by the
 superderivation rule into words one letter shorter, so the top terms of
@@ -28,17 +27,16 @@ nonzero bracket with.
 from fractions import Fraction
 
 
-def straighten(setup, stack, sink):
-    """Reduce every (word, coefficient) on the stack to normal form,
-    accumulating into the sink dict; the stack is used up."""
+def straighten(setup, pairs):
+    """The normal form of sum c * w over the (word, c) pairs, read once,
+    as {normal word: nonzero coefficient}."""
     par, rows = setup.letter_parity, setup.bracket_rows
-    buckets = {}                        # length -> {word: summed coefficient}
-    for w, c in stack:
+    buckets, sink = {}, {}              # length -> {word: summed coefficient}
+    for w, c in pairs:
         words = buckets.get(len(w))
         if words is None:
             words = buckets[len(w)] = {}
         words[w] = words.get(w, 0) + c
-    stack.clear()
     for n in range(max(buckets, default=0), -1, -1):
         lower = buckets.setdefault(n - 1, {})
         for w, c in buckets.pop(n, {}).items():
@@ -53,20 +51,17 @@ def straighten(setup, stack, sink):
                 row, pa, head, j = rows[a], par[a], w[:i], i + 1
                 while True:
                     terms = row[b]
-                    if a == b:          # an odd square: a.a = [a, a]/2 ends the word
-                        left, right = head + w[i + 1:j], w[j + 1:]
-                        for k, ck in terms:
-                            x = c * ck  # halved exactly: an int stays an int
-                            v = left + (k,) + right
-                            lower[v] = lower.get(v, 0) + (
-                                x // 2 if type(x) is int and not x & 1 else Fraction(x, 2))
-                        c = 0
-                        break
                     if terms:
                         left, right = head + w[i + 1:j], w[j + 1:]
                         for k, ck in terms:
+                            x = c * ck
+                            if a == b:  # an odd square: a.a = [a, a]/2, halved exactly
+                                x = x // 2 if type(x) is int and not x & 1 else Fraction(x, 2)
                             v = left + (k,) + right
-                            lower[v] = lower.get(v, 0) + c * ck
+                            lower[v] = lower.get(v, 0) + x
+                    if a == b:          # ... which ends the word
+                        c = 0
+                        break
                     if pa and par[b]:
                         c = -c
                     j += 1
@@ -84,18 +79,19 @@ def straighten(setup, stack, sink):
                     sink[w] = c
                 else:
                     del sink[w]
+    return sink
 
 
-def commute(setup, left, right, sink):
-    """Accumulate [x, y] into the sink dict, for x the sum of c * u over the
-    (u, c) pairs of left and y that of right, all words normal.
+def commute(setup, left, right):
+    """The normal form of [x, y], for x the sum of c * u over the (u, c)
+    pairs of left and y that of right, all words normal.
 
     ad is a superderivation, so on two words
     [u, v] = sum_{i,j} (-1)^{|v||u_>i| + |u_i||v_<j|} u_<i v_<j [u_i, v_j] v_>j u_>i.
     The right words are indexed once by letter, b -> (v_<j, v_>j, d, |v|,
     |v_<j|) for each v_j = b; walking each u from the right, a letter a
     visits only the index letters b with [a, b] != 0.  Every term goes
-    onto one stack, which one straighten reduces.
+    onto one list, which one straighten reduces.
     """
     par, rows = setup.letter_parity, setup.bracket_rows
     index = {}
@@ -125,7 +121,7 @@ def commute(setup, left, right, sink):
                     for k, ck in bracket:
                         push((lw + (k,) + rw, x * ck))
             tail_par ^= pa
-    straighten(setup, stack, sink)
+    return straighten(setup, stack)
 
 
 def kazhdan_degree(setup, word):

@@ -506,7 +506,7 @@ def extract_c0(setup, ctx=None):
                     rep.fail("zero-pairing pair %s has residue" % label, B)
             else:
                 c0 = Fraction(-2 * scalar, pair)
-                formula = c0_formula(setup, w1, w2, ctx)
+                formula = Fraction(-2 * _published_scalar(setup, w1, w2, pair), pair)
                 result.formula_values.append((label, formula))
                 if formula != c0:
                     result.matches_formula = False
@@ -521,9 +521,8 @@ def extract_c0(setup, ctx=None):
                          % (values[0][0], first, label, c0))
         result.value = first
         rep.detail["c0"] = str(first)
-        if result.formula_values:
-            rep.detail["c0_formula"] = str(result.formula_values[0][1])
-            rep.detail["matches_formula"] = result.matches_formula
+        rep.detail["c0_formula"] = str(result.formula_values[0][1])
+        rep.detail["matches_formula"] = result.matches_formula
     else:
         rep.detail["note"] = "all pairings vanish; c0 not determined"
     return rep, result

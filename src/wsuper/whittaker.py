@@ -16,9 +16,9 @@ The model owns the coefficients.  An element holds integer numerators
 over one positive denominator, divided by their gcd, so equal elements
 have equal numerators and denominators.  Products, commutators, term
 lists and linear combinations (combine, which +, - and scale also call)
-run on those integers: each pushes all its words onto one stack for one
-straighten, or sums them, into one sink, and _project drops the
-f-suffixes and reduces the sink once.  The Fractions of an element,
+run on those integers: each straightens all its words in one call, or
+sums them, into one {word: numerator} dict, and _project drops the
+f-suffixes and reduces that dict once.  The Fractions of an element,
 `terms`, are built only when a test reads them.
 """
 
@@ -215,49 +215,40 @@ def product_terms(c, *factors):
 
 
 def project_terms(setup, pairs):
-    """Image in the model of sum c * word over (word, c) pairs, the
-    denominators cleared over the list and its words straightened on one
-    stack."""
+    """Image in the model of sum c * word over a list of (word, c) pairs,
+    the denominators cleared over the list and its words straightened in
+    one call."""
     d = lcm(*(c.denominator for _, c in pairs))
-    stack, sink = [], {}
-    for w, c in pairs:
-        n = c.numerator * (d // c.denominator)
-        if len(w) > 1:
-            stack.append((w, n))
-        else:                       # 1 or a letter is normal; zeros may stay
-            sink[w] = sink.get(w, 0) + n
-    straighten(setup, stack, sink)
-    return _project(setup, sink, d)
+    return _project(setup, straighten(
+        setup, ((w, c.numerator * (d // c.denominator)) for w, c in pairs)), d)
 
 
 def multiply_q(q1, q2):
-    """Model product: every word pair uv onto one stack, straightened in
-    U(g) and projected.
+    """Model product: every word pair uv straightened in U(g) in one call
+    and projected.
 
     Associative on ad-n invariants (and whenever the right factors are
     invariants); that is the only regime the verification suite uses.
     """
-    setup, sink = q1.setup, {}
-    straighten(setup, [(u + v, m * n) for u, m in q1.nums.items()
-                       for v, n in q2.nums.items()], sink)
-    return _project(setup, sink, q1.den * q2.den)
+    setup = q1.setup
+    return _project(setup, straighten(setup, [(u + v, m * n) for u, m in q1.nums.items()
+                                              for v, n in q2.nums.items()]),
+                    q1.den * q2.den)
 
 
 def supercommutator_q(q1, q2):
     """[q1, q2]: the projection of the supercommutator of the two
     elements, extended additively over parity components."""
-    setup, sink = q1.setup, {}
-    commute(setup, q1.nums.items(), q2.nums.items(), sink)
-    return _project(setup, sink, q1.den * q2.den)
+    setup = q1.setup
+    return _project(setup, commute(setup, q1.nums.items(), q2.nums.items()),
+                    q1.den * q2.den)
 
 
 def ad_act(setup, x_letter, q):
     """Adjoint action of a basis letter of n = g(-1) + Cf on the model."""
     if x_letter not in range(len(setup.letters)) or setup.letter_grade[x_letter] >= 0:
         raise InputError("ad_act expects a letter of n = g(-1) + g(-2)")
-    sink = {}
-    commute(setup, [((x_letter,), 1)], q.nums.items(), sink)
-    return _project(setup, sink, q.den)
+    return _project(setup, commute(setup, [((x_letter,), 1)], q.nums.items()), q.den)
 
 
 def is_w_element(q):

@@ -13,7 +13,8 @@ the b_table assembly summed with Fraction arithmetic, and the model
 operations as projections of U(g) elements) pin the integer-numerator
 paths of the package.  EnvElement, the U(g) element the package no longer
 carries, straightens each word pair on its own Fraction coefficient by
-calling the kernel's straighten and commute with one-term lists, never
+calling the kernel's straighten and commute with one-term lists, and sums
+the returned normal forms through add_into, never
 through the model's integer elements, so it shares no numerator clearing
 (the lcm and gcd of whittaker) with the model operations it is the
 reference for.  Membership is decided here by ad of each z, then of f,
@@ -446,6 +447,17 @@ def b_table_by_fractions(ctx):
 
 # ---- U(g) elements on Fraction coefficients --------------------------------
 
+def add_into(out, terms):
+    """Add the {word: coefficient} map terms into out, dropping the words
+    whose sum is zero."""
+    for w, c in terms.items():
+        c += out.get(w, 0)
+        if c:
+            out[w] = c
+        else:
+            out.pop(w, None)
+
+
 def word_parity(setup, word):
     return sum(setup.letter_parity[i] for i in word) & 1
 
@@ -470,9 +482,7 @@ class EnvElement:
 
     @classmethod
     def from_word(cls, setup, word, c=1):
-        out = {}
-        straighten(setup, [(tuple(word), Fraction(c))], out)
-        return cls(setup, out)
+        return cls(setup, straighten(setup, [(tuple(word), Fraction(c))]))
 
     @classmethod
     def from_vector(cls, setup, vec):
@@ -500,11 +510,11 @@ class EnvElement:
                           if c else {})
 
     def __mul__(self, other):
-        sink = {}
+        out = {}
         for u, c1 in self.terms.items():
             for v, c2 in other.terms.items():
-                straighten(self.setup, [(u + v, c1 * c2)], sink)
-        return EnvElement(self.setup, sink)
+                add_into(out, straighten(self.setup, [(u + v, c1 * c2)]))
+        return EnvElement(self.setup, out)
 
     def __eq__(self, other):
         return isinstance(other, EnvElement) and self.terms == other.terms
@@ -524,11 +534,11 @@ class EnvElement:
 def commutator_terms(setup, terms1, terms2):
     """Normal form of [x, y] for sparse word maps x and y, word pair by
     word pair, so mixed parity needs no splitting."""
-    sink = {}
+    out = {}
     for u, c1 in terms1.items():
         for v, c2 in terms2.items():
-            commute(setup, [(u, c1 * c2)], [(v, 1)], sink)
-    return sink
+            add_into(out, commute(setup, [(u, c1 * c2)], [(v, 1)]))
+    return out
 
 
 def supercommutator(u, v):

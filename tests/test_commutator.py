@@ -103,19 +103,16 @@ def test_kernel_equals_the_product_definition(case):
     setup, terms1, terms2 = case
     for u, c1 in terms1.items():
         for v, c2 in terms2.items():
-            sink = {}
-            commute(setup, [(u, c1)], [(v, c2)], sink)
-            assert EnvElement(setup, sink) == \
+            assert EnvElement(setup, commute(setup, [(u, c1)], [(v, c2)])) == \
                 _product_commutator(setup, {u: c1}, {v: c2}), (u, v)
-    sink = {}
-    commute(setup, terms1.items(), terms2.items(), sink)
-    assert EnvElement(setup, sink) == _product_commutator(setup, terms1, terms2)
+    assert EnvElement(setup, commute(setup, terms1.items(), terms2.items())) == \
+        _product_commutator(setup, terms1, terms2)
 
 
 def test_the_kernel_visits_only_nonzero_letter_brackets(monkeypatch):
     # work counter, not a timing: [Theta_w0, Theta_w1] on osp(5|2) pushes
     # one word per term of each nonzero [u_i, v_j] over the word pairs and
-    # letter pairs, onto one stack for one straighten, and forms the
+    # letter pairs, onto one list for one straighten, and forms the
     # coefficient c * d only at a letter pair with a nonzero bracket
     ctx = SuiteContext(family_setup("osp", 5, 2))
     setup, (q1, q2) = ctx.setup, [g.value for g in ctx.gens[ctx.n0:ctx.n0 + 2]]
@@ -130,10 +127,9 @@ def test_the_kernel_visits_only_nonzero_letter_brackets(monkeypatch):
             products.append(other)
             return int(self) * other
     straighten = enveloping.straighten
-    monkeypatch.setattr(enveloping, "straighten", lambda setup, stack, sink:
-                        stacks.append(len(stack)) or straighten(setup, stack, sink))
-    sink = {}
-    commute(setup, [(u, Counted(n)) for u, n in q1.nums.items()], q2.nums.items(), sink)
+    monkeypatch.setattr(enveloping, "straighten", lambda setup, stack:
+                        stacks.append(len(stack)) or straighten(setup, stack))
+    sink = commute(setup, [(u, Counted(n)) for u, n in q1.nums.items()], q2.nums.items())
     assert stacks == [sum(len(rows[a][b]) for a, b in nonzero)]
     assert len(products) == len(nonzero)
     assert _project(setup, sink, q1.den * q2.den) == supercommutator_q(q1, q2)

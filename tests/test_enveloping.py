@@ -10,7 +10,7 @@ from wsuper.enveloping import kazhdan_degree, straighten, weight
 from wsuper.errors import InputError
 from wsuper.generators import theta_w
 from wsuper.linalg import Echelon
-from wsuper.whittaker import project, supercommutator_q
+from wsuper.whittaker import project, project_terms, supercommutator_q
 
 from conftest import NONUNIT, get_setup
 
@@ -103,8 +103,7 @@ def test_odd_squares_halve_exactly_on_ints_and_fractions():
     halved = set()
     for a in odd:
         for c in (1, 2, 3):
-            sink = {}
-            straighten(s, [((a, a), c)], sink)
+            sink = straighten(s, [((a, a), c)])
             assert sink == naive_reduce(s, (a, a), coeff=Fraction(c))
             for (k,), v in sink.items():
                 ck = dict(s.letter_bracket(a, a))[k]
@@ -145,17 +144,38 @@ def _kernel_stack(s, rng):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES + (NONUNIT,))
 def test_straighten_equals_the_sum_of_the_naive_rewrites(name):
+    # the pairs are read once and left as they are, passed as the list
+    # itself, as a tuple or as a generator
     s = get_setup(name)
     rng = random.Random(53)
-    for _ in range(4):
+    for read in (list, tuple, list, lambda pairs: (p for p in pairs)):
         stack = _kernel_stack(s, rng)
+        kept = list(stack)
         expected = {}
         for w, c in stack:
             naive_reduce(s, w, expected, Fraction(c))
-        sink = {}
-        straighten(s, stack, sink)
-        assert stack == [] and sink == expected
+        sink = straighten(s, stack if read is list else read(stack))
+        assert stack == kept and sink == expected
         assert all(sink.values())
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + (NONUNIT,))
+def test_project_terms_sends_short_words_through_the_kernel(name):
+    # the empty word, every letter (f alone included), zero coefficients,
+    # equal short words that cancel, Fraction coefficients, and a length-2
+    # word whose bracket term cancels a single letter
+    s = get_setup(name)
+    a = max(range(s.dim), key=lambda i: len(s.letter_bracket(i, 0)))
+    (k, ck), *_ = s.letter_bracket(a, 0)
+    pairs = [((), Fraction(2)), ((), Fraction(-1, 3)), ((s.idx_f,), Fraction(0)),
+             ((a, 0), Fraction(0)), ((0,), Fraction(0)), ((a, 0), Fraction(1, 3)),
+             ((k,), -Fraction(ck, 3))]
+    pairs += [((i,), Fraction(i + 1, 2)) for i in range(s.dim)]
+    pairs += [((i,), Fraction(-i - 1, 2)) for i in range(0, s.dim, 2)]
+    expected = {}
+    for w, c in pairs:
+        naive_reduce(s, w, expected, c)
+    assert project_terms(s, pairs) == project(EnvElement(s, expected))
 
 
 def test_random_words_match_naive_rewriter(catalog_setup):

@@ -97,12 +97,12 @@ def test_one_c0_brackets_only_in_letters(monkeypatch, family, rewrites, straight
         calls["bracket"] += 1
         return bracket(self, x, y)
 
-    def counted_straighten(setup, stack, sink):
+    def counted_straighten(setup, pairs):
         calls["straighten"] += 1
         rows = setup.bracket_rows
         setup.bracket_rows = [_CountingRow(row) for row in rows]
         try:
-            return straighten(setup, stack, sink)
+            return straighten(setup, pairs)
         finally:
             setup.bracket_rows = rows
     monkeypatch.setattr(SuperAlgebra, "bracket", counted_bracket)
@@ -115,14 +115,15 @@ def test_one_c0_brackets_only_in_letters(monkeypatch, family, rewrites, straight
     assert _CountingRow.reads == rewrites
 
 
-@pytest.mark.parametrize("family, to_letters, pair_values",
-                         ((("osp", 7, 2), 840, 7), (("sl", 4, 2), 714, 8)),
+@pytest.mark.parametrize("family, to_letters, formulas",
+                         ((("osp", 7, 2), 826, 7), (("sl", 4, 2), 698, 8)),
                          ids=("osp(7|2)", "sl(4|2)"))
 def test_one_c0_reads_the_pairing_off_the_basis_letters(monkeypatch, family, to_letters,
-                                                        pair_values):
+                                                        formulas):
     # work counters: B and its table read ([w_i, w_j], f) from the letters
-    # of the basis; only c0_formula, at the pairs with a nonzero pairing,
-    # still converts its two vectors through pair_value
+    # of the basis, and the formula value at each pair with a nonzero
+    # pairing takes that pairing from the table: no vector goes through
+    # pair_value
     setup = family_setup(*family)
     calls = {"to_letters": 0, "pair_value": 0}
     convert, pair_value = MinimalSetup.to_letters, SuiteContext.pair_value
@@ -138,5 +139,5 @@ def test_one_c0_reads_the_pairing_off_the_basis_letters(monkeypatch, family, to_
     monkeypatch.setattr(SuiteContext, "pair_value", counted_pair_value)
     rep, result = extract_c0(setup)
     assert rep.ok
-    assert calls == {"to_letters": to_letters, "pair_value": pair_values}
-    assert len(result.formula_values) == pair_values
+    assert calls == {"to_letters": to_letters, "pair_value": 0}
+    assert len(result.formula_values) == formulas
