@@ -13,12 +13,12 @@ the b_table assembly summed with Fraction arithmetic, and the model
 operations as projections of U(g) elements) pin the integer-numerator
 paths of the package.  EnvElement, the U(g) element the package no longer
 carries, straightens each word pair on its own Fraction coefficient by
-calling the kernel's straighten and commute with one-term lists, and sums
-the returned normal forms through add_into, never
-through the model's integer elements, so it shares no numerator clearing
-(the lcm and gcd of whittaker) with the model operations it is the
-reference for.  Membership is decided here by ad of each z, then of f,
-the check on all of n that the package cuts to the z's.
+calling the kernel's straighten and commute with one-term lists and sums
+the returned normal forms through add_into, never through the model's
+integer elements, so it shares no numerator clearing (the lcm and gcd of
+whittaker) with the model operations it is the reference for.
+Membership is decided here by ad of each z, then of f, the check on all
+of n that the package cuts to the z's.
 """
 
 import itertools
