@@ -19,9 +19,10 @@ expanded, and each distinct word is expanded once per call.
 
 A supercommutator of two sums of normal words is expanded by the
 superderivation rule into words one letter shorter, so the top terms of
-uv and vu, which cancel, are never formed.  The right operand is indexed
-once by letter, so a left letter meets only the right letters it has a
-nonzero bracket with.
+uv and vu, which cancel, are never formed.  commute takes its right
+operand as a letter index (letter_index), which a model element builds
+once and keeps for every commutator it is the right operand of, so a
+left letter meets only the right letters it has a nonzero bracket with.
 """
 
 from fractions import Fraction
@@ -82,24 +83,31 @@ def straighten(setup, pairs):
     return sink
 
 
-def commute(setup, left, right):
-    """The normal form of [x, y], for x the sum of c * u over the (u, c)
-    pairs of left and y that of right, all words normal.
-
-    ad is a superderivation, so on two words
-    [u, v] = sum_{i,j} (-1)^{|v||u_>i| + |u_i||v_<j|} u_<i v_<j [u_i, v_j] v_>j u_>i.
-    The right words are indexed once by letter, b -> (v_<j, v_>j, d, |v|,
-    |v_<j|) for each v_j = b; walking each u from the right, a letter a
-    visits only the index letters b with [a, b] != 0.  Every term goes
-    onto one list, which one straighten reduces.
-    """
-    par, rows = setup.letter_parity, setup.bracket_rows
+def letter_index(setup, pairs):
+    """The (v, d) pairs of a sum of normal words indexed by letter:
+    b -> [(v_<j, v_>j, d, |v|, |v_<j|)] for each v_j = b."""
+    par = setup.letter_parity
     index = {}
-    for v, d in right:
+    for v, d in pairs:
         pv, pre = sum(par[b] for b in v) & 1, 0
         for j, b in enumerate(v):
             index.setdefault(b, []).append((v[:j], v[j + 1:], d, pv, pre))
             pre ^= par[b]
+    return index
+
+
+def commute(setup, left, index):
+    """The normal form of [x, y], for x the sum of c * u over the (u, c)
+    pairs of left and y the sum whose letter_index is index, all words
+    normal.
+
+    ad is a superderivation, so on two words
+    [u, v] = sum_{i,j} (-1)^{|v||u_>i| + |u_i||v_<j|} u_<i v_<j [u_i, v_j] v_>j u_>i.
+    Walking each u from the right, a letter a visits only the index
+    letters b with [a, b] != 0.  Every term goes onto one list, which one
+    straighten reduces.
+    """
+    par, rows = setup.letter_parity, setup.bracket_rows
     stack, hits = [], {}        # hits: a -> [([a, b], index[b])] over [a, b] != 0
     push = stack.append
     for u, c in left:

@@ -10,7 +10,8 @@ words in U(g) and projects, which on ad-n invariants is exactly the
 model's associative product.  Commutators, ad-n included, project the
 supercommutator of the two elements, expanded letter by letter by the
 superderivation rule (enveloping.commute), without forming either
-product.
+product.  The right operand enters commute as its letter index, which
+each element builds once and keeps (WhittakerElement.index).
 
 The model owns the coefficients.  An element holds integer numerators
 over one positive denominator, divided by their gcd, so equal elements
@@ -26,21 +27,32 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-from .enveloping import commute, kazhdan_degree, straighten, weight
+from .enveloping import commute, kazhdan_degree, letter_index, straighten, weight
 from .errors import InputError
 
 
 class WhittakerElement:
     """Sparse map f-free normal word -> rational, with the model product:
-    nums, {word: nonzero int}, over den, with gcd(den, nums) = 1."""
+    nums, {word: nonzero int}, over den, with gcd(den, nums) = 1.  Its
+    letter index, read by every commutator with it on the right, is built
+    on the first read and kept: nothing writes nums after construction,
+    so the index never goes stale."""
 
-    __slots__ = ("setup", "nums", "den")
+    __slots__ = ("setup", "nums", "den", "_index")
 
     def __init__(self, setup, terms=None, den=1):
         """The element terms / den: terms maps words to ints or Fractions,
         zeros allowed, and den is a positive int."""
         self.setup = setup
         self.nums, self.den = _canonical(terms or {}, den)
+        self._index = None
+
+    @property
+    def index(self):
+        """enveloping.letter_index of the numerators."""
+        if self._index is None:
+            self._index = letter_index(self.setup, self.nums.items())
+        return self._index
 
     @property
     def terms(self):
@@ -106,12 +118,10 @@ class WhittakerElement:
         """Sub-element of maximal (Kazhdan degree, weight)."""
         setup = self.setup
 
-        def key(word):
-            return kazhdan_degree(setup, word), weight(setup, word)
-
-        best = max((key(w) for w in self.nums), default=None)
+        keys = {w: (kazhdan_degree(setup, w), weight(setup, w)) for w in self.nums}
+        best = max(keys.values(), default=None)
         return WhittakerElement(setup, {w: n for w, n in self.nums.items()
-                                        if key(w) == best}, self.den)
+                                        if keys[w] == best}, self.den)
 
     def _report_terms(self):
         """(word, Fraction) pairs, the words sorted by (p-part, z-part), the
@@ -240,7 +250,7 @@ def supercommutator_q(q1, q2):
     """[q1, q2]: the projection of the supercommutator of the two
     elements, extended additively over parity components."""
     setup = q1.setup
-    return _project(setup, commute(setup, q1.nums.items(), q2.nums.items()),
+    return _project(setup, commute(setup, q1.nums.items(), q2.index),
                     q1.den * q2.den)
 
 
@@ -248,7 +258,7 @@ def ad_act(setup, x_letter, q):
     """Adjoint action of a basis letter of n = g(-1) + Cf on the model."""
     if x_letter not in range(len(setup.letters)) or setup.letter_grade[x_letter] >= 0:
         raise InputError("ad_act expects a letter of n = g(-1) + g(-2)")
-    return _project(setup, commute(setup, [((x_letter,), 1)], q.nums.items()), q.den)
+    return _project(setup, commute(setup, [((x_letter,), 1)], q.index), q.den)
 
 
 def is_w_element(q):

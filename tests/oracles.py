@@ -13,8 +13,9 @@ the b_table assembly summed with Fraction arithmetic, and the model
 operations as projections of U(g) elements) pin the integer-numerator
 paths of the package.  EnvElement, the U(g) element the package no longer
 carries, straightens each word pair on its own Fraction coefficient by
-calling the kernel's straighten and commute with one-term lists and sums
-the returned normal forms through add_into, never through the model's
+calling the kernel's straighten and commute with one-term lists (the
+right word through a fresh letter_index, never an element's kept one) and
+sums the returned normal forms through add_into, never through the model's
 integer elements, so it shares no numerator clearing (the lcm and gcd of
 whittaker) with the model operations it is the reference for.
 Membership is decided here by ad of each z, then of f, the check on all
@@ -26,7 +27,7 @@ import math
 from fractions import Fraction
 
 from wsuper.algebra import osp_realization
-from wsuper.enveloping import commute, kazhdan_degree, straighten
+from wsuper.enveloping import commute, kazhdan_degree, letter_index, straighten
 from wsuper.errors import InputError
 from wsuper.linalg import Span
 from wsuper.whittaker import WhittakerElement, multiply_q, project, supercommutator_q
@@ -537,7 +538,7 @@ def commutator_terms(setup, terms1, terms2):
     out = {}
     for u, c1 in terms1.items():
         for v, c2 in terms2.items():
-            add_into(out, commute(setup, [(u, c1 * c2)], [(v, 1)]))
+            add_into(out, commute(setup, [(u, c1 * c2)], letter_index(setup, [(v, 1)])))
     return out
 
 

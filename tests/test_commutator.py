@@ -5,6 +5,7 @@ the model's linear combinations (+, -, scale, combine) equal the sums
 term by term.  Whatever runs on integer numerators inside, every
 coefficient these return is a nonzero Fraction."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,14 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (EnvElement, ad_by_projection, commutator_by_projection,
                      commutator_terms, multiply_by_projection, word_parity)
-from wsuper import enveloping
+from wsuper import enveloping, whittaker
 from wsuper.catalog import family_setup
-from wsuper.enveloping import commute
-from wsuper.relations import SuiteContext
+from wsuper.enveloping import commute, letter_index
+from wsuper.relations import SuiteContext, extract_c0
 from wsuper.whittaker import (WhittakerElement, _project, ad_act, combine,
                               multiply_q, project, project_terms, supercommutator_q)
 
-from conftest import CATALOG_NAMES, get_ctx, get_setup
+from conftest import CATALOG_NAMES, NONUNIT, get_ctx, get_setup
 
 ALGEBRAS = ("sl(2|1)", "osp(3|2)", "psl22")
 # 1/3 and -2/5 make denominators that are not powers of 2: a max of the
@@ -103,10 +104,10 @@ def test_kernel_equals_the_product_definition(case):
     setup, terms1, terms2 = case
     for u, c1 in terms1.items():
         for v, c2 in terms2.items():
-            assert EnvElement(setup, commute(setup, [(u, c1)], [(v, c2)])) == \
-                _product_commutator(setup, {u: c1}, {v: c2}), (u, v)
-    assert EnvElement(setup, commute(setup, terms1.items(), terms2.items())) == \
-        _product_commutator(setup, terms1, terms2)
+            got = commute(setup, [(u, c1)], letter_index(setup, [(v, c2)]))
+            assert EnvElement(setup, got) == _product_commutator(setup, {u: c1}, {v: c2}), (u, v)
+    got = commute(setup, terms1.items(), letter_index(setup, terms2.items()))
+    assert EnvElement(setup, got) == _product_commutator(setup, terms1, terms2)
 
 
 def test_the_kernel_visits_only_nonzero_letter_brackets(monkeypatch):
@@ -129,10 +130,56 @@ def test_the_kernel_visits_only_nonzero_letter_brackets(monkeypatch):
     straighten = enveloping.straighten
     monkeypatch.setattr(enveloping, "straighten", lambda setup, stack:
                         stacks.append(len(stack)) or straighten(setup, stack))
-    sink = commute(setup, [(u, Counted(n)) for u, n in q1.nums.items()], q2.nums.items())
+    sink = commute(setup, [(u, Counted(n)) for u, n in q1.nums.items()],
+                   letter_index(setup, q2.nums.items()))
     assert stacks == [sum(len(rows[a][b]) for a, b in nonzero)]
     assert len(products) == len(nonzero)
     assert _project(setup, sink, q1.den * q2.den) == supercommutator_q(q1, q2)
+
+
+def test_one_c0_indexes_each_element_at_most_once(monkeypatch):
+    # work counter: one osp(7|2) extract_c0, membership tests included;
+    # letter_index is called from WhittakerElement.index, whose self is
+    # the element, and the kept elements keep their ids distinct.  29
+    # indexes serve the 342 commute calls, one per call if none were kept
+    built, reads = [], []
+
+    def counted_index(setup, pairs):
+        built.append(sys._getframe(1).f_locals["self"])
+        return letter_index(setup, pairs)
+
+    def counted_commute(setup, left, index):
+        reads.append(index)
+        return commute(setup, left, index)
+    monkeypatch.setattr(whittaker, "letter_index", counted_index)
+    monkeypatch.setattr(whittaker, "commute", counted_commute)
+    rep, result = extract_c0(family_setup("osp", 7, 2))
+    assert rep.ok and result.value is not None
+    assert all(isinstance(q, WhittakerElement) for q in built)
+    assert len({id(q) for q in built}) == len(built)
+    assert (len(built), len(reads)) == (29, 342)
+    assert {id(index) for index in reads} == {id(q.index) for q in built}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + (NONUNIT,))
+def test_a_kept_index_equals_a_fresh_one_and_the_oracle(name):
+    # each generator, copied so that it has no index yet, is the right
+    # operand of a commutator with every generator, twice over: its index
+    # is built on the first read, and every call reuses it
+    setup = get_setup(name)
+    gens = [g.value for g in get_ctx(name).gens]
+    for r in gens:
+        q = WhittakerElement(setup, r.nums, r.den)
+        assert q._index is None
+        kept = q.index
+        for _ in range(2):
+            for p in gens:
+                got = commute(setup, p.nums.items(), q.index)
+                assert got == commute(setup, p.nums.items(), letter_index(setup, q.nums.items()))
+                d = p.den * q.den
+                assert {w: Fraction(n, d) for w, n in got.items()} == \
+                    commutator_terms(setup, p.terms, q.terms)
+        assert q.index is kept
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

@@ -280,6 +280,23 @@ def test_hyperbolic_pass_makes_an_isotropic_pivot_from_a_pair(gram):
             assert pairing(u[i], u[j]) == int(i + j == n - 1), (i, j)
 
 
+@pytest.mark.xfail(strict=True, raises=DegeneracyError,
+                   reason="x0 + x1 + x2 is isotropic over Q, but no pair has a square "
+                          "discriminant (-1, 2, 2), and the pivot looks only at pairs")
+def test_hyperbolic_pass_finds_an_isotropic_vector_through_three_vectors():
+    gram = [[1, 0, 0], [0, 1, 0], [0, 0, -2]]
+    pairing = _gram_pairing(gram)
+    u = grading._hyperbolic_basis(pairing, _UNITS[:3])
+    for i in range(3):
+        for j in range(3):
+            if i + j != 2:
+                assert pairing(u[i], u[j]) == 0, (i, j)
+            elif i != j:
+                assert pairing(u[i], u[j]) == 1, (i, j)
+            else:                       # the middle vector keeps its nonzero square
+                assert pairing(u[i], u[j]) != 0
+
+
 @pytest.mark.parametrize("selection", [("sl", 3, 1), ("psl22",), ("osp", 3, 2),
                                        ("osp", 5, 2)], ids=str)
 def test_setup_builds_on_a_g_minus_1_basis_without_isotropic_vectors(selection):
