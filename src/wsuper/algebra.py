@@ -112,7 +112,7 @@ def normalized_form(alg, e, f):
 # diagnostics
 
 class AlgebraReport:
-    """Pass/fail per axiom, with the first counterexample as witness."""
+    """Pass/fail per axiom, with the least counterexample as witness."""
 
     AXIOMS = ("super_antisymmetry", "parity_additivity", "jacobi",
               "form_even", "form_supersymmetric", "form_invariant",
@@ -141,11 +141,6 @@ class AlgebraReport:
         return out
 
 
-def _first_failure(candidates, fails):
-    """The first candidate for which fails(candidate) holds, or None."""
-    return next((cand for cand in candidates if fails(cand)), None)
-
-
 def check_algebra(alg):
     """Verify every axiom exactly on the structure constants and the Gram
     matrix; the witness of a failed axiom is its least failing candidate.
@@ -164,21 +159,6 @@ def check_algebra(alg):
 
     def sign(i, j):
         return -1 if (par[i] and par[j]) else 1
-
-    def stored(keys):
-        # stored pairs in sorted order, then sorted k: a pair whose mirror
-        # is not stored is reached from the stored side
-        return ((i, j, k) for (i, j), terms in sorted(brackets.items())
-                for k in sorted(keys(i, j, terms)))
-
-    def antisymmetry_fails(t):
-        # c_ij^k = -(-1)^{|i||j|} c_ji^k
-        i, j, k = t
-        return c(i, j).get(k, 0) != -sign(i, j) * c(j, i).get(k, 0)
-
-    def parity_fails(t):
-        i, j, k = t
-        return c(i, j)[k] != 0 and par[k] != (par[i] + par[j]) & 1
 
     def jacobi_witness():
         # J(i,j,k) = sum over the rotations (a,b,d) of (i,j,k) of
@@ -219,16 +199,22 @@ def check_algebra(alg):
                     totals[t] = totals[t] + v if t in totals else v
         return min((t for t, v in totals.items() if v), default=None)
 
-    # a pair with both Gram entries zero satisfies both form scans
-    mirrored = sorted(form.keys() | {(j, i) for i, j in form})
     witnesses = (
-        _first_failure(stored(lambda i, j, terms: set(terms) | set(c(j, i))),
-                       antisymmetry_fails),
-        _first_failure(stored(lambda i, j, terms: terms), parity_fails),
+        # c_ij^k = -(-1)^{|i||j|} c_ji^k; a pair whose mirror is not stored
+        # is reached from the stored side
+        min(((i, j, k) for (i, j), terms in brackets.items()
+             for k in terms.keys() | c(j, i).keys()
+             if terms.get(k, 0) != -sign(i, j) * c(j, i).get(k, 0)), default=None),
+        # a stored term may hold an explicit zero, which has no parity
+        min(((i, j, k) for (i, j), terms in brackets.items()
+             for k, ck in terms.items()
+             if ck and par[k] != (par[i] + par[j]) & 1), default=None),
         jacobi_witness(),
-        _first_failure(form, lambda t: par[t[0]] != par[t[1]]),
-        _first_failure(mirrored, lambda t: form.get(t, 0)
-                       != sign(*t) * form.get((t[1], t[0]), 0)),
+        min((t for t in form if par[t[0]] != par[t[1]]), default=None),
+        # a pair with both Gram entries zero passes both form scans; a pair
+        # and its mirror fail together, so a stored entry stands for both
+        min((min((i, j), (j, i)) for (i, j), g in form.items()
+             if g != sign(i, j) * form.get((j, i), 0)), default=None),
         invariance_witness(),
         None if rank(gram.values()) == n else "gram rank < dim",
     )

@@ -106,9 +106,15 @@ def _emit(args, text_lines, json_obj):
 
 
 def _write(args, payload):
+    """Write the report as UTF-8 bytes, whatever the locale's codec; a
+    stdout with no byte buffer (a StringIO) takes the text."""
+    data = payload.encode("utf-8")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
         sys.stdout.write(payload)
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import count
 from math import isqrt
 
-from .algebra import normalized_form, pair_products, restricted_form
+from .algebra import EVEN, normalized_form, pair_products, restricted_form
 from .errors import DegeneracyError, InputError, NotMinimalError
 from .linalg import (Span, int_entries, int_if_integral, lin_comb, nullspace, solve,
                      transpose, vec_scale)
@@ -331,14 +331,13 @@ def build_minimal_setup(alg, e):
         raise DegeneracyError("(h,h) != 2 after normalization")
 
     ad_h = _ad_columns(alg, triple.h)
-    pieces = {}                           # (i, parity) -> basis of that part of g(i)
+    grading = {i: [] for i in range(-2, 3)}   # each g(i), even vectors first
     for par in (0, 1):
         idx = [j for j in range(alg.dim) if alg.parity[j] == par]
-        for i in range(-2, 3):      # over unit vectors: re-key each solution
+        for i in grading:           # over unit vectors: re-key each solution
             rows = transpose(_shifted_columns(ad_h, i, idx)).values()
-            pieces[i, par] = [{idx[j]: c for j, c in sol.items()}
-                              for sol in nullspace(rows, len(idx))]
-    grading = {i: pieces[i, 0] + pieces[i, 1] for i in range(-2, 3)}
+            grading[i] += [{idx[j]: c for j, c in sol.items()}
+                           for sol in nullspace(rows, len(idx))]
     total = sum(map(len, grading.values()))
     if total != alg.dim:
         raise NotMinimalError(
@@ -349,8 +348,9 @@ def build_minimal_setup(alg, e):
     if len(grading[-2]) != 1:
         raise NotMinimalError("dim g(-2) = %d != 1" % len(grading[-2]))
 
-    neg1_even, neg1_odd = pieces[-1, 0], pieces[-1, 1]
-    s, r = len(neg1_even), len(neg1_odd)
+    neg1 = grading[-1]
+    s = sum(alg.parity_of(v) == EVEN for v in neg1)
+    neg1_even, neg1_odd, r = neg1[:s], neg1[s:], len(neg1) - s
     if s % 2 != 0:
         raise NotMinimalError("dim g(-1)_even must be even, got %d" % s)
     pairing, zbasis = _paired_neg1(alg, triple.e, neg1_even, neg1_odd)
@@ -364,12 +364,9 @@ def build_minimal_setup(alg, e):
             pairing, zbasis = _paired_neg1(alg, triple.e, neg1_even, neg1_odd)
     zdual = _zdual(pairing, zbasis, s, r)
 
-    cent = {}
-    for i in (0, 1, 2):
-        cent[i] = []
-        for par in (0, 1):
-            piece = pieces[i, par]
-            cent[i] += _kernel(piece, [alg.bracket(triple.e, v) for v in piece])
+    # ad e keeps parity, so each kernel is even-first like g(i)
+    cent = {i: _kernel(grading[i], [alg.bracket(triple.e, v) for v in grading[i]])
+            for i in (0, 1, 2)}
     if len(cent[2]) != 1:
         raise NotMinimalError("g^e(2) is not one-dimensional")
 

@@ -218,7 +218,7 @@ def combine(setup, terms):
 def product_terms(c, *factors):
     """c times the product of factors, each a {letter: coefficient} map, as
     (word, coefficient) pairs; the words are straightened together later."""
-    out = [((), Fraction(c))] if c else []
+    out = [((), c)] if c else []
     for f in factors:
         out = [(w + (i,), x * y) for w, x in out for i, y in f.items()]
     return out

@@ -321,6 +321,22 @@ def test_check_algebra_flags_violation_with_witness(edit, failed):
     assert all(witness is None for _, ok, witness in report.checks if ok)
 
 
+def test_parity_scan_skips_an_explicit_zero_term():
+    # a hand-made SuperAlgebra keeps a stored 0: here c_00^2 = 0 on x_2 =
+    # E10, which is odd while [E00, E00] is even; a zero term has no parity
+    from oracles import dense_axiom_checks
+    from wsuper.algebra import SuperAlgebra
+    alg = build_gl(1, 1)
+    brackets = {k: dict(v) for k, v in alg.brackets.items()}
+    assert (0, 0) not in brackets and alg.parity[2] != alg.parity[0]
+    brackets[0, 0] = {2: 0}
+    made = SuperAlgebra("explicit zero", alg.parity, brackets, alg.form)
+    assert made.brackets[0, 0] == {2: 0}
+    checks = check_algebra(made).checks
+    assert ("parity_additivity", True, None) in checks
+    assert checks == check_algebra(alg).checks == dense_axiom_checks(made)
+
+
 def test_check_algebra_reads_the_structure_constants(monkeypatch):
     # every axiom is decided on alg.brackets and alg.form alone, never by
     # bracketing dense basis vectors

@@ -35,6 +35,27 @@ def test_info_psl22_reports_grading_dimensions():
     assert "ceiling convention" in out.stdout
 
 
+def test_reports_are_utf8_bytes_under_an_ascii_locale(tmp_path):
+    # the text report holds a middle dot; under LC_ALL=C with UTF-8 mode
+    # off it is written as the same UTF-8 bytes, to stdout and to --out
+    def run(utf8, *extra):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(PYTHONPATH=SRC, LC_ALL="C.UTF-8" if utf8 else "C")
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=%d" % utf8, "-m", "wsuper.cli", "verify",
+             "--family", "sl", "--m", "3", "--n", "1", *extra],
+            env=env, capture_output=True, timeout=600)
+
+    want = run(1)
+    assert want.returncode == 0 and "\u00b7".encode() in want.stdout
+    got = run(0)
+    assert got.returncode == 0 and got.stdout == want.stdout, got.stderr
+    out = tmp_path / "report.txt"
+    got = run(0, "--out", str(out))
+    assert got.returncode == 0 and got.stdout == b"", got.stderr
+    assert out.read_bytes() == want.stdout
+
+
 def test_info_sl21_dimension():
     out = run_cli("info", "--family", "sl", "--m", "2", "--n", "1")
     assert out.returncode == 0

@@ -20,6 +20,7 @@ from wsuper.algebra import (SuperAlgebra, build_osp, build_sl, export_table, imp
 from wsuper.catalog import CATALOG_NAMES, family_setup
 from wsuper.grading import _ad_columns, _kernel, build_minimal_setup
 from wsuper.linalg import Echelon, Span, nullspace, rref, solve, transpose
+from wsuper.whittaker import product_terms
 
 from conftest import NONUNIT
 
@@ -133,3 +134,14 @@ def test_kernel_vectors_are_ints_where_integral():
     assert _kernel([{0: 2}, {1: 1}], [{0: 2}, {0: 1}]) == [{0: -1, 1: 1}]
     assert all(exact(c) for v in _kernel([{0: 2}, {1: 1}], [{0: 2}, {0: 1}])
                for c in v.values())
+
+
+def test_product_terms_keep_int_coefficients_int():
+    # the scalar is taken as given: int factors multiply to ints, and a
+    # proper Fraction anywhere gives a Fraction
+    terms = product_terms(-2, {0: 3, 1: -1}, {2: 5})
+    assert terms == [((0, 2), -30), ((1, 2), 10)]
+    assert all(type(c) is int for _, c in terms)
+    halves = product_terms(Fraction(1, 2), {0: 3}, {1: 1})
+    assert halves == [((0, 1), Fraction(3, 2))] and all(exact(c) for _, c in halves)
+    assert product_terms(0, {0: 1}) == []
