@@ -321,12 +321,13 @@ def pair_products(amb, vectors):
                 yield (i, j), product
 
 
-def restricted_form(amb, vectors):
+def restricted_form(amb, vectors, right=None):
     """The Gram matrix of amb's form on the vectors, {(i, j): (v_i, v_j)}
-    over its nonzero entries in sorted order.  The ambient Gram rows of
-    each v_i's nonzeros meet an index of where each ambient coordinate is
-    nonzero among the vectors, so the cost follows the nonzeros."""
-    holders = transpose(vectors)          # b -> {j: vectors[j][b]}
+    over its nonzero entries in sorted order, or with right given, the
+    cross Gram {(i, j): (v_i, right_j)}.  The ambient Gram rows of each
+    v_i's nonzeros meet an index of where each ambient coordinate is
+    nonzero among the right vectors, so the cost follows the nonzeros."""
+    holders = transpose(vectors if right is None else right)   # b -> {j: right_j[b]}
     form = {}
     for i, u in enumerate(vectors):
         for a, ua in u.items():

@@ -23,8 +23,12 @@ uv and vu, which cancel, are never formed.  commute takes its right
 operand as a letter index (letter_index), which a model element builds
 once and keeps for every commutator it is the right operand of, so a
 left letter meets only the right letters it has a nonzero bracket with.
+Against a right operand that ad n kills in the model, commute walks only
+the p-letters of each left word: the terms at its z letters lie in
+U(g)(f - 1), as its docstring proves.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -96,7 +100,7 @@ def letter_index(setup, pairs):
     return index
 
 
-def commute(setup, left, index):
+def commute(setup, left, index, invariant=False):
     """The normal form of [x, y], for x the sum of c * u over the (u, c)
     pairs of left and y the sum whose letter_index is index, all words
     normal.
@@ -106,13 +110,27 @@ def commute(setup, left, index):
     Walking each u from the right, a letter a visits only the index
     letters b with [a, b] != 0.  Every term goes onto one list, which one
     straighten reduces.
+
+    invariant says that y is the f-free lift Q of a model element that
+    ad n kills, [z, Q] in I = U(g)(f - 1) for each z in g(-1), as
+    whittaker.is_w_element checked; the words of x must then be f-free.
+    Each u is walked over its p-letters only, u[:bisect_left(u, z_start)],
+    and the result differs from [x, y] by an element of I, so the two
+    project to the same model element.  Proof: u = u_p u_z, u_z its run
+    of z letters, and [u, Q] = sum_i +- u_<i [u_i, Q] u_>i.  At a z letter
+    u_i, u_>i holds z letters only, which commute with f since
+    [g(-1), g(-2)] lies in g(-3) = 0; so with [u_i, Q] = A(f - 1),
+    [u_i, Q] u_>i = A u_>i (f - 1) lies in I, and so does u_<i times it.
+    The sign of a p-letter term still counts the skipped z letters in
+    |u_>i|.
     """
-    par, rows = setup.letter_parity, setup.bracket_rows
+    par, rows, z = setup.letter_parity, setup.bracket_rows, setup.z_start
     stack, hits = [], {}        # hits: a -> [([a, b], index[b])] over [a, b] != 0
     push = stack.append
     for u, c in left:
-        tail_par = 0                    # |u_>i|, walking i from the right
-        for i in range(len(u) - 1, -1, -1):
+        n = bisect_left(u, z) if invariant else len(u)
+        tail_par = sum(par[b] for b in u[n:]) & 1       # |u_>i|, walking i from the right
+        for i in range(n - 1, -1, -1):
             a = u[i]
             visits = hits.get(a)
             if visits is None:

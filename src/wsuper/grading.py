@@ -392,11 +392,14 @@ def _post_checks(setup):
     alg, t = setup.alg, setup.triple
     if setup.chi(t.f) != 1:
         raise DegeneracyError("chi(f) != 1")
-    n = len(setup.dual_a)
-    for i in range(n):
-        for j in range(n):
-            if alg.form_value(setup.dual_a[i], setup.dual_b[j]) != int(i == j):
-                raise DegeneracyError("dual bases of g^e(0) failed at (%d,%d)" % (i, j))
+    # (a_i, b_j) = delta_ij, witnessed by its least failing (i, j); an
+    # entry the cross Gram lacks is zero, which fails on the diagonal only
+    cross = restricted_form(alg, setup.dual_a, setup.dual_b)
+    bad = min([(i, j) for (i, j), g in cross.items() if g != int(i == j)]
+              + [(i, i) for i in range(len(setup.dual_a)) if (i, i) not in cross],
+              default=None)
+    if bad is not None:
+        raise DegeneracyError("dual bases of g^e(0) failed at (%d,%d)" % bad)
     if alg.bracket(t.e, setup.cent[2][0]):
         raise NotMinimalError("g^e(2) is not centralized by e")
 

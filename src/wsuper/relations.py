@@ -103,8 +103,9 @@ class SuiteContext:
 
     basis is cent[0] + cent[1] + [2e], n0 + n1 + 1 vectors, and gens is
     standard_generators on it: gens[k] is Theta of basis[k], C last, and
-    checked[k] the value it built, checked for membership there.
-    Theta is linear, so Theta of any vector of
+    checked[k] the value it built, checked for membership there; a
+    commutator whose right operand still holds that value takes the short
+    walk of enveloping.commute.  Theta is linear, so Theta of any vector of
     g^e(0) + g^e(1) + g^e(2) is summed from its coordinates over the
     cached basis generators, and the model product or commutator of two
     such Thetas from the memos of basis pairs; B is bilinear, so every
@@ -180,7 +181,13 @@ class SuiteContext:
     def commutator(self, k, l):
         """[Theta_k, Theta_l], memoised by _antisymmetric."""
         return self._antisymmetric(self._commutators, k, l, lambda k, l: supercommutator_q(
-            self.gens[k].value, self.gens[l].value))
+            self.gens[k].value, self.gens[l].value, self.invariant(l)))
+
+    def invariant(self, k):
+        """Whether gens[k] still holds the value standard_generators checked
+        for membership: a premise of the short walk in commute that was
+        checked, never inferred."""
+        return self.gens[k].value is self.checked[k]
 
     def residue(self, k, l):
         """The residue of the relation for basis pair (k, l), memoised by
@@ -383,7 +390,7 @@ def generator_checks(setup, ctx):
             rep.fail("degree of %s > %d" % (gen.label, gen.kazhdan_degree), gen.value)
         # standard_generators checked each value it built; a Theta replaced
         # since, as by the theta-v-sign control, is checked again, C never
-        if gen.value is not ctx.checked[k] and gen is not ctx.gens[-1]:
+        if not ctx.invariant(k) and gen is not ctx.gens[-1]:
             ok, witness = is_w_element(gen.value)
             if not ok:
                 rep.fail("membership %s at ad %s" % (gen.label, witness[0]), witness[1])
@@ -436,9 +443,9 @@ def verify_centrality(setup, ctx=None):
         rep.check("[C, %s]" % g.label, ctx.commutator(len(gens), k))
     rep.check("[C, ThetaCas]", supercommutator_q(c.value, ctx.tcas.value))
     # Theta_Cas commutes with the degree-0 generators
-    for g in gens[:ctx.n0]:
+    for k, g in enumerate(gens[:ctx.n0]):
         rep.check("[ThetaCas, %s]" % g.label,
-                  supercommutator_q(ctx.tcas.value, g.value))
+                  supercommutator_q(ctx.tcas.value, g.value, ctx.invariant(k)))
     return rep
 
 

@@ -11,7 +11,9 @@ model's associative product.  Commutators, ad-n included, project the
 supercommutator of the two elements, expanded letter by letter by the
 superderivation rule (enveloping.commute), without forming either
 product.  The right operand enters commute as its letter index, which
-each element builds once and keeps (WhittakerElement.index).
+each element builds once and keeps (WhittakerElement.index).  A right
+operand that passed is_w_element is killed by ad z, so the caller that
+knows it may have commute skip the z-letters of the left words.
 
 The model owns the coefficients.  An element holds integer numerators
 over one positive denominator, divided by their gcd, so equal elements
@@ -246,11 +248,13 @@ def multiply_q(q1, q2):
                     q1.den * q2.den)
 
 
-def supercommutator_q(q1, q2):
+def supercommutator_q(q1, q2, invariant=False):
     """[q1, q2]: the projection of the supercommutator of the two
-    elements, extended additively over parity components."""
+    elements, extended additively over parity components.  invariant
+    says that q2 passed is_w_element, so commute walks only the
+    p-letters of q1's words."""
     setup = q1.setup
-    return _project(setup, commute(setup, q1.nums.items(), q2.index),
+    return _project(setup, commute(setup, q1.nums.items(), q2.index, invariant),
                     q1.den * q2.den)
 
 

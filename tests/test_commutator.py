@@ -2,7 +2,8 @@
 definition uv - (-1)^{|u||v|} vu, and the model commutators built on it
 (supercommutator_q, ad_act) equal the projection of the lifted products;
 the model's linear combinations (+, -, scale, combine) equal the sums
-term by term.  Whatever runs on integer numerators inside, every
+term by term; against a membership-checked right operand, the p-letter
+walk of commute gives the model element of the full walk.  Whatever runs on integer numerators inside, every
 coefficient these return is a nonzero Fraction."""
 
 import sys
@@ -13,10 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (EnvElement, ad_by_projection, commutator_by_projection,
                      commutator_terms, multiply_by_projection, word_parity)
-from wsuper import enveloping, whittaker
+from wsuper import enveloping, relations, whittaker
 from wsuper.catalog import family_setup
 from wsuper.enveloping import commute, letter_index
-from wsuper.relations import SuiteContext, extract_c0
+from wsuper.relations import SuiteContext, extract_c0, verify_centrality, verify_deg0
 from wsuper.whittaker import (WhittakerElement, _project, ad_act, combine,
                               multiply_q, project, project_terms, supercommutator_q)
 
@@ -148,9 +149,9 @@ def test_one_c0_indexes_each_element_at_most_once(monkeypatch):
         built.append(sys._getframe(1).f_locals["self"])
         return letter_index(setup, pairs)
 
-    def counted_commute(setup, left, index):
+    def counted_commute(setup, left, index, invariant=False):
         reads.append(index)
-        return commute(setup, left, index)
+        return commute(setup, left, index, invariant)
     monkeypatch.setattr(whittaker, "letter_index", counted_index)
     monkeypatch.setattr(whittaker, "commute", counted_commute)
     rep, result = extract_c0(family_setup("osp", 7, 2))
@@ -180,6 +181,47 @@ def test_a_kept_index_equals_a_fresh_one_and_the_oracle(name):
                 assert {w: Fraction(n, d) for w, n in got.items()} == \
                     commutator_terms(setup, p.terms, q.terms)
         assert q.index is kept
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("osp(5|2)",))
+def test_the_p_letter_walk_equals_the_full_walk_on_checked_generators(name):
+    # the lemma of commute: against a right operand that passed
+    # is_w_element, the z-letter terms of the left words lie in U(g)(f - 1).
+    # Each generator and ThetaCas on the left, each generator on the right;
+    # the short walk drops terms that are nonzero in U(g) on some pair
+    ctx = SuiteContext(family_setup("osp", 5, 2)) if name == "osp(5|2)" else get_ctx(name)
+    setup = ctx.setup
+    lefts = [g.value for g in ctx.gens] + [ctx.tcas.value]
+    dropped = 0
+    for l, r in enumerate(ctx.gens):
+        assert ctx.invariant(l)
+        for p in lefts:
+            short, full = (commute(setup, p.nums.items(), r.value.index, invariant)
+                           for invariant in (True, False))
+            dropped += short != full
+            assert supercommutator_q(p, r.value, True) == supercommutator_q(p, r.value)
+    assert dropped
+
+
+@pytest.mark.parametrize("family", (("psl22",), ("sl", 3, 1)), ids=("psl22", "sl(3|1)"))
+def test_the_p_letter_walk_needs_a_checked_right_operand(monkeypatch, family):
+    # negative control: a sign-flipped Theta_v is not ad-n invariant, and
+    # against it the short walk gives a wrong commutator on some pair; the
+    # suite takes the full walk for every such operand
+    ctx = SuiteContext(family_setup(*family), corrupt="theta-v-sign")
+    lefts = [g.value for g in ctx.gens] + [ctx.tcas.value]
+    corrupted = [g.value for k, g in enumerate(ctx.gens) if not ctx.invariant(k)]
+    assert len(corrupted) == ctx.n0
+    assert all(not whittaker.is_w_element(r)[0] for r in corrupted)
+    assert any(supercommutator_q(p, r, True) != supercommutator_q(p, r)
+               for p in lefts for r in corrupted)
+    calls = []
+    monkeypatch.setattr(relations, "supercommutator_q",
+                        lambda *args: calls.append(args) or supercommutator_q(*args))
+    verify_deg0(ctx.setup, ctx)
+    verify_centrality(ctx.setup, ctx)
+    against = [args for args in calls if any(args[1] is r for r in corrupted)]
+    assert against and not any(args[2] for args in against)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

@@ -129,6 +129,32 @@ def test_dual_bases_of_centralizer_zero(catalog_setup):
             assert s.form(s.dual_a[i], s.dual_b[j]) == (1 if i == j else 0)
 
 
+def _dual_failure_by_scan(s):
+    """The least (i, j) in row order with (a_i, b_j) != delta_ij, by one
+    form_value per entry."""
+    n = len(s.dual_a)
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if s.alg.form_value(s.dual_a[i], s.dual_b[j]) != int(i == j)), None)
+
+
+# b_1 doubled, b_1 + b_0, b_1 zero (an entry missing from the cross Gram)
+# and b_0 + b_2 (a failure in a later row than the first nonzero)
+@pytest.mark.parametrize("k, new, want", ((1, lambda b: vec_scale(2, b[1]), (1, 1)),
+                                          (1, lambda b: lin_comb({0: 1, 1: 1}, b), (0, 1)),
+                                          (1, lambda b: {}, (1, 1)),
+                                          (0, lambda b: lin_comb({0: 1, 2: 1}, b), (2, 0))),
+                         ids=("scaled", "added", "zero", "later-row"))
+def test_perturbed_dual_bases_fail_at_the_least_entry(monkeypatch, k, new, want):
+    s = get_setup("psl22")
+    dual_b = list(s.dual_b)
+    dual_b[k] = new(s.dual_b)
+    monkeypatch.setattr(s, "dual_b", dual_b)
+    assert _dual_failure_by_scan(s) == want
+    with pytest.raises(DegeneracyError) as err:
+        grading._post_checks(s)
+    assert str(err.value) == "dual bases of g^e(0) failed at (%d,%d)" % want
+
+
 def test_sl21_centralizer_dims_via_nullspace_oracle():
     s = get_setup("sl(2|1)")
     ad_e_rows = []

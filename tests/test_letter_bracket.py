@@ -1,6 +1,6 @@
 """The letter bracket MinimalSetup.lbracket against the bracket in g, the
 value type of letter coordinates, and the work of one c0 extraction, which
-brackets in letters only."""
+brackets in letters only, and of one osp(5|2) suite."""
 
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from wsuper.algebra import SuperAlgebra, build_sl
 from wsuper.catalog import CATALOG_NAMES, _unit_by_name, family_setup
 from wsuper.grading import MinimalSetup, build_minimal_setup
 from wsuper.linalg import lin_comb
-from wsuper.relations import SuiteContext, extract_c0
+from wsuper.relations import SuiteContext, extract_c0, run_suite
 
 from conftest import NONUNIT, get_setup
 
@@ -81,15 +81,9 @@ class _CountingRow(list):
         return list.__getitem__(self, j)
 
 
-@pytest.mark.parametrize("family, rewrites, straightens",
-                         ((("osp", 7, 2), 2131, 526), (("sl", 4, 2), 5544, 449)),
-                         ids=("osp(7|2)", "sl(4|2)"))
-def test_one_c0_brackets_only_in_letters(monkeypatch, family, rewrites, straightens):
-    # work counters, not timings: one extract_c0 on a fresh setup takes no
-    # bracket in g; the model work is that of the route through
-    # SuperAlgebra.bracket: the straighten calls, and the letter brackets
-    # they read, one per rewrite step (a swap or an odd square)
-    setup = family_setup(*family)
+def _count_model_work(monkeypatch):
+    """Count the brackets taken in g and the straighten calls, and, on
+    _CountingRow.reads, the letter brackets those calls read."""
     calls = {"bracket": 0, "straighten": 0}
     bracket, straighten = SuperAlgebra.bracket, enveloping.straighten
 
@@ -109,10 +103,36 @@ def test_one_c0_brackets_only_in_letters(monkeypatch, family, rewrites, straight
     for module in (enveloping, whittaker):
         monkeypatch.setattr(module, "straighten", counted_straighten)
     _CountingRow.reads = 0
+    return calls
+
+
+# against a membership-checked right operand commute walks only the
+# p-letters of the left words (2131 and 5544 rewrites on the full walk)
+@pytest.mark.parametrize("family, rewrites, straightens",
+                         ((("osp", 7, 2), 1683, 526), (("sl", 4, 2), 2593, 449)),
+                         ids=("osp(7|2)", "sl(4|2)"))
+def test_one_c0_brackets_only_in_letters(monkeypatch, family, rewrites, straightens):
+    # work counters, not timings: one extract_c0 on a fresh setup takes no
+    # bracket in g; the model work is that of the route through
+    # SuperAlgebra.bracket: the straighten calls, and the letter brackets
+    # they read, one per rewrite step (a swap or an odd square)
+    setup = family_setup(*family)
+    calls = _count_model_work(monkeypatch)
     rep, result = extract_c0(setup)
     assert rep.ok and result.value is not None
     assert calls == {"bracket": 0, "straighten": straightens}
     assert _CountingRow.reads == rewrites
+
+
+def test_one_osp52_suite_walks_only_the_p_letters(monkeypatch):
+    # work counter: the rewrite steps of one full osp(5|2) suite, counted
+    # as above; the full walk of every commutator makes 2546
+    setup = family_setup("osp", 5, 2)
+    _count_model_work(monkeypatch)
+    result = run_suite(setup, fail_fast=False)
+    failed = [r.rel_id for r in result.reports if not r.ok]
+    assert len(result.reports) == 10 and failed == ["scalar_reduction"]
+    assert _CountingRow.reads == 1677
 
 
 @pytest.mark.parametrize("family, to_letters, formulas",
