@@ -101,7 +101,8 @@ class SuiteContext:
     g^e, the residue of each basis pair (B on the g^e(1) basis among them)
     and the factored generator monomials.
 
-    basis is cent[0] + cent[1] + [2e], n0 + n1 + 1 vectors, and gens is
+    basis is cent[0] + cent[1] + [2e], n0 + n1 + 1 vectors, v and w the
+    index ranges of its g^e(0) and g^e(1) parts, and gens is
     standard_generators on it: gens[k] is Theta of basis[k], C last, and
     checked[k] the value it built, checked for membership there; a
     commutator whose right operand still holds that value takes the short
@@ -109,13 +110,15 @@ class SuiteContext:
     g^e(0) + g^e(1) + g^e(2) is summed from its coordinates over the
     cached basis generators, and the model product or commutator of two
     such Thetas from the memos of basis pairs; B is bilinear, so every
-    relation that needs it reads the basis-pair table.
+    relation that needs it reads the residues of the g^e(1) pairs.  Each
+    pairwise relation walks pairs(left, right) over two of those ranges.
     """
 
     def __init__(self, setup, corrupt=None):
         self.setup = setup
         self.corrupt = corrupt
         self.n0, self.n1 = len(setup.cent[0]), len(setup.cent[1])
+        self.v, self.w = range(self.n0), range(self.n0, self.n0 + self.n1)
         self.basis = setup.cent[0] + setup.cent[1] + [vec_scale(2, setup.triple.e)]
         self.odd = [setup.alg.parity_of(y) for y in self.basis]
         self.letters = [setup.to_letters(y) for y in self.basis]   # in letter coordinates
@@ -209,13 +212,14 @@ class SuiteContext:
             out = memo[key] = build(*key)
         return -out if k > l and not (self.odd[k] and self.odd[l]) else out
 
-    @cached_property
-    def b_table(self):
-        """b_table[i][j] = (B(w_i, w_j), ([w_i, w_j], f)) on the g^e(1)
-        basis, a view of the residue memo."""
-        n0, n1 = self.n0, self.n1
-        return [[(self.residue(n0 + i, n0 + j), self.letter_pair(n0 + i, n0 + j))
-                 for j in range(n1)] for i in range(n1)]
+    def pairs(self, left, right):
+        """(label, k, l) for k in left and l in right, ranges of basis
+        indices, generated row by row; the label names basis[k] vk in
+        g^e(0) and w(k - n0) in g^e(1), as (v3,w1)."""
+        names = ["v%d" % k for k in self.v] + ["w%d" % i for i in range(self.n1)]
+        for k in left:
+            for l in right:
+                yield "(%s,%s)" % (names[k], names[l]), k, l
 
     @cached_property
     def _b_entry(self):
@@ -409,13 +413,12 @@ def generator_checks(setup, ctx):
     return rep
 
 
-def _theta_brackets(ctx, rel_id, left, lname, right, rname):
-    """[Theta_x, Theta_y] = Theta_[x,y] over pairs of ctx.basis indices from
-    the ranges left and right, with the residues read from the memo."""
+def _theta_brackets(ctx, rel_id, left, right):
+    """[Theta_x, Theta_y] = Theta_[x,y] over ctx.pairs(left, right), with
+    the residues read from the memo."""
     rep = RelationReport(rel_id)
-    for i, k in enumerate(left):
-        for j, l in enumerate(right):
-            rep.check("(%s%d,%s%d)" % (lname, i, rname, j), ctx.residue(k, l))
+    for label, k, l in ctx.pairs(left, right):
+        rep.check(label, ctx.residue(k, l))
     rep.detail["pairs"] = len(left) * len(right)
     return rep
 
@@ -423,14 +426,13 @@ def _theta_brackets(ctx, rel_id, left, lname, right, rname):
 def verify_deg0(setup, ctx=None):
     """[Theta_v1, Theta_v2] = Theta_[v1,v2] over all ordered basis pairs."""
     ctx = ctx or SuiteContext(setup)
-    return _theta_brackets(ctx, "deg0", range(ctx.n0), "v", range(ctx.n0), "v")
+    return _theta_brackets(ctx, "deg0", ctx.v, ctx.v)
 
 
 def verify_deg01(setup, ctx=None):
     """[Theta_v, Theta_w] = Theta_[v,w] over all basis pairs."""
     ctx = ctx or SuiteContext(setup)
-    n0, n1 = ctx.n0, ctx.n1
-    return _theta_brackets(ctx, "deg01", range(n0), "v", range(n0, n0 + n1), "w")
+    return _theta_brackets(ctx, "deg01", ctx.v, ctx.w)
 
 
 def verify_centrality(setup, ctx=None):
@@ -497,27 +499,25 @@ def extract_c0(setup, ctx=None):
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("c0")
     result = C0Result()
-    basis = setup.cent[1]
-    if not basis:
+    if not ctx.n1:
         rep.detail["note"] = "g^e(1) = 0; nothing to extract"
         return rep, result
-    for i, w1 in enumerate(basis):
-        for j, w2 in enumerate(basis):
-            label = "(w%d,w%d)" % (i, j)
-            B, pair = ctx.b_table[i][j]
-            scalar, c0 = B.scalar_part(), None
-            if scalar is None:
-                rep.fail("non-scalar residue at %s" % label, B)
-            elif pair == 0:
-                if scalar != 0:
-                    rep.fail("zero-pairing pair %s has residue" % label, B)
-            else:
-                c0 = Fraction(-2 * scalar, pair)
-                formula = Fraction(-2 * _published_scalar(setup, w1, w2, pair), pair)
-                result.formula_values.append((label, formula))
-                if formula != c0:
-                    result.matches_formula = False
-            result.pairs.append((label, pair, c0))
+    for label, k, l in ctx.pairs(ctx.w, ctx.w):
+        B, pair = ctx.residue(k, l), ctx.letter_pair(k, l)
+        scalar, c0 = B.scalar_part(), None
+        if scalar is None:
+            rep.fail("non-scalar residue at %s" % label, B)
+        elif pair == 0:
+            if scalar != 0:
+                rep.fail("zero-pairing pair %s has residue" % label, B)
+        else:
+            c0 = Fraction(-2 * scalar, pair)
+            published = _published_scalar(setup, ctx.basis[k], ctx.basis[l], pair)
+            formula = Fraction(-2 * published, pair)
+            result.formula_values.append((label, formula))
+            if formula != c0:
+                result.matches_formula = False
+        result.pairs.append((label, pair, c0))
     values = [(label, c0) for label, _, c0 in result.pairs if c0 is not None]
     if values:
         first = values[0][1]
@@ -547,13 +547,10 @@ def verify_scalar_reduction(setup, ctx=None):
     """
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("scalar_reduction")
-    basis = setup.cent[1]
-    for i, w1 in enumerate(basis):
-        for j, w2 in enumerate(basis):
-            lhs, pair = ctx.b_table[i][j]
-            rhs = _published_scalar(setup, w1, w2, pair)
-            rep.check("(w%d,w%d)" % (i, j), lhs - WhittakerElement.unit(setup, rhs))
-    rep.detail["pairs"] = len(basis) ** 2
+    for label, k, l in ctx.pairs(ctx.w, ctx.w):
+        rhs = _published_scalar(setup, ctx.basis[k], ctx.basis[l], ctx.letter_pair(k, l))
+        rep.check(label, ctx.residue(k, l) - WhittakerElement.unit(setup, rhs))
+    rep.detail["pairs"] = ctx.n1 ** 2
     return rep
 
 
@@ -561,38 +558,36 @@ def verify_b_invariance(setup, ctx=None):
     """b(w1,w2) := scalar of B(w1,w2) is even and g^e(0)_even-invariant,
     and proportional to ([.,.],f).
 
-    B is bilinear, so everything is read off the basis-pair table.
-    Invariance is the matrix identity b([w_i,v], w_j) = b(w_i, [v,w_j]),
-    the one the pairing on g(-1) satisfies in identities_suite.
+    B is bilinear, so everything is read off the residues of the g^e(1)
+    basis pairs.  Invariance is the matrix identity b([w_i,v], w_j) =
+    b(w_i, [v,w_j]), the one the pairing on g(-1) satisfies in
+    identities_suite.
     """
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("b_invariance")
-    alg = setup.alg
-    basis = setup.cent[1]
-    b = [[0] * len(basis) for _ in basis]
+    alg, n0 = setup.alg, ctx.n0
+    b = [[0] * ctx.n1 for _ in ctx.w]
     ratios = []
-    for i, w1 in enumerate(basis):
-        for j, w2 in enumerate(basis):
-            B, pair = ctx.b_table[i][j]
-            val = B.scalar_part()
-            if val is None:
-                rep.fail("non-scalar B at (w%d,w%d)" % (i, j), B)
-                val = 0
-            b[i][j] = val
-            if alg.parity_of(w1) != alg.parity_of(w2) and val != 0:
-                rep.fail("b not even at (w%d,w%d)" % (i, j))
-            if pair != 0:
-                ratios.append(Fraction(val, pair))
+    for label, k, l in ctx.pairs(ctx.w, ctx.w):
+        B, pair = ctx.residue(k, l), ctx.letter_pair(k, l)
+        val = B.scalar_part()
+        if val is None:
+            rep.fail("non-scalar B at %s" % label, B)
+            val = 0
+        b[k - n0][l - n0] = val
+        if ctx.odd[k] != ctx.odd[l] and val != 0:
+            rep.fail("b not even at %s" % label)
+        if pair != 0:
+            ratios.append(Fraction(val, pair))
     if ratios and any(x != ratios[0] for x in ratios):
         rep.fail("b not proportional to ([.,.],f): ratios %s"
                  % sorted(set(str(x) for x in ratios)))
-    n0 = ctx.n0
 
     def wcoords(x):
         return {m - n0: c for m, c in ctx.coords(x).items()}
     evens = [v for v in setup.cent[0] if alg.parity_of(v) == 0]
     for k, v in enumerate(evens):
-        for failure in _invariance_failures(alg, b, basis, v, wcoords):
+        for failure in _invariance_failures(alg, b, setup.cent[1], v, wcoords):
             rep.fail("invariance at v%d,(w%d,w%d): %s != %s" % ((k,) + failure))
     return rep
 
@@ -610,20 +605,18 @@ def one_dim_rep(setup, ctx=None):
     ctx = ctx or SuiteContext(setup)
     rep = RelationReport("one_dim")
     _, echelon = ctx.monomials(4)
-    tag, n0, n1 = len(setup.letters), ctx.n0, ctx.n1
+    tag = len(setup.letters)
     coeffs = []                         # (label, a_1, a_C) per pair in the span
-    for i in range(n1):
-        for j in range(n1):
-            label = "(w%d,w%d)" % (i, j)
-            q = ctx.commutator(n0 + i, n0 + j)
-            rest = echelon.reduce(q.nums)
-            words = {k: c for k, c in rest.items() if k < (tag,)}
-            if words:
-                rep.fail("%s outside the monomial span" % label,
-                         WhittakerElement(setup, words, q.den))
-            else:       # C is the last generator, monomial len(gens)
-                coeffs.append((label, Fraction(-rest.get((tag, 0), 0), q.den),
-                               Fraction(-rest.get((tag, len(ctx.gens)), 0), q.den)))
+    for label, k, l in ctx.pairs(ctx.w, ctx.w):
+        q = ctx.commutator(k, l)
+        rest = echelon.reduce(q.nums)
+        words = {key: c for key, c in rest.items() if key < (tag,)}
+        if words:
+            rep.fail("%s outside the monomial span" % label,
+                     WhittakerElement(setup, words, q.den))
+        else:       # C is the last generator, monomial len(gens)
+            coeffs.append((label, Fraction(-rest.get((tag, 0), 0), q.den),
+                           Fraction(-rest.get((tag, len(ctx.gens)), 0), q.den)))
     c0 = next((Fraction(-a1, ac) for _, a1, ac in coeffs if ac), None)
     for label, a1, ac in coeffs:        # a_C != 0 only where there is a c0
         value = a1 + c0 * ac if ac else a1

@@ -9,7 +9,7 @@ carries the oscillator realisations of sp(2k) and osp(1|2k), on
 which the Casimir's scalar pins c0 without the package's enveloping layer,
 bw_element forms B(w1, w2) pair by pair from its definition, and the
 Fraction routes (the closed forms of Theta_w built from EnvElement products,
-the b_table assembly summed with Fraction arithmetic, and the model
+the g^e(1) residues B summed with Fraction arithmetic, and the model
 operations as projections of U(g) elements) pin the integer-numerator
 paths of the package.  EnvElement, the U(g) element the package no longer
 carries, straightens each word pair on its own Fraction coefficient by
@@ -379,7 +379,7 @@ def bw_element(setup, ctx, w1, w2):
     """(B(w1,w2), ([w1,w2],f)): the degree-1 commutator minus its
     structural terms, each Theta taken by ctx.theta and each product and
     commutator formed afresh; the package assembles the same element
-    bilinearly in SuiteContext.b_table.
+    bilinearly as SuiteContext.residue of the pair.
 
     On the minimal setup B must be a scalar multiple of 1 x 1, namely
     -([w1,w2],f) c0 / 2.
@@ -407,9 +407,11 @@ def bw_element(setup, ctx, w1, w2):
 
 
 def b_table_by_fractions(ctx):
-    """ctx.b_table assembled as before the integer path: each entry is a
-    copy of the memoised commutator with -pair/2 (C - ThetaCas) and each
-    M_ij[k,l] product(k, l) added term by term on Fractions."""
+    """The rows [(B(w_i, w_j), ([w_i, w_j], f)) for j] for i, the g^e(1)
+    residues of ctx with their pairings, assembled as before the integer
+    path: each B is a copy of the memoised commutator with -pair/2
+    (C - ThetaCas) and each M_ij[k,l] product(k, l) added term by term on
+    Fractions."""
     setup = ctx.setup
     alg, basis, n0 = setup.alg, setup.cent[1], len(setup.cent[0])
 

@@ -136,9 +136,9 @@ def test_b_invariance_fails_on_a_perturbed_table():
     # invariance identity can catch it
     s = get_setup("osp(3|2)")
     ctx = SuiteContext(s)
-    B, pair = ctx.b_table[0][1]
+    B, pair = _b_table(ctx)[0][1]
     assert B.is_zero() and pair == 0
-    ctx.b_table[0][1] = (WhittakerElement.unit(s, 1), pair)
+    _plus_one(ctx, 0, 1)
     rep = verify_b_invariance(s, ctx)
     assert not rep.ok
     assert all(w.startswith("invariance at") for w, _ in rep.failures)
@@ -301,6 +301,12 @@ def test_failure_report_carries_residue_terms(psl22):
     assert first["terms"][0]["monomial"] == []
 
 
+def _b_table(ctx):
+    """(B(w_i, w_j), ([w_i, w_j], f)) on the g^e(1) basis, row by row, read
+    from the residue memo and the letter pairing."""
+    return [[(ctx.residue(k, l), ctx.letter_pair(k, l)) for l in ctx.w] for k in ctx.w]
+
+
 B_TABLE_ALGEBRAS = {"psl22": ("psl22",), "sl(3|1)": ("sl", 3, 1),
                     "osp(5|2)": ("osp", 5, 2), "sl(4|1)": ("sl", 4, 1),
                     "osp(1|4)": ("osp", 1, 4)}
@@ -309,10 +315,10 @@ B_TABLE_ALGEBRAS = {"psl22": ("psl22",), "sl(3|1)": ("sl", 3, 1),
 @pytest.mark.parametrize("corrupt", [None, "theta-v-sign"])
 @pytest.mark.parametrize("name", sorted(B_TABLE_ALGEBRAS))
 def test_b_table_equals_the_definition(name, corrupt):
-    # the table is assembled bilinearly from factored data; bw_element is
-    # the per-pair definition, run here on a context that has built no table
+    # the residues are assembled bilinearly from factored data; bw_element
+    # is the per-pair definition, run here on a context that has built none
     setup = family_setup(*B_TABLE_ALGEBRAS[name])
-    table = SuiteContext(setup, corrupt=corrupt).b_table
+    table = _b_table(SuiteContext(setup, corrupt=corrupt))
     fresh = SuiteContext(setup, corrupt=corrupt)
     basis = setup.cent[1]
     assert basis
@@ -327,7 +333,7 @@ def test_b_table_equals_its_fraction_assembly(selection):
     # one denominator per entry against the Fraction sum term by term; the
     # selections have odd-odd pairs and zero-pairing pairs
     ctx = SuiteContext(family_setup(*selection))
-    assert ctx.b_table == b_table_by_fractions(ctx)
+    assert _b_table(ctx) == b_table_by_fractions(ctx)
 
 
 def _warmed_osp52():
@@ -344,7 +350,7 @@ def test_b_table_takes_each_sharp_once(monkeypatch):
     sharp = MinimalSetup.sharp
     monkeypatch.setattr(MinimalSetup, "sharp",
                         lambda self, x: calls.append(x) or sharp(self, x))
-    _ = ctx.b_table
+    _b_table(ctx)
     assert len(calls) <= 2 * len(setup.cent[1]) * len(setup.zbasis) == 50
 
 
@@ -366,10 +372,11 @@ def test_scalar_reduction_brackets_each_side_once(monkeypatch):
     # and [z*_b,[z*_a,w2]] are taken once per basis vector, not once per
     # pair (a per-pair double sum makes 1293 brackets here), and the
     # Theta_w have filled side 1 of the setup's memo already, so only side
-    # 0 is bracketed here; the verdict is the published scalar's, which
-    # fails on osp(5|2) where s != r.  No bracket is taken in g.
+    # 0 is bracketed here; each pairing ([w1,w2],f) is one more bracket;
+    # the verdict is the published scalar's, which fails on osp(5|2) where
+    # s != r.  No bracket is taken in g.
     setup, ctx = _warmed_osp52()
-    _ = ctx.b_table
+    _b_table(ctx)
     calls, in_g = [], []
     bracket, lbracket = SuperAlgebra.bracket, MinimalSetup.lbracket
     monkeypatch.setattr(SuperAlgebra, "bracket",
@@ -378,10 +385,10 @@ def test_scalar_reduction_brackets_each_side_once(monkeypatch):
                         lambda self, x, y: calls.append(x) or lbracket(self, x, y))
     rep = verify_scalar_reduction(setup, ctx)
     assert not rep.ok and rep.detail["pairs"] == 25
-    assert len(calls) == 283          # side 0: 130, the final brackets: 153
+    assert len(calls) == 308          # side 0: 130, the pairings: 25, the final brackets: 153
     calls.clear()
     assert verify_scalar_reduction(setup, ctx).as_json() == rep.as_json()
-    assert len(calls) == 153          # one final bracket per matched (a, b)
+    assert len(calls) == 178          # the pairings and one final bracket per matched (a, b)
     assert in_g == []
     fresh, basis = family_setup("osp", 5, 2), setup.cent[1]
     assert all(c0_double_sum(setup, w1, w2) == c0_double_sum(fresh, w1, w2)
@@ -430,11 +437,11 @@ def test_centrality_and_membership_make_no_model_product(monkeypatch):
 
 @pytest.mark.parametrize("name", ["psl22", "osp(5|2)"])
 def test_b_table_leaves_the_commutator_memo_intact(name):
-    # b_table adds its structural terms to a copy of each memoised
-    # commutator; the memo must still hold the commutators themselves
+    # each g^e(1) residue adds its structural terms to a copy of the
+    # memoised commutator; the memo must still hold the commutators themselves
     setup = family_setup(*B_TABLE_ALGEBRAS[name])
     ctx = SuiteContext(setup)
-    _ = ctx.b_table
+    _b_table(ctx)
     fresh = SuiteContext(setup)
     n = len(ctx.basis)
     assert ctx._commutators
@@ -514,10 +521,13 @@ def test_w_pbw_check_filtration_bound_can_fail(psl22):
 
 
 def _plus_one(ctx, i, j):
-    """Add 1 to B(w_i, w_j) in the basis-pair table."""
-    B, pair = ctx.b_table[i][j]
-    ctx.b_table[i][j] = (B + WhittakerElement.unit(ctx.setup, 1), pair)
-    return pair
+    """Add 1 to B(w_i, w_j), for that ordered pair only, through a wrapper
+    of ctx.residue on the instance; return ([w_i, w_j], f).  The memo is
+    left alone, since its entry serves the mirrored pair too."""
+    k, l = ctx.n0 + i, ctx.n0 + j
+    residue, one = ctx.residue, WhittakerElement.unit(ctx.setup, 1)
+    ctx.residue = lambda a, b: residue(a, b) + one if (a, b) == (k, l) else residue(a, b)
+    return ctx.letter_pair(k, l)
 
 
 def test_extract_c0_fails_on_a_residue_at_a_zero_pairing_pair():
@@ -579,6 +589,25 @@ def test_b_invariance_fails_on_an_odd_b():
     assert rep.failures == [("b not even at (w0,w2)", None),
                             ("invariance at v0,(w0,w2): -3/2 != 1/2", None),
                             ("invariance at v1,(w0,w2): 1 != -1", None)]
+
+
+@pytest.mark.parametrize("selection, rest", [
+    (("psl22",), []),
+    (("sl", 3, 1), [("b not proportional to ([.,.],f): ratios ['0', '1/4']", None)])])
+def test_b_invariance_fails_on_a_non_scalar_b(selection, rest):
+    # the residue memo entry of (w0, w1) plus the lone letter e is not a
+    # scalar, at (w1,w0) too, which reads the same entry; each then counts
+    # as b = 0, which on sl(3|1), where b(w0, w1) = 1/4 with pairing 1,
+    # also breaks the proportionality
+    s = family_setup(*selection)
+    ctx = SuiteContext(s)
+    n0 = ctx.n0
+    B = ctx._residues[(n0, n0 + 1)] = (ctx.residue(n0, n0 + 1)
+                                       + WhittakerElement(s, {(s.idx_e,): F(1)}))
+    assert B.scalar_part() is None
+    rep = verify_b_invariance(s, ctx)
+    assert rep.failures == [("non-scalar B at (w0,w1)", B),
+                            ("non-scalar B at (w1,w0)", ctx.residue(n0 + 1, n0))] + rest
 
 
 def test_b_invariance_fails_off_proportionality():
